@@ -6,8 +6,8 @@ budgets, time-domain simulation settings, and the normalized sweep
 grid.  All quantities are in micrometers / seconds / micromolar with
 frequencies in rad/s; files are expected to say so in a header comment.
 
-Validation is strict: missing or extra keys and out-of-range values
-raise ConfigError naming the offending field.
+Validation is strict: missing or extra keys, non-finite numbers and
+out-of-range values raise ConfigError naming the offending field.
 """
 
 from __future__ import annotations
@@ -51,15 +51,24 @@ def _reject_unknown(node: dict, allowed: set[str], path: str) -> None:
                           f"allowed: {sorted(allowed)}")
 
 
+def _finite(value: Any, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:    # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{where}: must be finite, got {number}")
+    return number
+
+
 def _number(node: dict, key: str, path: str, default=None, required=True):
     if key not in node:
         if required:
             raise ConfigError(f"{path}.{key}: required key missing")
         return default
-    value = node[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
-    return float(value)
+    return _finite(node[key], f"{path}.{key}")
 
 
 def _integer(node: dict, key: str, path: str, default=None, required=True):
@@ -182,8 +191,8 @@ def _parse_thresholds(node: dict, path: str) -> dict:
     else:
         raise ConfigError(f"{path}: empty thresholds section")
     for key, value in out.items():
-        if value <= 0.0 or not math.isfinite(value):
-            raise ConfigError(f"{path}.{key}: must be finite and > 0, got {value}")
+        if value <= 0.0:
+            raise ConfigError(f"{path}.{key}: must be > 0, got {value}")
     return out
 
 
@@ -204,8 +213,8 @@ def _parse_simulation(node: dict, path: str) -> SimulationSettings:
                                    default=defaults.n_periods, required=False)
     for key in ("threshold", "dx", "dt", "domain_length", "fundamental"):
         value = kwargs[key]
-        if value is not None and (not math.isfinite(value) or value <= 0.0):
-            raise ConfigError(f"{path}.{key}: must be finite and > 0, got {value}")
+        if value is not None and value <= 0.0:
+            raise ConfigError(f"{path}.{key}: must be > 0, got {value}")
     if kwargs["n_harmonics"] is not None and kwargs["n_harmonics"] < 0:
         raise ConfigError(f"{path}.n_harmonics: must be >= 0, "
                           f"got {kwargs['n_harmonics']}")
@@ -362,14 +371,14 @@ def load_table(path) -> TableConfig:
             raise ConfigError(f"{path_i}.name: expected a non-empty string")
         mu = node.get("mu")
         if isinstance(mu, (list, tuple)) and len(mu) == 2:
-            mu_lo, mu_hi = (float(m) for m in mu)
+            mu_lo, mu_hi = (_finite(m, f"{path_i}.mu[{j}]")
+                            for j, m in enumerate(mu))
         elif isinstance(mu, (int, float)) and not isinstance(mu, bool):
-            mu_lo = mu_hi = float(mu)
+            mu_lo = mu_hi = _finite(mu, f"{path_i}.mu")
         else:
             raise ConfigError(f"{path_i}.mu: expected a number or [lo, hi] pair, "
                               f"got {mu!r}")
-        if not (math.isfinite(mu_lo) and math.isfinite(mu_hi)
-                and 0.0 < mu_lo <= mu_hi):
+        if not 0.0 < mu_lo <= mu_hi:
             raise ConfigError(f"{path_i}.mu: need 0 < lo <= hi, got [{mu_lo}, {mu_hi}]")
         x_r = _number(node, "x_r", path_i, default=None, required=False)
         if x_r is not None:

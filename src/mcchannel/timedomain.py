@@ -6,7 +6,10 @@ square-wave release at the transmitter:
 * frequency route: Fourier synthesis.  The square wave is expanded in
   harmonics of its fundamental, each harmonic is scaled and delayed by
   the analytic frequency response, and the series is summed on a time
-  grid.  This is the steady-periodic response.
+  grid.  This is the steady-periodic response.  The sum over harmonics
+  on the uniform grid is evaluated as a blocked complex matrix product
+  (see synthesize_fourier), so it needs no integer number of samples
+  per period.
 
 * direct route: finite differences.  The diffusion equation
   u_t = mu u_xx is integrated on [0, L] with u(0, t) = v(t),
@@ -14,7 +17,11 @@ square-wave release at the transmitter:
   unconditionally stable, second order in both steps), and the bound
   receptor concentration follows the linearized binding ODE
   c' = k_f r u(x_r, t) - k_r c integrated with the trapezoidal rule.
-  This is a transient from rest.
+  The implicit matrix is factored once with LAPACK's symmetric
+  positive-definite tridiagonal factorization, and each step is one
+  tridiagonal solve whose right-hand side follows from the previous one
+  by a two-term recurrence (see simulate_fdm).  This is a transient from
+  rest.
 
 Square-wave convention: each period opens low and closes high; the
 rising edge of period k sits at (k + 1 - duty) * T.  A simulation from
@@ -35,8 +42,7 @@ from dataclasses import asdict, dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy.sparse import csc_matrix, diags
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .systems import (
     DiffusionChannel,
@@ -174,6 +180,11 @@ class SimulationTrace:
         return float(self.times[1] - self.times[0])
 
 
+# Harmonics per factor block of the Fourier sum: keeps each block's
+# temporaries near 1 MB on a 38,401-sample grid.
+_HARMONIC_BLOCK = 64
+
+
 def synthesize_fourier(ch: DiffusionChannel, rs: ReceptionSystem,
                        wave: SquareWaveInput, n_harmonics: int,
                        t_grid: Iterable[float]) -> SimulationTrace:
@@ -186,27 +197,62 @@ def synthesize_fourier(ch: DiffusionChannel, rs: ReceptionSystem,
 
     and each harmonic picks up the stage magnitude and unwrapped phase
     at n * w1.  Harmonics above n_harmonics are dropped; for duty = 1/2
-    the even ones vanish identically.  The returned input series is the
+    the even ones vanish only to rounding: in floating point sin(n pi / 2)
+    is ~1e-16 n for even n, not 0.  The returned input series is the
     exact square wave, not its truncation.
+
+    Evaluation: with complex amplitudes C_n = coeff_n |G_n|
+    exp(i (phi_n - w_n t_c)), each stage's series is Re sum_n C_n
+    exp(i w_n t_k).  On the uniform grid t_k = t_0 + k dt, write
+    k = a B + b with B = isqrt(K) for K samples; then exp(i w_n t_k) =
+    exp(i w_n t_{aB}) exp(i w_n b dt), and the sum is an (A x N) by
+    (N x B) complex matrix product whose two factors need 2 sqrt(K) N
+    exponentials instead of K N cosines.  Harmonics are taken in blocks
+    of _HARMONIC_BLOCK to keep the temporaries small.  The grid must be
+    uniform (SimulationTrace rejects any other); dt is its mean step.
+    Within a row the samples are taken at t_{aB} + b dt, so a grid whose
+    step drifts within SimulationTrace's 1e-9 relative tolerance is
+    evaluated with phase errors of order w_N B 1e-9 dt (on the baseline
+    grid, up to 5e-10 uM).
+
+    Accuracy: both this product and a per-harmonic cosine loop carry the
+    rounding of phases up to w_N t_K.  On the baseline scenario (800
+    harmonics, 38,401 samples, amplitude 0.1 uM) they differ by at most
+    4.6e-14 uM, and against an extended-precision sum the product is off
+    by at most 6.2e-14 uM (the loop by 2.5e-14 uM).
     """
     _require(n_harmonics >= 0, f"n_harmonics must be >= 0, got {n_harmonics}")
     t = np.asarray(t_grid, dtype=float)
-    w1 = wave.fundamental
-    t_c = (1.0 - 0.5 * wave.duty) * wave.period
+    n_samples = t.size
 
     # DC components: the diffusion stage has unit DC gain.
     received = np.full_like(t, wave.mean)
     complex_conc = np.full_like(t, wave.mean * rs.dc_gain)
-    for n in range(1, n_harmonics + 1):
-        coeff = 2.0 * wave.amplitude * math.sin(n * math.pi * wave.duty) / (n * math.pi)
-        if coeff == 0.0:
-            continue
-        wn = n * w1
-        g = diffusion_response(ch, wn)
-        gh = cascade_response(ch, rs, wn)
-        arg = wn * (t - t_c)
-        received += coeff * g.magnitude * np.cos(arg + g.phase)
-        complex_conc += coeff * gh.magnitude * np.cos(arg + gh.phase)
+    if n_harmonics > 0 and n_samples > 0:
+        n = np.arange(1, n_harmonics + 1)
+        wn = n * wave.fundamental
+        coeff = 2.0 * wave.amplitude * np.sin(n * math.pi * wave.duty) / (n * math.pi)
+        g_mag, g_phase = diffusion_response(ch, wn)
+        m_mag, m_phase = cascade_response(ch, rs, wn)
+        t_c = (1.0 - 0.5 * wave.duty) * wave.period
+        amps = np.stack((coeff * g_mag * np.exp(1j * (g_phase - wn * t_c)),
+                         coeff * m_mag * np.exp(1j * (m_phase - wn * t_c))))
+
+        cols = math.isqrt(n_samples)
+        rows = -(-n_samples // cols)
+        dt = (t[-1] - t[0]) / (n_samples - 1) if n_samples > 1 else 0.0
+        row_starts = t[::cols]
+        col_offsets = np.arange(cols) * dt
+        sums = np.zeros((2 * rows, cols), dtype=complex)
+        for lo in range(0, n_harmonics, _HARMONIC_BLOCK):
+            w = wn[lo:lo + _HARMONIC_BLOCK]
+            left = amps[:, None, lo:lo + _HARMONIC_BLOCK] * np.exp(
+                1j * np.multiply.outer(row_starts, w))
+            right = np.exp(1j * np.multiply.outer(w, col_offsets))
+            sums += left.reshape(2 * rows, w.size) @ right
+        series = sums.real.reshape(2, rows * cols)[:, :n_samples]
+        received += series[0]
+        complex_conc += series[1]
 
     return SimulationTrace(times=t, input=wave.value(t), received=received,
                            complex_conc=complex_conc, route="fourier",
@@ -270,6 +316,19 @@ def simulate_fdm(ch: DiffusionChannel, rs: ReceptionSystem,
     Second-order central differences in space on [0, L]; the receiver
     distance must sit on a grid node to within 0.1% of x_r.  The scheme
     is unconditionally stable, so cfg trades accuracy, not stability.
+
+    Each step solves M u_{n+1} = rhs_n with M = I - (lam/2) D2, lam =
+    mu dt / dx^2 and D2 the (1, -2, 1) second difference on the interior
+    nodes.  M is symmetric positive definite, so it is factored once as
+    L D L^T (LAPACK dpttrf) and every step is one dpttrs solve.  Because
+    M u_n = rhs_{n-1}, the explicit half step (I + (lam/2) D2) u_n equals
+    2 u_n - rhs_{n-1}, so
+
+        rhs_n = 2 u_n - rhs_{n-1} + (lam/2) (v_n + v_{n+1}) e_1,
+
+    with rhs_{-1} = 0.  The recurrence carries no error forward: rhs_n
+    is off the exact value only by the residual of the last solve.  A
+    nonzero LAPACK info raises numpy.linalg.LinAlgError.
     """
     dx, dt = cfg.dx, cfg.dt
     n_cells = int(round(cfg.domain_length / dx))
@@ -294,19 +353,25 @@ def simulate_fdm(ch: DiffusionChannel, rs: ReceptionSystem,
         # and only the binding ODE remains.
         u_xr = v.copy()
     else:
-        lam = ch.mu * dt / (dx * dx)
+        half_lam = 0.5 * ch.mu * dt / (dx * dx)
         m = n_cells - 1  # interior unknowns; nodes 0 and n_cells are Dirichlet
-        lap = diags([np.ones(m - 1), -2.0 * np.ones(m), np.ones(m - 1)],
-                    offsets=[-1, 0, 1], format="csc")
-        solver = splu(csc_matrix(diags([np.ones(m)], [0]) - 0.5 * lam * lap))
+        diag, offdiag, info = dpttrf(np.full(m, 1.0 + 2.0 * half_lam),
+                                     np.full(m - 1, -half_lam))
+        if info != 0:
+            raise np.linalg.LinAlgError(
+                f"Crank-Nicolson factorization failed (dpttrf info={info})")
+        boundary = (half_lam * (v[:-1] + v[1:])).tolist()
         u = np.zeros(m)
+        rhs = np.zeros(m)
         u_xr = np.empty(n_steps + 1)
         u_xr[0] = 0.0
         for step in range(n_steps):
-            rhs = u + 0.5 * lam * (np.concatenate(([v[step]], u[:-1]))
-                                   - 2.0 * u + np.concatenate((u[1:], [0.0])))
-            rhs[0] += 0.5 * lam * v[step + 1]
-            u = solver.solve(rhs)
+            rhs = 2.0 * u - rhs
+            rhs[0] += boundary[step]
+            u, info = dpttrs(diag, offdiag, rhs)
+            if info != 0:
+                raise np.linalg.LinAlgError(
+                    f"Crank-Nicolson solve failed (dpttrs info={info})")
             u_xr[step + 1] = u[node - 1]
 
     c = np.empty(n_steps + 1)
@@ -375,14 +440,21 @@ def activation_time(trace: SimulationTrace, threshold: float,
     return ActivationTiming(threshold, float(t_on), window)
 
 
+# Rows formatted per write: bounds the text held in memory at once.
+_TRACE_CHUNK = 4096
+
+
 def write_trace_csv(trace: SimulationTrace, path) -> None:
     """Write the trace as CSV with columns t_s, v_uM, u_xr_uM, c_uM."""
+    table = np.column_stack((trace.times, trace.input, trace.received,
+                             trace.complex_conc))
     with open(path, "w", newline="") as fh:
         fh.write(f"# route: {trace.route}\n")
         fh.write("t_s,v_uM,u_xr_uM,c_uM\n")
-        for row in zip(trace.times, trace.input, trace.received,
-                       trace.complex_conc):
-            fh.write(",".join(f"{x:.9g}" for x in row) + "\n")
+        for lo in range(0, len(table), _TRACE_CHUNK):
+            block = table[lo:lo + _TRACE_CHUNK]
+            fh.write(("%.9g,%.9g,%.9g,%.9g\n" * len(block))
+                     % tuple(block.ravel().tolist()))
 
 
 def write_trace_json(trace: SimulationTrace, path, metadata: dict) -> None:

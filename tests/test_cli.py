@@ -10,6 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import mcchannel.cli as cli
+import mcchannel.timedomain as timedomain
 from mcchannel import (
     DiffusionChannel,
     EvaluationError,
@@ -306,14 +307,37 @@ def test_table_outputs(species_path, tmp_path):
     ("  omega2: 1.0e-1\n", "  omega2: 1.0e-4\n"),      # inverted band
     ("  k_r: 4.0e-3\n", "  k_r: -4.0e-3\n"),           # negative rate
     ("  amplitude: 0.1\n", "  amplitude: fast\n"),     # non-numeric
+    ("  x_r: 14.0\n", "  x_r: .inf\n"),                # non-finite
+    ("  omega_max: 1.0e+2\n", "  omega_max: .inf\n"),  # non-finite sweep edge
 ])
 def test_malformed_scenarios_exit_two(tmp_path, mutation, hint):
     text = (SCENARIO.replace(mutation, "") if hint == "missing"
             else SCENARIO.replace(mutation, hint))
+    assert text != SCENARIO
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(text)
-    assert cli.main(["analyze", "--config", str(cfg),
-                     "--out", str(tmp_path / "out")]) == 2
+    out = tmp_path / "out"
+    for command in ("analyze", "sweep"):
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("mutation, bad", [
+    ("    mu: [500.0, 7000.0]\n", '    mu: ["a", 2.0]\n'),
+    ("    mu: [500.0, 7000.0]\n", "    mu: [500.0, .inf]\n"),
+    ("    x_r: 10.0\n", "    x_r: .inf\n"),
+    ("    x_r: 10.0\n", "    x_r: 1" + "0" * 400 + "\n"),
+    ("decade_width: 10.0\n", "decade_width: .nan\n"),
+    ("q_fraction: 0.1\n", "q_fraction: .nan\n"),
+], ids=["mu-pair-text", "mu-pair-inf", "x_r-inf", "x_r-beyond-float",
+        "decade_width-nan", "q_fraction-nan"])
+def test_malformed_tables_exit_two(tmp_path, mutation, bad):
+    assert mutation in SPECIES
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(SPECIES.replace(mutation, bad))
+    out = tmp_path / "out"
+    assert cli.main(["table", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_missing_and_unparsable_files_exit_two(tmp_path):
@@ -345,6 +369,17 @@ def test_numerical_failure_exits_three(scenario_path, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "channel_report", explode)
     assert cli.main(["analyze", "--config", str(scenario_path),
                      "--out", str(tmp_path / "out")]) == 3
+
+
+@pytest.mark.parametrize("name, failing", [
+    ("dpttrf", lambda d, e: (d, e, 1)),       # matrix not positive definite
+    ("dpttrs", lambda d, e, b: (b, -3)),      # illegal argument
+], ids=["factor", "solve"])
+def test_failed_fdm_lapack_call_exits_three(scenario_path, tmp_path,
+                                            monkeypatch, name, failing):
+    monkeypatch.setattr(timedomain, name, failing)
+    assert cli.main(["simulate", "--config", str(scenario_path),
+                     "--out", str(tmp_path / "out"), "--route", "fdm"]) == 3
 
 
 def test_version_flag(capsys):

@@ -7,6 +7,8 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.sparse import csc_matrix, diags
+from scipy.sparse.linalg import splu
 
 from mcchannel import (
     DiffusionChannel,
@@ -17,7 +19,9 @@ from mcchannel import (
     SolverConfig,
     SquareWaveInput,
     activation_time,
+    cascade_response,
     default_solver_config,
+    diffusion_response,
     simulate_fdm,
     synthesize_fourier,
     write_trace_csv,
@@ -257,6 +261,94 @@ def test_fdm_rejects_bad_discretizations():
         SolverConfig(dx=0.0, dt=1.0, domain_length=10.0, duration=10.0)
     with pytest.raises(ParameterError):
         default_solver_config(CH, WAVE, n_periods=0)
+
+
+# ---------------------------------------------------------------------------
+# both kernels against straightforward reference implementations
+# ---------------------------------------------------------------------------
+
+# Both kernels regroup the reference arithmetic, so they agree with it to
+# rounding, not bit for bit.  The bound is fixed in advance, well above
+# rounding of the O(1e4) rad phases and well below any modelling error.
+KERNEL_TOL = 1e-11
+
+
+def _fourier_reference(ch, rs, wave, n_harmonics, t):
+    """The series summed harmonic by harmonic as a cosine per sample."""
+    t_c = (1.0 - 0.5 * wave.duty) * wave.period
+    received = np.full_like(t, wave.mean)
+    complex_conc = np.full_like(t, wave.mean * rs.dc_gain)
+    for n in range(1, n_harmonics + 1):
+        coeff = 2.0 * wave.amplitude * math.sin(n * math.pi * wave.duty) / (n * math.pi)
+        wn = n * wave.fundamental
+        g = diffusion_response(ch, wn)
+        gh = cascade_response(ch, rs, wn)
+        arg = wn * (t - t_c)
+        received += coeff * g.magnitude * np.cos(arg + g.phase)
+        complex_conc += coeff * gh.magnitude * np.cos(arg + gh.phase)
+    return received, complex_conc
+
+
+def _fdm_reference(ch, rs, wave, cfg):
+    """Crank-Nicolson with a sparse LU factor and the explicit half step
+    built from the stencil at every step; trapezoidal binding ODE."""
+    dx, dt = cfg.dx, cfg.dt
+    n_cells = int(round(cfg.domain_length / dx))
+    node = int(round(ch.x_r / dx))
+    n_steps = int(round(cfg.duration / dt))
+    v = wave.value(np.arange(n_steps + 1) * dt)
+    lam = ch.mu * dt / (dx * dx)
+    m = n_cells - 1
+    lap = diags([np.ones(m - 1), -2.0 * np.ones(m), np.ones(m - 1)],
+                offsets=[-1, 0, 1], format="csc")
+    solver = splu(csc_matrix(diags([np.ones(m)], [0]) - 0.5 * lam * lap))
+    u = np.zeros(m)
+    u_xr = np.zeros(n_steps + 1)
+    for step in range(n_steps):
+        rhs = u + 0.5 * lam * (np.concatenate(([v[step]], u[:-1]))
+                               - 2.0 * u + np.concatenate((u[1:], [0.0])))
+        rhs[0] += 0.5 * lam * v[step + 1]
+        u = solver.solve(rhs)
+        u_xr[step + 1] = u[node - 1]
+    c = np.zeros(n_steps + 1)
+    decay = 1.0 + 0.5 * rs.k_r * dt
+    for step in range(n_steps):
+        c[step + 1] = ((1.0 - 0.5 * rs.k_r * dt) * c[step]
+                       + 0.5 * rs.k_f * rs.r * dt
+                       * (u_xr[step] + u_xr[step + 1])) / decay
+    return u_xr, c
+
+
+@pytest.mark.parametrize("ratio, n_harmonics, duty, t0_periods, n_samples", [
+    (200.0, 200, 0.5, 0.0, 9601),     # integer w2/w1, three periods from 0
+    (510.3, 510, 0.5, 0.37, 8166),    # non-integer w2/w1, grid starts late
+    (510.3, 0, 0.5, 0.37, 8166),
+    (510.3, 1, 0.5, 0.37, 8166),
+    (510.3, 2, 0.5, 0.37, 8166),
+    (200.0, 200, 0.3, 1.5, 4096),     # sample count a perfect square
+])
+def test_fourier_matches_per_harmonic_reference(ratio, n_harmonics, duty,
+                                                t0_periods, n_samples):
+    wave = SquareWaveInput(amplitude=0.1, fundamental=W1, duty=duty)
+    dt = wave.period / (16.0 * ratio)
+    t = t0_periods * wave.period + np.arange(n_samples) * dt
+    trace = synthesize_fourier(CH, RS, wave, n_harmonics, t)
+    received, complex_conc = _fourier_reference(CH, RS, wave, n_harmonics, t)
+    tol = KERNEL_TOL * wave.amplitude
+    assert float(np.max(np.abs(trace.received - received))) <= tol
+    assert float(np.max(np.abs(trace.complex_conc - complex_conc))) <= tol
+
+
+@pytest.mark.parametrize("wave", [
+    WAVE, SineInput(amplitude=0.1, fundamental=W1, offset=0.05),
+], ids=["square", "sine"])
+def test_fdm_matches_sparse_lu_reference(wave):
+    cfg = default_solver_config(CH, wave, n_periods=2, omega_max=0.05)
+    trace = simulate_fdm(CH, RS, wave, cfg)
+    received, complex_conc = _fdm_reference(CH, RS, wave, cfg)
+    tol = KERNEL_TOL * wave.amplitude
+    assert float(np.max(np.abs(trace.received - received))) <= tol
+    assert float(np.max(np.abs(trace.complex_conc - complex_conc))) <= tol
 
 
 # ---------------------------------------------------------------------------
