@@ -22,13 +22,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import ExitStack
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, Scenario, load_scenario, load_table
+from .config import (
+    ConfigError,
+    Scenario,
+    check_sweep_points,
+    load_scenario,
+    load_table,
+)
 from .design import (
     DesignSpec,
     InfeasibleBandError,
@@ -36,6 +43,7 @@ from .design import (
     highest_clean_band,
 )
 from .distortion import (
+    DistortionReport,
     EvaluationError,
     NormalizedBand,
     channel_report,
@@ -128,8 +136,8 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _resolved_budgets(scenario: Scenario) -> tuple[float, float]:
-    report = channel_report(scenario.channel, scenario.reception, scenario.band)
+def _resolved_budgets(scenario: Scenario,
+                      report: DistortionReport) -> tuple[float, float]:
     if scenario.q0 is not None:
         return scenario.q0, scenario.r0
     if scenario.q_factor is not None:
@@ -141,11 +149,11 @@ def _resolved_budgets(scenario: Scenario) -> tuple[float, float]:
 def cmd_design(args) -> int:
     scenario = load_scenario(args.config)
     out = _out_dir(args)
-    q0, r0 = _resolved_budgets(scenario)
+    report = channel_report(scenario.channel, scenario.reception, scenario.band)
+    q0, r0 = _resolved_budgets(scenario, report)
     spec = DesignSpec(q0=q0, r0=r0, band=scenario.band, mu=scenario.channel.mu,
                       rs=scenario.reception)
     result = distance_bound(spec)
-    report = channel_report(scenario.channel, scenario.reception, scenario.band)
     _write_json(out / "design.json", {
         "metadata": _metadata(scenario.resolved()),
         "budgets": {"q0": q0, "r0": r0},
@@ -158,11 +166,10 @@ def cmd_design(args) -> int:
 
 def cmd_sweep(args) -> int:
     scenario = load_scenario(args.config)
-    out = _out_dir(args)
     sw = scenario.sweep
-    points = args.points if args.points is not None else sw.points
-    if points < 2:
-        raise ConfigError(f"--points must be >= 2, got {points}")
+    points = (sw.points if args.points is None
+              else check_sweep_points(args.points, "--points"))
+    out = _out_dir(args)
     lam = normalize(scenario.channel, scenario.reception, scenario.band).lam
     grid = np.logspace(np.log10(sw.omega_min), np.log10(sw.omega_max), points)
     grid[0], grid[-1] = sw.omega_min, sw.omega_max
@@ -173,17 +180,28 @@ def cmd_sweep(args) -> int:
         "q_h": reception_amplitude_distortion_normalized,
         "r_h": reception_delay_distortion_normalized,
     }
-    for name, fn in surfaces.items():
-        with open(out / f"{name}.csv", "w", newline="") as fh:
-            _csv_header(fh, scenario.resolved())
-            fh.write("omega1p," + ",".join(_fmt(w2) for w2 in grid) + "\n")
-            for w1 in grid:
-                cells = [_fmt(fn(NormalizedBand(w1, w2, lam))) if w1 < w2 else ""
-                         for w2 in grid]
-                fh.write(_fmt(w1) + "," + ",".join(cells) + "\n")
+    parameters = scenario.resolved()
+    # Rows are evaluated and written one at a time, to all four files at
+    # once, so memory stays at one row of cells per surface.
+    with ExitStack() as stack:
+        files = [stack.enter_context(open(out / f"{name}.csv", "w", newline=""))
+                 for name in surfaces]
+        header = "omega1p," + ",".join(_fmt(w2) for w2 in grid) + "\n"
+        for fh in files:
+            _csv_header(fh, parameters)
+            fh.write(header)
+        for w1 in grid:
+            # Cells with w1 >= w2 stay blank.  Select them by value: on a
+            # grid a few ulps wide, neighbouring values can be equal.
+            later = w1 < grid
+            nb = NormalizedBand(w1, grid[later], lam)
+            row = "%.9g," + ",".join(["%.9g" if cell else ""
+                                      for cell in later.tolist()]) + "\n"
+            for fh, fn in zip(files, surfaces.values()):
+                fh.write(row % (w1, *fn(nb).tolist()))
 
     _write_json(out / "sweep.json", {
-        "metadata": _metadata(scenario.resolved()),
+        "metadata": _metadata(parameters),
         "lam": lam,
         "grid": {"omega_min": sw.omega_min, "omega_max": sw.omega_max,
                  "points": points},
@@ -218,15 +236,26 @@ def cmd_simulate(args) -> int:
     t_grid = np.arange(n_steps + 1) * cfg.dt
 
     timings: dict = {}
-    for route in routes:
-        for arm, ch in (("reception", reception_only), ("channel", scenario.channel)):
-            if route == "fourier":
-                trace = synthesize_fourier(ch, scenario.reception, wave,
-                                           scenario.harmonic_count(), t_grid)
-            else:
-                trace = simulate_fdm(ch, scenario.reception, wave, cfg)
-            write_trace_csv(trace, out / f"trace_{arm}_{route}.csv")
-            timings[f"{arm}_{route}"] = _timing_entry(trace, threshold)
+    written: list[Path] = []
+    try:
+        for route in routes:
+            for arm, ch in (("reception", reception_only),
+                            ("channel", scenario.channel)):
+                if route == "fourier":
+                    trace = synthesize_fourier(ch, scenario.reception, wave,
+                                               scenario.harmonic_count(), t_grid)
+                else:
+                    trace = simulate_fdm(ch, scenario.reception, wave, cfg)
+                path = out / f"trace_{arm}_{route}.csv"
+                written.append(path)
+                write_trace_csv(trace, path)
+                timings[f"{arm}_{route}"] = _timing_entry(trace, threshold)
+    except BaseException:
+        # A failed run leaves no traces without the simulate.json that
+        # describes them.
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
 
     _write_json(out / "simulate.json", {
         "metadata": _metadata(scenario.resolved()),
@@ -296,29 +325,27 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"mcchannel {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, route=False, points=None):
+    def add(name, func, help_text, route=False, points=False,
+            default_points=None):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="scenario YAML file")
         p.add_argument("--out", required=True, help="output directory")
         if route:
             p.add_argument("--route", choices=("fourier", "fdm", "both"),
                            default="both", help="time-domain solver route(s)")
-        if points is not None:
-            p.add_argument("--points", type=int, default=points,
-                           help="number of grid points")
+        if points:
+            p.add_argument("--points", type=int, default=default_points,
+                           help=f"number of grid points (default: "
+                                f"{default_points or 'the scenario sweep.points'})")
         p.set_defaults(func=func)
 
     add("analyze", cmd_analyze,
-        "distortion indices and response curves over the band", points=512)
+        "distortion indices and response curves over the band",
+        points=True, default_points=512)
     add("design", cmd_design,
         "distance bound for the configured distortion budgets")
-    p_sweep = sub.add_parser("sweep", help="normalized-index maps over an "
-                                           "(omega1', omega2') grid")
-    p_sweep.add_argument("--config", required=True, help="scenario YAML file")
-    p_sweep.add_argument("--out", required=True, help="output directory")
-    p_sweep.add_argument("--points", type=int, default=None,
-                         help="override the grid point count")
-    p_sweep.set_defaults(func=cmd_sweep)
+    add("sweep", cmd_sweep,
+        "normalized-index maps over an (omega1', omega2') grid", points=True)
     add("simulate", cmd_simulate,
         "time-domain traces and activation timings", route=True)
     add("table", cmd_table, "highest-clean-band survey over species rows")

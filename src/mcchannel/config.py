@@ -38,6 +38,18 @@ class ConfigError(ValueError):
     """A scenario file is malformed or violates a parameter constraint."""
 
 
+# sweep writes four CSV surfaces of points^2 cells: about 450 MB at 4096.
+MAX_SWEEP_POINTS = 4096
+
+
+def check_sweep_points(points: int, where: str) -> int:
+    """Return points if 2 <= points <= MAX_SWEEP_POINTS, else raise naming where."""
+    if not 2 <= points <= MAX_SWEEP_POINTS:
+        raise ConfigError(f"{where}: must be in [2, {MAX_SWEEP_POINTS}], "
+                          f"got {points}")
+    return points
+
+
 def _mapping(node: Any, path: str) -> dict:
     if not isinstance(node, dict):
         raise ConfigError(f"{path}: expected a mapping, got {type(node).__name__}")
@@ -234,19 +246,25 @@ def _parse_sweep(node: dict, path: str) -> SweepSettings:
     if not 0.0 < out.omega_min < out.omega_max:
         raise ConfigError(f"{path}: need 0 < omega_min < omega_max, "
                           f"got [{out.omega_min}, {out.omega_max}]")
-    if out.points < 2:
-        raise ConfigError(f"{path}.points: must be >= 2, got {out.points}")
+    check_sweep_points(out.points, f"{path}.points")
     return out
+
+
+# libyaml's parser reads the 1000-row surveys several times faster than
+# the pure-Python one; PyYAML built without libyaml has only the latter.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def _load_yaml(path) -> dict:
     try:
         with open(path) as fh:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=_YAML_LOADER)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML ({exc})")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})")
     return _mapping(doc, str(path))
 
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .systems import (
     LOG10_E,
     DiffusionChannel,
@@ -25,10 +27,13 @@ from .systems import (
     _require,
 )
 from .distortion import (
-    diffusion_amplitude_distortion,
-    diffusion_delay_distortion,
+    diffusion_amplitude_distortion_normalized,
+    diffusion_delay_distortion_normalized,
+    normalize,
     reception_amplitude_distortion,
+    reception_amplitude_distortion_normalized,
     reception_delay_distortion,
+    reception_delay_distortion_normalized,
 )
 
 __all__ = [
@@ -179,38 +184,40 @@ def highest_clean_band(mu: float, x_r: float, rs: ReceptionSystem,
 
     ch = DiffusionChannel(mu=mu, x_r=x_r)
 
-    def qualifies(omega1: float) -> bool:
-        band = FrequencyBand(omega1, omega1 * decade_width)
-        return (diffusion_amplitude_distortion(ch, band)
-                <= q_fraction * reception_amplitude_distortion(rs, band)
-                and diffusion_delay_distortion(ch, band)
-                <= r_fraction * reception_delay_distortion(rs, band))
+    def qualifies(omega1):
+        """The predicate at band start(s) omega1, a scalar or an array."""
+        nb = normalize(ch, rs, FrequencyBand(omega1, omega1 * decade_width))
+        return ((diffusion_amplitude_distortion_normalized(nb)
+                 <= q_fraction * reception_amplitude_distortion_normalized(nb))
+                & (diffusion_delay_distortion_normalized(nb)
+                   <= r_fraction * reception_delay_distortion_normalized(nb)))
 
     # Coarse scan: 16 points per decade is plenty to find the qualifying
     # window, whose width is set by polynomial-order crossings.
     decades = math.log10(hi / lo)
     n_scan = max(2, int(round(decades * 16)) + 1)
     step = (hi / lo) ** (1.0 / (n_scan - 1))
-    scan = [lo * step ** i for i in range(n_scan)]
-    flags = [qualifies(w) for w in scan]
+    flags = qualifies(lo * step ** np.arange(n_scan))
 
-    if all(flags):
+    if flags.all():
         return CleanBandResult(FrequencyBand(hi, hi * decade_width),
                                saturated=True)
-    if not any(flags):
+    if not flags.any():
         raise InfeasibleBandError(
             f"no band of width {decade_width:g} in {search_range} keeps the "
             f"diffusion distortion below ({q_fraction:g} q_h, {r_fraction:g} r_h) "
             f"at x_r={x_r:g} um, mu={mu:g} um^2/s")
 
-    top = max(i for i, flag in enumerate(flags) if flag)
+    top = int(np.flatnonzero(flags)[-1])
     if top == n_scan - 1:
         # Qualifies at the very top of the range but not everywhere below:
         # treat like saturation at the range top.
         return CleanBandResult(FrequencyBand(hi, hi * decade_width),
                                saturated=True)
 
-    good, bad = scan[top], scan[top + 1]
+    # The bracket ends come from float pow, whose result does not depend
+    # on which SIMD kernel numpy dispatches to; w1 is reported in full.
+    good, bad = lo * step ** top, lo * step ** (top + 1)
     while bad / good > 1.0 + rel_tol:
         mid = math.sqrt(good * bad)
         if qualifies(mid):

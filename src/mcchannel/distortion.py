@@ -15,6 +15,13 @@ check and for arbitrary gain/delay curves.
 The indices also have a two-parameter normal form: with w' = w / k_r
 and lam = sqrt(x_r^2 k_r / (2 mu)), the four stage indices depend only
 on (w1', w2', lam), and the diffusion indices are linear in lam.
+
+The normal-form closed forms take arrays (a NormalizedBand whose fields
+broadcast) and evaluate with numpy; the sweep maps and the clean-band
+search use them.  The physical closed forms evaluate one band with the
+math module.  numpy's log10, hypot and arctan differ from math's in the
+last bit for about 1% of arguments, so the reports built on the physical
+forms keep their full-precision digits only while those stay scalar.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from .systems import (
     FrequencyBand,
     ParameterError,
     ReceptionSystem,
+    _all,
     _require,
     diffusion_gain_db,
     diffusion_phase_delay,
@@ -170,21 +178,26 @@ class NormalizedBand:
 
     omega1p/omega2p are w1/k_r and w2/k_r; lam = sqrt(x_r^2 k_r / (2 mu))
     is dimensionless and carries the entire dependence on (mu, x_r, k_r)
-    of the diffusion-stage indices.
+    of the diffusion-stage indices.  The three fields may be arrays that
+    broadcast together; the normal-form closed forms then return one
+    index per band.
     """
 
-    omega1p: float
-    omega2p: float
-    lam: float
+    omega1p: float | np.ndarray
+    omega2p: float | np.ndarray
+    lam: float | np.ndarray
 
     def __post_init__(self) -> None:
-        _require(math.isfinite(self.omega1p) and self.omega1p > 0.0,
-                 f"omega1p must be finite and > 0, got {self.omega1p}")
-        _require(math.isfinite(self.omega2p) and self.omega2p > self.omega1p,
-                 f"omega2p must be finite and > omega1p={self.omega1p}, "
-                 f"got {self.omega2p}")
-        _require(math.isfinite(self.lam) and self.lam >= 0.0,
-                 f"lam must be finite and >= 0, got {self.lam}")
+        # One check per call, not per element; the message is built only
+        # on failure because formatting an array costs more than the check.
+        w1, w2, lam = self.omega1p, self.omega2p, self.lam
+        if not _all((w1 > 0.0) & (w1 < math.inf)):
+            raise ParameterError(f"omega1p must be finite and > 0, got {w1}")
+        if not _all((w2 > w1) & (w2 < math.inf)):
+            raise ParameterError(f"omega2p must be finite and > omega1p={w1}, "
+                                 f"got {w2}")
+        if not _all((lam >= 0.0) & (lam < math.inf)):
+            raise ParameterError(f"lam must be finite and >= 0, got {lam}")
 
 
 def normalize(ch: DiffusionChannel, rs: ReceptionSystem,
@@ -205,27 +218,31 @@ def denormalize_distance(lam: float, mu: float, k_r: float) -> float:
     return lam * math.sqrt(2.0 * mu / k_r)
 
 
-def diffusion_amplitude_distortion_normalized(nb: NormalizedBand) -> float:
+def diffusion_amplitude_distortion_normalized(
+        nb: NormalizedBand) -> float | np.ndarray:
     """q_G in normal form: 20 lam (sqrt w2' - sqrt w1') log10 e."""
-    return 20.0 * nb.lam * (math.sqrt(nb.omega2p) - math.sqrt(nb.omega1p)) * LOG10_E
+    return 20.0 * nb.lam * (np.sqrt(nb.omega2p) - np.sqrt(nb.omega1p)) * LOG10_E
 
 
-def diffusion_delay_distortion_normalized(nb: NormalizedBand) -> float:
+def diffusion_delay_distortion_normalized(
+        nb: NormalizedBand) -> float | np.ndarray:
     """r_G in normal form: (w1'/2pi) lam (1/sqrt w1' - 1/sqrt w2')."""
     return (nb.omega1p / (2.0 * math.pi) * nb.lam
-            * (1.0 / math.sqrt(nb.omega1p) - 1.0 / math.sqrt(nb.omega2p)))
+            * (1.0 / np.sqrt(nb.omega1p) - 1.0 / np.sqrt(nb.omega2p)))
 
 
-def reception_amplitude_distortion_normalized(nb: NormalizedBand) -> float:
+def reception_amplitude_distortion_normalized(
+        nb: NormalizedBand) -> float | np.ndarray:
     """q_H in normal form: 20 log10( sqrt(1 + w2'^2) / sqrt(1 + w1'^2) )."""
-    return 20.0 * math.log10(math.hypot(nb.omega2p, 1.0)
-                             / math.hypot(nb.omega1p, 1.0))
+    return 20.0 * np.log10(np.hypot(nb.omega2p, 1.0)
+                           / np.hypot(nb.omega1p, 1.0))
 
 
-def reception_delay_distortion_normalized(nb: NormalizedBand) -> float:
+def reception_delay_distortion_normalized(
+        nb: NormalizedBand) -> float | np.ndarray:
     """r_H in normal form: (arctan w1' - (w1'/w2') arctan w2') / 2 pi."""
-    return (math.atan(nb.omega1p)
-            - nb.omega1p / nb.omega2p * math.atan(nb.omega2p)) / (2.0 * math.pi)
+    return (np.arctan(nb.omega1p)
+            - nb.omega1p / nb.omega2p * np.arctan(nb.omega2p)) / (2.0 * math.pi)
 
 
 def delay_distortion_maxima(omega2p: float) -> tuple[float, float]:

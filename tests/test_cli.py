@@ -3,13 +3,16 @@ exit codes, determinism."""
 
 import json
 import math
+import random
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from numpy.testing import assert_allclose
 
 import mcchannel.cli as cli
+import mcchannel.config as config
 import mcchannel.timedomain as timedomain
 from mcchannel import (
     DiffusionChannel,
@@ -225,6 +228,84 @@ def test_sweep_grid_and_ridge(scenario_path, tmp_path):
     assert peak / cell_ratio <= 25.0 <= peak * cell_ratio
 
 
+# The sweep's four normal-form closed forms written out with the math
+# module, evaluated one cell at a time: the reference for the array sweep.
+_LOG10_E = math.log10(math.e)
+_SCALAR_SURFACES = {
+    "q_g": lambda w1, w2, lam: (20.0 * lam * (math.sqrt(w2) - math.sqrt(w1))
+                                * _LOG10_E),
+    "r_g": lambda w1, w2, lam: (w1 / (2.0 * math.pi) * lam
+                                * (1.0 / math.sqrt(w1) - 1.0 / math.sqrt(w2))),
+    "q_h": lambda w1, w2, lam: 20.0 * math.log10(math.hypot(w2, 1.0)
+                                                 / math.hypot(w1, 1.0)),
+    "r_h": lambda w1, w2, lam: (math.atan(w1) - w1 / w2 * math.atan(w2))
+                               / (2.0 * math.pi),
+}
+
+
+def _scalar_sweep_rows(omega_min, omega_max, points, lam, fn):
+    grid = np.logspace(np.log10(omega_min), np.log10(omega_max), points)
+    grid[0], grid[-1] = omega_min, omega_max
+    grid = grid.tolist()
+    rows = ["omega1p," + ",".join(f"{w2:.9g}" for w2 in grid)]
+    for w1 in grid:
+        cells = [f"{fn(w1, w2, lam):.9g}" if w1 < w2 else "" for w2 in grid]
+        rows.append(f"{w1:.9g}," + ",".join(cells))
+    return rows
+
+
+@pytest.mark.parametrize("points", [2, 3, 60, 401])
+def test_sweep_matches_scalar_reference(scenario_path, tmp_path, points):
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(scenario_path),
+                     "--out", str(out), "--points", str(points)]) == 0
+    lam = json.loads((out / "sweep.json").read_text())["lam"]
+    for name, fn in _SCALAR_SURFACES.items():
+        assert _data_rows(out / f"{name}.csv") == _scalar_sweep_rows(
+            1e-2, 1e2, points, lam, fn), name
+
+
+@pytest.mark.parametrize("ulps", [1, 3, 8])
+def test_sweep_on_a_grid_a_few_ulps_wide(tmp_path, ulps):
+    # logspace over a range a few ulps wide repeats values, so a cell is
+    # blank exactly where its w1 >= w2 by value, wherever it sits.  The
+    # diffusion surfaces use only sqrt and arithmetic and match the
+    # scalar loop byte for byte.  The reception surfaces use np.hypot and
+    # np.arctan, which differ from math.hypot and math.atan in the last
+    # bit for some arguments; here the cells are themselves a few ulps of
+    # rounding, so they are compared to a bound fixed from float64
+    # epsilon: 4 ulps of the hypot ratio for q_h and 4 epsilon for r_h.
+    eps = np.finfo(float).eps
+    bounds = {"q_h": 20.0 * _LOG10_E * 4.0 * eps, "r_h": 4.0 * eps}
+    for omega_min in (1e-2, 0.37, 1.0, 3.0, 25.0):
+        omega_max = omega_min
+        for _ in range(ulps):
+            omega_max = math.nextafter(omega_max, math.inf)
+        cfg = tmp_path / "narrow.yaml"
+        cfg.write_text(SCENARIO.replace("omega_min: 1.0e-2",
+                                        f"omega_min: {omega_min!r}")
+                       .replace("omega_max: 1.0e+2", f"omega_max: {omega_max!r}"))
+        out = tmp_path / f"out{omega_min}"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        lam = json.loads((out / "sweep.json").read_text())["lam"]
+        for name, fn in _SCALAR_SURFACES.items():
+            got = _data_rows(out / f"{name}.csv")
+            want = _scalar_sweep_rows(omega_min, omega_max, 9, lam, fn)
+            if name not in bounds:
+                assert got == want, (omega_min, name)
+                continue
+            assert len(got) == len(want)
+            assert got[0] == want[0]
+            for got_row, want_row in zip(got[1:], want[1:]):
+                got_cells, want_cells = got_row.split(","), want_row.split(",")
+                assert got_cells[0] == want_cells[0]
+                assert [c == "" for c in got_cells] == [c == "" for c in want_cells]
+                for g, w in zip(got_cells[1:], want_cells[1:]):
+                    if w:
+                        assert abs(float(g) - float(w)) <= (
+                            bounds[name] + 1e-8 * abs(float(w))), (name, g, w)
+
+
 def test_simulate_route_selection(scenario_path, tmp_path):
     out = tmp_path / "fourier_only"
     assert cli.main(["simulate", "--config", str(scenario_path),
@@ -349,6 +430,62 @@ def test_missing_and_unparsable_files_exit_two(tmp_path):
                      "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.skipif(not yaml.__with_libyaml__,
+                    reason="PyYAML was built without libyaml")
+def test_yaml_loaders_agree():
+    assert config._YAML_LOADER is yaml.CSafeLoader
+    root = Path(__file__).resolve().parent.parent / "scenarios"
+    rng = random.Random(11)
+    rows = []
+    for i in range(300):
+        mu, x_r = 0.1 * 3e4 ** rng.random(), 1e-2 * 1e4 ** rng.random()
+        if i % 5 == 0:
+            rows.append(f"  - name: 's{i}'  # quoted\n"
+                        f"    mu: [{mu:.6e}, {2 * mu:.3e}]\n")
+        elif i % 5 == 1:
+            rows.append(f'  - {{name: "s{i}", mu: {round(mu)}, x_r: {x_r!r}}}\n')
+        else:
+            rows.append(f"  - name: s{i}\n    mu: {mu:.6e}\n    x_r: {x_r:.4g}\n")
+    survey = SPECIES + "".join(rows)
+    texts = [(root / "baseline.yaml").read_text(),
+             (root / "species.yaml").read_text(), SCENARIO, survey]
+    for text in texts:
+        c_doc = yaml.load(text, Loader=yaml.CSafeLoader)
+        assert c_doc == yaml.load(text, Loader=yaml.SafeLoader)
+    assert len(c_doc["species"]) == 302
+
+
+@pytest.mark.parametrize("text", [
+    b"channel: [unclosed\n",
+    b"channel:\n\tmu: 83.0\n",
+    b"channel: mu: 83.0\n",
+    b"channel: *undefined\n",
+    b"channel:\n  mu: \xff\xfe\n",
+], ids=["unclosed", "tab", "nested-colon", "alias", "not-utf8"])
+def test_malformed_yaml_exits_two(tmp_path, capsys, text):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_bytes(text)
+    out = tmp_path / "out"
+    for command in ("analyze", "table"):
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "configuration error" in capsys.readouterr().err
+
+
+def test_design_evaluates_the_report_once(scenario_path, tmp_path,
+                                          monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return channel_report(*args)
+
+    monkeypatch.setattr(cli, "channel_report", counted)
+    assert cli.main(["design", "--config", str(scenario_path),
+                     "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+
+
 def test_offgrid_receiver_exits_two(scenario_path, tmp_path):
     text = SCENARIO.replace("  n_periods: 3\n", "  n_periods: 3\n  dx: 3.0\n")
     cfg = scenario_path.with_name("offgrid.yaml")
@@ -357,9 +494,26 @@ def test_offgrid_receiver_exits_two(scenario_path, tmp_path):
                      "--out", str(tmp_path / "out"), "--route", "fdm"]) == 2
 
 
-def test_sweep_rejects_bad_point_count(scenario_path, tmp_path):
-    assert cli.main(["sweep", "--config", str(scenario_path),
-                     "--out", str(tmp_path / "out"), "--points", "1"]) == 2
+def test_sweep_rejects_bad_point_count(scenario_path, tmp_path, monkeypatch,
+                                      capsys):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("sweep built a grid for a rejected point count")
+
+    monkeypatch.setattr(np, "logspace", no_grid)
+    out = tmp_path / "out"
+    ceiling = config.MAX_SWEEP_POINTS
+    for points in ("1", "0", str(ceiling + 1), "1" + "0" * 30):
+        assert cli.main(["sweep", "--config", str(scenario_path),
+                         "--out", str(out), "--points", points]) == 2
+        assert not out.exists()
+        assert "--points" in capsys.readouterr().err
+    for points in (1, ceiling + 1):
+        cfg = tmp_path / f"points{points}.yaml"
+        cfg.write_text(SCENARIO.replace("  points: 9\n", f"  points: {points}\n"))
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "sweep.points" in capsys.readouterr().err
+    assert config.check_sweep_points(ceiling, "--points") == ceiling
 
 
 def test_numerical_failure_exits_three(scenario_path, tmp_path, monkeypatch):
@@ -378,8 +532,13 @@ def test_numerical_failure_exits_three(scenario_path, tmp_path, monkeypatch):
 def test_failed_fdm_lapack_call_exits_three(scenario_path, tmp_path,
                                             monkeypatch, name, failing):
     monkeypatch.setattr(timedomain, name, failing)
+    out = tmp_path / "out"
     assert cli.main(["simulate", "--config", str(scenario_path),
-                     "--out", str(tmp_path / "out"), "--route", "fdm"]) == 3
+                     "--out", str(out), "--route", "fdm"]) == 3
+    # The reception arm needs no solve and is written before the channel
+    # arm fails; a failed run removes it again.
+    assert not list(out.glob("trace_*.csv"))
+    assert not (out / "simulate.json").exists()
 
 
 def test_version_flag(capsys):

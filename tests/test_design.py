@@ -1,6 +1,8 @@
 """Design rules: distance bounds, attenuation cutoff, clean-band search."""
 
 import math
+import random
+from collections import Counter
 
 import pytest
 from numpy.testing import assert_allclose
@@ -183,3 +185,80 @@ def test_clean_band_parameter_validation():
         highest_clean_band(83.0, 10.0, RS, q_fraction=0.0)
     with pytest.raises(ParameterError):
         highest_clean_band(83.0, 10.0, RS, search_range=(1.0, 0.1))
+
+
+def _scalar_scan_reference(mu, x_r, rs, decade_width=10.0, q_fraction=0.1,
+                           r_fraction=0.1, search_range=(1e-8, 1e8),
+                           rel_tol=1e-4):
+    """The clean-band search with one scalar predicate call per scan point.
+
+    The predicate is the physical closed forms written out with the math
+    module.  Returns (outcome, omega1): outcome is "all" (every scan
+    point qualifies), "top" (the top point qualifies but not every one),
+    "ok" or "infeasible".
+    """
+    log10_e = math.log10(math.e)
+
+    def qualifies(w1):
+        w2 = w1 * decade_width
+        root = math.sqrt(x_r * x_r / (2.0 * mu))
+        q_g = 20.0 * root * (math.sqrt(w2) - math.sqrt(w1)) * log10_e
+        r_g = root * (1.0 / math.sqrt(w1) - 1.0 / math.sqrt(w2)) / (
+            2.0 * math.pi / w1)
+        q_h = 20.0 * math.log10(math.hypot(w2, rs.k_r) / math.hypot(w1, rs.k_r))
+        r_h = (math.atan2(w1, rs.k_r)
+               - w1 / w2 * math.atan2(w2, rs.k_r)) / (2.0 * math.pi)
+        return q_g <= q_fraction * q_h and r_g <= r_fraction * r_h
+
+    lo, hi = search_range
+    n_scan = max(2, int(round(math.log10(hi / lo) * 16)) + 1)
+    step = (hi / lo) ** (1.0 / (n_scan - 1))
+    scan = [lo * step ** i for i in range(n_scan)]
+    flags = [qualifies(w) for w in scan]
+    if all(flags):
+        return "all", hi
+    if not any(flags):
+        return "infeasible", None
+    top = max(i for i, flag in enumerate(flags) if flag)
+    if top == n_scan - 1:
+        return "top", hi
+    good, bad = scan[top], scan[top + 1]
+    while bad / good > 1.0 + rel_tol:
+        mid = math.sqrt(good * bad)
+        if qualifies(mid):
+            good = mid
+        else:
+            bad = mid
+    return "ok", good
+
+
+def test_clean_band_matches_scalar_scan_reference():
+    # Seeded rows over the survey's parameter ranges, with some rows on
+    # other widths, fractions, tolerances and search ranges.  The array
+    # scan must reproduce the scalar one bit for bit.
+    rng = random.Random(20240)
+    outcomes = Counter()
+    for i in range(200):
+        mu = 0.1 * 3e4 ** rng.random()
+        x_r = 1e-6 * 1e8 ** rng.random()
+        options = {}
+        if i % 4 == 1:
+            options = {"decade_width": rng.choice([2.0, 10.0, 100.0]),
+                       "q_fraction": rng.choice([0.05, 0.1, 0.5]),
+                       "r_fraction": rng.choice([0.05, 0.1, 0.5]),
+                       "rel_tol": rng.choice([1e-6, 1e-4, 1e-2])}
+        elif i % 4 == 3:
+            lo = 10.0 ** rng.uniform(-8.0, 2.0)
+            options = {"search_range": (lo, lo * 10.0 ** rng.uniform(0.5, 6.0))}
+        outcome, omega1 = _scalar_scan_reference(mu, x_r, RS, **options)
+        outcomes[outcome] += 1
+        width = options.get("decade_width", 10.0)
+        if outcome == "infeasible":
+            with pytest.raises(InfeasibleBandError):
+                highest_clean_band(mu, x_r, RS, **options)
+            continue
+        result = highest_clean_band(mu, x_r, RS, **options)
+        assert result.saturated == (outcome in ("all", "top")), (mu, x_r)
+        assert result.band.omega1 == omega1, (mu, x_r, options)
+        assert result.band.omega2 == omega1 * width
+    assert set(outcomes) == {"all", "top", "ok", "infeasible"}, outcomes
