@@ -71,7 +71,6 @@ from .timedomain import (
     simulate_fdm,
     synthesize_fourier,
     write_trace_csv,
-    write_trace_json,
 )
 from .config import (
     ConfigError,
@@ -111,7 +110,7 @@ __all__ = [
     # timedomain
     "ActivationTiming", "SimulationTrace", "SineInput", "SolverConfig",
     "SquareWaveInput", "activation_time", "default_solver_config", "simulate_fdm",
-    "synthesize_fourier", "write_trace_csv", "write_trace_json",
+    "synthesize_fourier", "write_trace_csv",
     # config
     "ConfigError", "Scenario", "SimulationSettings", "SpeciesRow",
     "SweepSettings", "TableConfig", "load_scenario", "load_table",

@@ -33,6 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .systems import (
+    FLOAT_MAX,
     LOG10_E,
     DiffusionChannel,
     FrequencyBand,
@@ -191,12 +192,12 @@ class NormalizedBand:
         # One check per call, not per element; the message is built only
         # on failure because formatting an array costs more than the check.
         w1, w2, lam = self.omega1p, self.omega2p, self.lam
-        if not _all((w1 > 0.0) & (w1 < math.inf)):
+        if not _all((w1 > 0.0) & (w1 <= FLOAT_MAX)):
             raise ParameterError(f"omega1p must be finite and > 0, got {w1}")
-        if not _all((w2 > w1) & (w2 < math.inf)):
+        if not _all((w2 > w1) & (w2 <= FLOAT_MAX)):
             raise ParameterError(f"omega2p must be finite and > omega1p={w1}, "
                                  f"got {w2}")
-        if not _all((lam >= 0.0) & (lam < math.inf)):
+        if not _all((lam >= 0.0) & (lam <= FLOAT_MAX)):
             raise ParameterError(f"lam must be finite and >= 0, got {lam}")
 
 

@@ -25,6 +25,7 @@ rad/s.  Gains are reported in dB, delays as phase delay -angle/w in s.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,10 @@ __all__ = [
 ]
 
 LOG10_E = math.log10(math.e)
+# Largest float.  Bounds are checked as x <= FLOAT_MAX rather than
+# x < inf: a Python int beyond the float range compares below inf, and
+# would only fail later, when converted.
+FLOAT_MAX = sys.float_info.max
 
 
 class ParameterError(ValueError):
@@ -65,7 +70,7 @@ def _all(cond) -> bool:
     Comparing Python numbers gives a bool; comparing numpy operands gives
     an np.bool_ or an array.  Testing the bool directly keeps scalar
     checks at comparison cost, about 0.1 us against several us for
-    np.all.  Comparisons with nan are false, so (x > 0) & (x < inf)
+    np.all.  Comparisons with nan are false, so (x > 0) & (x <= FLOAT_MAX)
     also rejects nan.
     """
     return cond if isinstance(cond, bool) else bool(cond.all())
@@ -137,9 +142,9 @@ class FrequencyBand:
         # One check per band, not per element; the message is built only
         # on failure because formatting an array costs more than the check.
         w1, w2 = self.omega1, self.omega2
-        if not _all((w1 > 0.0) & (w1 < math.inf)):
+        if not _all((w1 > 0.0) & (w1 <= FLOAT_MAX)):
             raise ParameterError(f"omega1 must be finite and > 0, got {w1}")
-        if not _all((w2 > w1) & (w2 < math.inf)):
+        if not _all((w2 > w1) & (w2 <= FLOAT_MAX)):
             raise ParameterError(f"omega2 must be finite and > omega1={w1}, "
                                  f"got {w2}")
 

@@ -3,7 +3,10 @@ exit codes, determinism."""
 
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +16,6 @@ from numpy.testing import assert_allclose
 
 import mcchannel.cli as cli
 import mcchannel.config as config
-import mcchannel.timedomain as timedomain
 from mcchannel import (
     DiffusionChannel,
     EvaluationError,
@@ -525,20 +527,32 @@ def test_numerical_failure_exits_three(scenario_path, tmp_path, monkeypatch):
                      "--out", str(tmp_path / "out")]) == 3
 
 
-@pytest.mark.parametrize("name, failing", [
-    ("dpttrf", lambda d, e: (d, e, 1)),       # matrix not positive definite
-    ("dpttrs", lambda d, e, b: (b, -3)),      # illegal argument
-], ids=["factor", "solve"])
-def test_failed_fdm_lapack_call_exits_three(scenario_path, tmp_path,
-                                            monkeypatch, name, failing):
-    monkeypatch.setattr(timedomain, name, failing)
+@pytest.mark.parametrize("route", ["fdm", "fourier"])
+def test_nonfinite_trace_exits_three(tmp_path, capsys, route):
+    # Finite inputs whose traces overflow: v_n + v_{n+1} and the Fourier
+    # coefficients exceed the float range.  The run fails as a numerical
+    # failure and removes the traces it wrote.
+    cfg = tmp_path / "overflow.yaml"
+    cfg.write_text(SCENARIO.replace("amplitude: 0.1", "amplitude: 1.5e+308")
+                   .replace("threshold: 0.09", "threshold: 1.0e+307"))
     out = tmp_path / "out"
-    assert cli.main(["simulate", "--config", str(scenario_path),
-                     "--out", str(out), "--route", "fdm"]) == 3
-    # The reception arm needs no solve and is written before the channel
-    # arm fails; a failed run removes it again.
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--route", route]) == 3
+    assert "not finite" in capsys.readouterr().err
     assert not list(out.glob("trace_*.csv"))
     assert not (out / "simulate.json").exists()
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is a test dependency only; no CLI job pays for its import.
+    probe = ("import sys, mcchannel.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_version_flag(capsys):

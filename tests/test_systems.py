@@ -1,6 +1,7 @@
 """Frequency-response layer: values, monotonicity, cascade algebra, domains."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from mcchannel import (
     ComplexResponse,
     DiffusionChannel,
     FrequencyBand,
+    NormalizedBand,
     ParameterError,
     ReceptionSystem,
     cascade_gain_db,
@@ -198,6 +200,25 @@ def test_complex_response_polar_to_complex():
 def test_invalid_parameters_raise(ctor, kwargs):
     with pytest.raises(ParameterError):
         ctor(**kwargs)
+
+
+@pytest.mark.parametrize("ctor, args", [
+    (FrequencyBand, (1, 10**400)),
+    (FrequencyBand, (10**400, 10**401)),
+    (NormalizedBand, (1, 10**400, 1.0)),
+    (NormalizedBand, (1.0, 2.0, 10**400)),
+])
+def test_bands_reject_values_beyond_the_float_range(ctor, args):
+    # A Python int compares below inf however large it is; it must still
+    # fail at construction, not later as an OverflowError.
+    with pytest.raises(ParameterError, match="finite"):
+        ctor(*args)
+
+
+def test_bands_accept_the_largest_float():
+    top = sys.float_info.max
+    assert FrequencyBand(1.0, top).omega2 == top
+    assert NormalizedBand(1.0, top, top).lam == top
 
 
 def test_invalid_frequencies_raise():

@@ -1,7 +1,6 @@
 """Time-domain routes: wave inputs, Fourier synthesis, the direct solver,
 activation timing, and trace export."""
 
-import json
 import math
 
 import numpy as np
@@ -25,7 +24,6 @@ from mcchannel import (
     simulate_fdm,
     synthesize_fourier,
     write_trace_csv,
-    write_trace_json,
 )
 
 MU = 83.0
@@ -240,6 +238,26 @@ def test_fdm_trace_stays_physical(trace_x14):
     assert float(np.min(steps)) > -5e-3 * float(np.max(trace_x14.complex_conc))
 
 
+@pytest.mark.parametrize("ch", [CH, CH0], ids=["channel", "reception"])
+@pytest.mark.parametrize("duty", [0.5, 0.3])
+def test_fdm_is_exactly_zero_before_the_first_edge(coarse_cfg, ch, duty):
+    # From rest, nothing moves before the first rising edge.  The FFT
+    # convolutions start at the first nonzero forcing sample, so these
+    # samples are exact zeros, not rounding noise of either sign.
+    wave = SquareWaveInput(amplitude=0.1, fundamental=W1, duty=duty)
+    trace = simulate_fdm(ch, RS, wave, coarse_cfg)
+    quiet = trace.times < wave.pulse_window(0)[0]
+    assert np.count_nonzero(quiet) > 100
+    assert np.all(trace.input[quiet] == 0.0)
+    assert np.all(trace.received[quiet] == 0.0)
+    assert np.all(trace.complex_conc[quiet] == 0.0)
+    # and the response starts at the edge sample itself
+    edge = np.count_nonzero(quiet)
+    assert trace.complex_conc[edge] > 0.0
+    if ch is CH:
+        assert trace.received[edge] != 0.0
+
+
 def test_fdm_rejects_bad_discretizations():
     with pytest.raises(ParameterError):  # receiver off the spatial grid
         simulate_fdm(CH, RS, WAVE, SolverConfig(dx=3.0, dt=2.0,
@@ -440,14 +458,3 @@ def test_trace_csv_round_trip(tmp_path, trace_reception):
     # nine significant digits, no more
     assert lines[2 + i].split(",")[3] == f"{trace_reception.complex_conc[i]:.9g}"
 
-
-def test_trace_json_summary(tmp_path, trace_x14):
-    path = tmp_path / "trace.json"
-    write_trace_json(trace_x14, path, metadata={"tool": "test"})
-    payload = json.loads(path.read_text())
-    assert payload["metadata"] == {"tool": "test"}
-    assert payload["route"] == "fdm"
-    assert payload["wave"]["kind"] == "square"
-    assert payload["wave"]["duty"] == 0.5
-    assert payload["samples"] == len(trace_x14.times)
-    assert payload["complex_max"] == float(np.max(trace_x14.complex_conc))
