@@ -22,7 +22,6 @@ from .systems import (
     cascade_gain_db,
     cascade_phase_delay,
     cascade_response,
-    diffusion3d_response,
     diffusion_gain_db,
     diffusion_phase_delay,
     diffusion_response,
@@ -91,9 +90,9 @@ __all__ = [
     # systems
     "ComplexResponse", "DiffusionChannel", "FrequencyBand", "ParameterError",
     "ReceptionSystem", "cascade_gain_db", "cascade_phase_delay",
-    "cascade_response", "diffusion3d_response", "diffusion_gain_db",
-    "diffusion_phase_delay", "diffusion_response", "reception_gain_db",
-    "reception_phase_delay", "reception_response",
+    "cascade_response", "diffusion_gain_db", "diffusion_phase_delay",
+    "diffusion_response", "reception_gain_db", "reception_phase_delay",
+    "reception_response",
     # distortion
     "DistortionReport", "EvaluationError", "NormalizedBand",
     "amplitude_distortion", "channel_report", "delay_distortion",

@@ -38,7 +38,6 @@ from .config import (
 )
 from .design import (
     DesignSpec,
-    InfeasibleBandError,
     distance_bound,
     highest_clean_band,
 )
@@ -279,22 +278,26 @@ def cmd_table(args) -> int:
         "species": [{"name": row.name, "mu_lo": row.mu_lo, "mu_hi": row.mu_hi,
                      "x_r": row.x_r} for row in table.species],
     }
+    # One search for every row that has a distance; the rows without one
+    # keep the no-distance status.
+    banded = [row for row in table.species if row.has_band]
+    found = highest_clean_band(
+        np.array([row.mu_lo for row in banded]),
+        np.array([row.x_r for row in banded]), table.reception,
+        decade_width=table.decade_width,
+        q_fraction=table.q_fraction, r_fraction=table.r_fraction)
+    bands = iter(zip(found.omega1.tolist(), found.omega2.tolist(),
+                     found.status.tolist()))
     rows_out = []
     for row in table.species:
         entry = {"name": row.name, "mu_lo": row.mu_lo, "mu_hi": row.mu_hi,
                  "x_r": row.x_r, "omega1": None, "omega2": None,
                  "status": "no-distance"}
         if row.has_band:
-            try:
-                result = highest_clean_band(
-                    row.mu_lo, row.x_r, table.reception,
-                    decade_width=table.decade_width,
-                    q_fraction=table.q_fraction, r_fraction=table.r_fraction)
-                entry.update(omega1=result.band.omega1,
-                             omega2=result.band.omega2,
-                             status="saturated" if result.saturated else "ok")
-            except InfeasibleBandError:
-                entry["status"] = "infeasible"
+            omega1, omega2, status = next(bands)
+            entry["status"] = status
+            if status != "infeasible":
+                entry.update(omega1=omega1, omega2=omega2)
         rows_out.append(entry)
 
     with open(out / "table.csv", "w", newline="") as fh:
@@ -359,8 +362,8 @@ def main(argv=None) -> int:
     except (ConfigError, ParameterError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (EvaluationError, InfeasibleBandError, FloatingPointError,
-            np.linalg.LinAlgError, RuntimeError) as exc:
+    except (EvaluationError, FloatingPointError, np.linalg.LinAlgError,
+            RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -23,6 +23,7 @@ from .systems import (
     LOG10_E,
     DiffusionChannel,
     FrequencyBand,
+    ParameterError,
     ReceptionSystem,
     _require,
 )
@@ -43,6 +44,7 @@ __all__ = [
     "reception_cutoff",
     "InfeasibleBandError",
     "CleanBandResult",
+    "CleanBands",
     "highest_clean_band",
 ]
 
@@ -135,7 +137,7 @@ class InfeasibleBandError(RuntimeError):
 
 @dataclass(frozen=True)
 class CleanBandResult:
-    """Outcome of highest_clean_band.
+    """Outcome of highest_clean_band for one row.
 
     saturated is set when every band in the search range qualified, i.e.
     the returned band is only bounded by the search range, not by the
@@ -146,11 +148,31 @@ class CleanBandResult:
     saturated: bool = False
 
 
-def highest_clean_band(mu: float, x_r: float, rs: ReceptionSystem,
+@dataclass(frozen=True)
+class CleanBands:
+    """Outcome of highest_clean_band for an array of rows.
+
+    omega1 and omega2 hold each row's band, nan where the row is
+    infeasible.  status holds "ok", "saturated" or "infeasible" per row:
+    a CleanBandResult without and with saturated set, or an
+    InfeasibleBandError.
+    """
+
+    omega1: np.ndarray
+    omega2: np.ndarray
+    status: np.ndarray
+
+
+# Rows per block of the coarse scan: a block's (rows x 257) predicate
+# temporaries stay near 0.5 MB whatever the number of rows.
+_SCAN_ROW_BLOCK = 256
+
+
+def highest_clean_band(mu, x_r, rs: ReceptionSystem,
                        decade_width: float = 10.0,
                        q_fraction: float = 0.1, r_fraction: float = 0.1,
                        search_range: tuple[float, float] = (1e-8, 1e8),
-                       rel_tol: float = 1e-4) -> CleanBandResult:
+                       rel_tol: float = 1e-4) -> CleanBandResult | CleanBands:
     """Highest band [w1, decade_width * w1] with small diffusion distortion.
 
     A band qualifies when the diffusion-stage indices stay below the
@@ -170,58 +192,94 @@ def highest_clean_band(mu: float, x_r: float, rs: ReceptionSystem,
     below the exact upper edge w1*, within rel_tol:
     0 <= 1 - w1 / w1* <= rel_tol.
 
+    Arrays: mu and x_r may be 1-D arrays that broadcast together, one
+    row per channel; the reception stage and the other settings are
+    shared.  All rows are searched at once.  The coarse scan is one
+    predicate call per block of _SCAN_ROW_BLOCK rows, so its temporaries
+    do not grow with the number of rows, and the bisection steps every
+    row still bracketing in lockstep, one call per step, until each
+    row's own bracket is within rel_tol.  The result is a CleanBands
+    with a band and a status per row.  Every float operation is the
+    same elementwise as for one row (scan points and bracket ends from
+    float pow, midpoints sqrt(good * bad), lam as in normalize), so each
+    row's band equals, bit for bit, that of a call with its scalar mu
+    and x_r.  A call with scalar mu and x_r is the one-row case.
+
+    Returns:
+        For scalar mu and x_r, a CleanBandResult; otherwise CleanBands.
+
     Raises:
-        InfeasibleBandError: if no grid point in the search range qualifies.
+        InfeasibleBandError: for scalar mu and x_r, if no grid point in
+            the search range qualifies (array calls report the row as
+            "infeasible" instead).
     """
-    _require(math.isfinite(mu) and mu > 0.0, f"mu must be > 0, got {mu}")
-    _require(math.isfinite(x_r) and x_r >= 0.0, f"x_r must be >= 0, got {x_r}")
     _require(decade_width > 1.0,
              f"decade_width must be > 1, got {decade_width}")
     _require(q_fraction > 0.0 and r_fraction > 0.0,
              "q_fraction and r_fraction must be > 0")
     lo, hi = search_range
     _require(0.0 < lo < hi, f"invalid search range {search_range}")
+    try:
+        mu, x_r = np.broadcast_arrays(np.asarray(mu, dtype=float),
+                                      np.asarray(x_r, dtype=float))
+    except OverflowError:  # a Python int beyond the float range
+        raise ParameterError(f"mu and x_r must be finite, got mu={mu}, "
+                             f"x_r={x_r}") from None
+    _require(mu.ndim <= 1,
+             f"mu and x_r must be scalars or 1-D arrays, got shape {mu.shape}")
+    DiffusionChannel(mu=mu, x_r=x_r)  # validates every row
+    scalar = mu.ndim == 0
+    mu, x_r = np.atleast_1d(mu, x_r)
 
-    ch = DiffusionChannel(mu=mu, x_r=x_r)
-
-    def qualifies(omega1):
-        """The predicate at band start(s) omega1, a scalar or an array."""
-        nb = normalize(ch, rs, FrequencyBand(omega1, omega1 * decade_width))
+    def qualifies(omega1, mu, x_r):
+        """The predicate at band starts omega1 for channels (mu, x_r)."""
+        nb = normalize(DiffusionChannel(mu=mu, x_r=x_r), rs,
+                       FrequencyBand(omega1, omega1 * decade_width))
         return ((diffusion_amplitude_distortion_normalized(nb)
                  <= q_fraction * reception_amplitude_distortion_normalized(nb))
                 & (diffusion_delay_distortion_normalized(nb)
                    <= r_fraction * reception_delay_distortion_normalized(nb)))
 
     # Coarse scan: 16 points per decade is plenty to find the qualifying
-    # window, whose width is set by polynomial-order crossings.
+    # window, whose width is set by polynomial-order crossings.  The scan
+    # points come from float pow, whose result does not depend on which
+    # SIMD kernel numpy dispatches to; w1 is reported in full.
     decades = math.log10(hi / lo)
     n_scan = max(2, int(round(decades * 16)) + 1)
     step = (hi / lo) ** (1.0 / (n_scan - 1))
-    flags = qualifies(lo * step ** np.arange(n_scan))
+    scan = np.array([lo * step ** i for i in range(n_scan)])
+    top = np.empty(mu.size, dtype=np.intp)  # last qualifying point, or -1
+    for start in range(0, mu.size, _SCAN_ROW_BLOCK):
+        block = slice(start, start + _SCAN_ROW_BLOCK)
+        flags = qualifies(scan, mu[block, None], x_r[block, None])
+        last = n_scan - 1 - np.argmax(flags[:, ::-1], axis=1)
+        top[block] = np.where(flags.any(axis=1), last, -1)
 
-    if flags.all():
-        return CleanBandResult(FrequencyBand(hi, hi * decade_width),
-                               saturated=True)
-    if not flags.any():
+    # A row whose top scan point qualifies is saturated, whether or not
+    # every point below does: its band is bounded only by the range top.
+    saturated = top == n_scan - 1
+    omega1 = np.where(saturated, hi, np.nan)
+    rows = np.flatnonzero((top >= 0) & ~saturated)
+    good, bad = scan[top[rows]], scan[top[rows] + 1]
+    while True:
+        wide = bad / good > 1.0 + rel_tol
+        omega1[rows[~wide]] = good[~wide]
+        rows, good, bad = rows[wide], good[wide], bad[wide]
+        if rows.size == 0:
+            break
+        mid = np.sqrt(good * bad)
+        ok = qualifies(mid, mu[rows], x_r[rows])
+        good, bad = np.where(ok, mid, good), np.where(ok, bad, mid)
+
+    if not scalar:
+        status = np.where(saturated, "saturated",
+                          np.where(top < 0, "infeasible", "ok"))
+        return CleanBands(omega1, omega1 * decade_width, status)
+    if top[0] < 0:
         raise InfeasibleBandError(
             f"no band of width {decade_width:g} in {search_range} keeps the "
             f"diffusion distortion below ({q_fraction:g} q_h, {r_fraction:g} r_h) "
-            f"at x_r={x_r:g} um, mu={mu:g} um^2/s")
-
-    top = int(np.flatnonzero(flags)[-1])
-    if top == n_scan - 1:
-        # Qualifies at the very top of the range but not everywhere below:
-        # treat like saturation at the range top.
-        return CleanBandResult(FrequencyBand(hi, hi * decade_width),
-                               saturated=True)
-
-    # The bracket ends come from float pow, whose result does not depend
-    # on which SIMD kernel numpy dispatches to; w1 is reported in full.
-    good, bad = lo * step ** top, lo * step ** (top + 1)
-    while bad / good > 1.0 + rel_tol:
-        mid = math.sqrt(good * bad)
-        if qualifies(mid):
-            good = mid
-        else:
-            bad = mid
-    return CleanBandResult(FrequencyBand(good, good * decade_width))
+            f"at x_r={x_r[0]:g} um, mu={mu[0]:g} um^2/s")
+    w1 = float(omega1[0])
+    return CleanBandResult(FrequencyBand(w1, w1 * decade_width),
+                           saturated=bool(saturated[0]))

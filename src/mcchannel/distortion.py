@@ -194,7 +194,7 @@ class NormalizedBand:
         w1, w2, lam = self.omega1p, self.omega2p, self.lam
         if not _all((w1 > 0.0) & (w1 <= FLOAT_MAX)):
             raise ParameterError(f"omega1p must be finite and > 0, got {w1}")
-        if not _all((w2 > w1) & (w2 <= FLOAT_MAX)):
+        if not (_all(w2 <= FLOAT_MAX) and _all(w2 > w1)):
             raise ParameterError(f"omega2p must be finite and > omega1p={w1}, "
                                  f"got {w2}")
         if not _all((lam >= 0.0) & (lam <= FLOAT_MAX)):
@@ -203,11 +203,14 @@ class NormalizedBand:
 
 def normalize(ch: DiffusionChannel, rs: ReceptionSystem,
               band: FrequencyBand) -> NormalizedBand:
-    """Map physical parameters to the (omega1p, omega2p, lam) normal form."""
+    """Map physical parameters to the (omega1p, omega2p, lam) normal form.
+
+    Array fields of the channel and the band broadcast together.
+    """
     return NormalizedBand(
         omega1p=band.omega1 / rs.k_r,
         omega2p=band.omega2 / rs.k_r,
-        lam=math.sqrt(ch.x_r * ch.x_r * rs.k_r / (2.0 * ch.mu)),
+        lam=np.sqrt(ch.x_r * ch.x_r * rs.k_r / (2.0 * ch.mu)),
     )
 
 

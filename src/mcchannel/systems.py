@@ -39,7 +39,6 @@ __all__ = [
     "diffusion_response",
     "diffusion_gain_db",
     "diffusion_phase_delay",
-    "diffusion3d_response",
     "reception_response",
     "reception_gain_db",
     "reception_phase_delay",
@@ -84,16 +83,20 @@ class DiffusionChannel:
         mu: diffusion coefficient, um^2/s.
         x_r: transmitter-to-receiver distance, um.  x_r = 0 collapses the
             stage to an identity (useful as the reception-only reference).
+
+    mu and x_r may also be arrays that broadcast together: a family of
+    channels, as the clean-band search normalizes in one call.
     """
 
-    mu: float
-    x_r: float
+    mu: float | np.ndarray
+    x_r: float | np.ndarray
 
     def __post_init__(self) -> None:
-        _require(math.isfinite(self.mu) and self.mu > 0.0,
-                 f"mu must be finite and > 0, got {self.mu}")
-        _require(math.isfinite(self.x_r) and self.x_r >= 0.0,
-                 f"x_r must be finite and >= 0, got {self.x_r}")
+        mu, x_r = self.mu, self.x_r
+        if not _all((mu > 0.0) & (mu <= FLOAT_MAX)):
+            raise ParameterError(f"mu must be finite and > 0, got {mu}")
+        if not _all((x_r >= 0.0) & (x_r <= FLOAT_MAX)):
+            raise ParameterError(f"x_r must be finite and >= 0, got {x_r}")
 
 
 @dataclass(frozen=True)
@@ -144,7 +147,9 @@ class FrequencyBand:
         w1, w2 = self.omega1, self.omega2
         if not _all((w1 > 0.0) & (w1 <= FLOAT_MAX)):
             raise ParameterError(f"omega1 must be finite and > 0, got {w1}")
-        if not _all((w2 > w1) & (w2 <= FLOAT_MAX)):
+        # The range check comes first and alone: comparing a Python int
+        # beyond the float range with an array raises OverflowError.
+        if not (_all(w2 <= FLOAT_MAX) and _all(w2 > w1)):
             raise ParameterError(f"omega2 must be finite and > omega1={w1}, "
                                  f"got {w2}")
 
@@ -210,24 +215,6 @@ def diffusion_phase_delay(ch: DiffusionChannel, omega):
     w = _check_omega(omega)
     out = np.sqrt(ch.x_r * ch.x_r / (2.0 * ch.mu * w))
     return float(out) if w.ndim == 0 else out
-
-
-def diffusion3d_response(mu: float, d: float, omega):
-    """Evaluate the 3-D point-source diffusion response at distance d.
-
-    G3(s) = exp(-sqrt(d^2 s / mu)) / (4 pi mu d): the phase matches the
-    1-D stage at x_r = d while the magnitude gains a frequency-independent
-    prefactor 1 / (4 pi mu d).  Distortion measures built from gain
-    variation or phase delay are therefore identical to the 1-D ones.
-    """
-    _require(math.isfinite(mu) and mu > 0.0, f"mu must be > 0, got {mu}")
-    _require(math.isfinite(d) and d > 0.0, f"d must be > 0, got {d}")
-    w = _check_omega(omega)
-    prefactor = 1.0 / (4.0 * math.pi * mu * d)
-    root = np.sqrt(d * d * w / (2.0 * mu))
-    if w.ndim == 0:
-        return ComplexResponse(float(prefactor * np.exp(-root)), float(-root))
-    return prefactor * np.exp(-root), -root
 
 
 def reception_response(rs: ReceptionSystem, omega):

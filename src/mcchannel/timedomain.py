@@ -193,7 +193,12 @@ class SimulationTrace:
 # temporaries near 1 MB on a 38,401-sample grid.
 _HARMONIC_BLOCK = 64
 
+# The solvers let overflow and invalid operations run to inf and nan
+# silently: SimulationTrace's finiteness check is their one report.
+_QUIET_OVERFLOW = np.errstate(over="ignore", invalid="ignore")
 
+
+@_QUIET_OVERFLOW
 def synthesize_fourier(ch: DiffusionChannel, rs: ReceptionSystem,
                        wave: SquareWaveInput, n_harmonics: int,
                        t_grid: Iterable[float]) -> SimulationTrace:
@@ -337,6 +342,7 @@ def _causal_response(kernel: np.ndarray, forcing: np.ndarray) -> np.ndarray:
     return out
 
 
+@_QUIET_OVERFLOW
 def simulate_fdm(ch: DiffusionChannel, rs: ReceptionSystem,
                  wave: SquareWaveInput | SineInput,
                  cfg: SolverConfig) -> SimulationTrace:

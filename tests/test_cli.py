@@ -384,6 +384,36 @@ def test_table_outputs(species_path, tmp_path):
     assert payload["rows"][1]["omega1"] is None
 
 
+def test_table_with_every_banded_row_infeasible(tmp_path):
+    # Receivers far beyond the ~18 um where the qualifying window closes
+    # for mu = 83: the run still succeeds and marks each row infeasible.
+    text = SPECIES.replace("    x_r: 10.0\n", "    x_r: 1.0e+4\n")
+    text += ("  - name: far\n    mu: 83.0\n    x_r: 40.0\n"
+             "  - name: slow\n    mu: 0.5\n    x_r: 250.0\n")
+    cfg = tmp_path / "far.yaml"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main(["table", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in _data_rows(out / "table.csv")[1:]]
+    assert [(r[0], r[4], r[5], r[6]) for r in rows] == [
+        ("autoinducer", "", "", "infeasible"), ("ion", "", "", "no-distance"),
+        ("far", "", "", "infeasible"), ("slow", "", "", "infeasible")]
+    payload = json.loads((out / "table.json").read_text())
+    assert [(r["omega1"], r["omega2"], r["status"]) for r in payload["rows"]] \
+        == [(None, None, "infeasible"), (None, None, "no-distance"),
+            (None, None, "infeasible"), (None, None, "infeasible")]
+
+
+def test_table_without_banded_rows(tmp_path):
+    cfg = tmp_path / "ranges.yaml"
+    cfg.write_text(SPECIES.replace("    mu: 83.0\n    x_r: 10.0\n",
+                                   "    mu: [83.0, 90.0]\n"))
+    out = tmp_path / "out"
+    assert cli.main(["table", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = json.loads((out / "table.json").read_text())["rows"]
+    assert [r["status"] for r in rows] == ["no-distance", "no-distance"]
+
+
 @pytest.mark.parametrize("mutation, hint", [
     ("  mu: 83.0\n", "missing"),                       # drop a required key
     ("band:\n", "bands:\n"),                           # unknown section
@@ -527,18 +557,22 @@ def test_numerical_failure_exits_three(scenario_path, tmp_path, monkeypatch):
                      "--out", str(tmp_path / "out")]) == 3
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("route", ["fdm", "fourier"])
 def test_nonfinite_trace_exits_three(tmp_path, capsys, route):
     # Finite inputs whose traces overflow: v_n + v_{n+1} and the Fourier
     # coefficients exceed the float range.  The run fails as a numerical
-    # failure and removes the traces it wrote.
+    # failure and removes the traces it wrote.  The finiteness check is
+    # the only report: no numpy RuntimeWarning (an error here) on the way.
     cfg = tmp_path / "overflow.yaml"
     cfg.write_text(SCENARIO.replace("amplitude: 0.1", "amplitude: 1.5e+308")
                    .replace("threshold: 0.09", "threshold: 1.0e+307"))
     out = tmp_path / "out"
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(out),
                      "--route", route]) == 3
-    assert "not finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "not finite" in err
+    assert err.count("\n") == 1 and err.endswith("\n")
     assert not list(out.glob("trace_*.csv"))
     assert not (out / "simulate.json").exists()
 

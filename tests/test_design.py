@@ -2,10 +2,14 @@
 
 import math
 import random
+import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+
+from mcchannel import design
 
 from mcchannel import (
     DesignSpec,
@@ -185,6 +189,10 @@ def test_clean_band_parameter_validation():
         highest_clean_band(83.0, 10.0, RS, q_fraction=0.0)
     with pytest.raises(ParameterError):
         highest_clean_band(83.0, 10.0, RS, search_range=(1.0, 0.1))
+    with pytest.raises(ParameterError):
+        highest_clean_band(10**400, 10.0, RS)
+    with pytest.raises(ParameterError):
+        highest_clean_band(83.0, [10.0, 10**400], RS)
 
 
 def _scalar_scan_reference(mu, x_r, rs, decade_width=10.0, q_fraction=0.1,
@@ -238,6 +246,7 @@ def test_clean_band_matches_scalar_scan_reference():
     # scan must reproduce the scalar one bit for bit.
     rng = random.Random(20240)
     outcomes = Counter()
+    default_rows = []
     for i in range(200):
         mu = 0.1 * 3e4 ** rng.random()
         x_r = 1e-6 * 1e8 ** rng.random()
@@ -252,6 +261,8 @@ def test_clean_band_matches_scalar_scan_reference():
             options = {"search_range": (lo, lo * 10.0 ** rng.uniform(0.5, 6.0))}
         outcome, omega1 = _scalar_scan_reference(mu, x_r, RS, **options)
         outcomes[outcome] += 1
+        if not options:
+            default_rows.append((mu, x_r, outcome, omega1))
         width = options.get("decade_width", 10.0)
         if outcome == "infeasible":
             with pytest.raises(InfeasibleBandError):
@@ -262,3 +273,47 @@ def test_clean_band_matches_scalar_scan_reference():
         assert result.band.omega1 == omega1, (mu, x_r, options)
         assert result.band.omega2 == omega1 * width
     assert set(outcomes) == {"all", "top", "ok", "infeasible"}, outcomes
+
+    # The rows on the default settings, searched in one batched call.
+    mu, x_r, outcome, omega1 = zip(*default_rows)
+    batch = highest_clean_band(np.array(mu), np.array(x_r), RS)
+    status = {"all": "saturated", "top": "saturated", "ok": "ok",
+              "infeasible": "infeasible"}
+    assert batch.status.tolist() == [status[o] for o in outcome]
+    assert set(batch.status.tolist()) == {"ok", "saturated", "infeasible"}
+    feasible = batch.status != "infeasible"
+    assert np.isnan(batch.omega1[~feasible]).all()
+    expected = np.array([w for w in omega1 if w is not None])
+    assert batch.omega1[feasible].tolist() == expected.tolist()
+    assert batch.omega2[feasible].tolist() == (expected * 10.0).tolist()
+
+
+def test_clean_band_batch_memory_is_bounded_by_the_row_block():
+    # 20,000 rows: one (rows x 257) float temporary of an unblocked scan
+    # would take 41 MB.  The blocked scan keeps a few 256-row temporaries
+    # plus the per-row inputs, statuses and bands.
+    rng = np.random.default_rng(7)
+    rows, n_scan = 20_000, 257
+    mu = 0.1 * 3e4 ** rng.random(rows)
+    x_r = 1e-6 * 1e8 ** rng.random(rows)
+    tracemalloc.start()
+    try:
+        batch = highest_clean_band(mu, x_r, RS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert batch.status.size == rows
+    assert set(batch.status.tolist()) == {"ok", "saturated", "infeasible"}
+    block_temporary = 256 * n_scan * 8
+    assert peak < 8 * block_temporary + 256 * rows, peak
+
+
+def test_clean_band_batch_accepts_no_rows_and_validates_each_row():
+    empty = highest_clean_band(np.array([]), np.array([]), RS)
+    assert empty.omega1.size == empty.omega2.size == empty.status.size == 0
+    with pytest.raises(ParameterError):
+        highest_clean_band(np.array([83.0, 0.0]), np.array([10.0, 10.0]), RS)
+    with pytest.raises(ParameterError):
+        highest_clean_band(np.array([83.0, 83.0]), np.array([10.0, np.nan]), RS)
+    with pytest.raises(ParameterError):
+        highest_clean_band(np.ones((2, 2)), np.ones((2, 2)), RS)

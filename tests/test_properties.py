@@ -1,11 +1,13 @@
 """Property tests of the model's invariants on generated parameters."""
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mcchannel import design
 from mcchannel import (
     DesignSpec,
     DiffusionChannel,
@@ -58,6 +60,40 @@ def test_clean_band_edge_holds_and_fails_just_above(mu, x_r, width, fraction,
     assert _qualifies(mu, x_r, omega1, width, fraction)
     assert not _qualifies(mu, x_r, omega1 * (1.0 + 2.0 * rel_tol), width,
                           fraction)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(_log_uniform(0.1, 3000.0),
+                               _log_uniform(1e-6, 100.0)),
+                     min_size=1, max_size=12),
+       width=st.sampled_from([2.0, 10.0, 100.0]),
+       q_fraction=st.sampled_from([0.05, 0.1, 0.5]),
+       r_fraction=st.sampled_from([0.05, 0.1, 0.5]),
+       rel_tol=st.sampled_from([1e-6, 1e-4, 1e-2]),
+       search_range=st.sampled_from([(1e-8, 1e8), (1e-4, 1e4), (1e-3, 10.0)]),
+       block=st.integers(1, 5))
+def test_clean_band_batch_equals_one_row_calls(rows, width, q_fraction,
+                                               r_fraction, rel_tol,
+                                               search_range, block):
+    # One batched call, with row blocks small enough that the scan crosses
+    # block seams, gives every row the band and status of its own
+    # scalar call, bit for bit.
+    options = dict(decade_width=width, q_fraction=q_fraction,
+                   r_fraction=r_fraction, rel_tol=rel_tol,
+                   search_range=search_range)
+    mu, x_r = (np.array(column) for column in zip(*rows))
+    with mock.patch.object(design, "_SCAN_ROW_BLOCK", block):
+        batch = highest_clean_band(mu, x_r, RS, **options)
+    for i, (m, x) in enumerate(rows):
+        try:
+            one = highest_clean_band(m, x, RS, **options)
+        except InfeasibleBandError:
+            assert batch.status[i] == "infeasible"
+            assert math.isnan(batch.omega1[i]) and math.isnan(batch.omega2[i])
+            continue
+        assert batch.status[i] == ("saturated" if one.saturated else "ok")
+        assert batch.omega1[i] == one.band.omega1
+        assert batch.omega2[i] == one.band.omega2
 
 
 @settings(max_examples=100, deadline=None)
