@@ -85,9 +85,9 @@ def _metadata(parameters: dict) -> dict:
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    # One write: json.dump would call write once per encoder chunk.
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _csv_header(fh, parameters: dict) -> None:

@@ -25,6 +25,7 @@ from .systems import (
     FrequencyBand,
     ParameterError,
     ReceptionSystem,
+    _finite,
     _require,
 )
 from .distortion import (
@@ -68,11 +69,11 @@ class DesignSpec:
     rs: ReceptionSystem
 
     def __post_init__(self) -> None:
-        _require(math.isfinite(self.q0) and self.q0 > 0.0,
+        _require(_finite(self.q0) and self.q0 > 0.0,
                  f"q0 must be finite and > 0, got {self.q0}")
-        _require(math.isfinite(self.r0) and self.r0 > 0.0,
+        _require(_finite(self.r0) and self.r0 > 0.0,
                  f"r0 must be finite and > 0, got {self.r0}")
-        _require(math.isfinite(self.mu) and self.mu > 0.0,
+        _require(_finite(self.mu) and self.mu > 0.0,
                  f"mu must be finite and > 0, got {self.mu}")
 
 
@@ -124,7 +125,7 @@ def reception_cutoff(rs: ReceptionSystem, attenuation: float) -> float:
     Inverts k_f r / sqrt(w^2 + k_r^2) = attenuation; requires
     0 < attenuation < DC gain so that the crossing frequency is positive.
     """
-    _require(math.isfinite(attenuation) and 0.0 < attenuation < rs.dc_gain,
+    _require(_finite(attenuation) and 0.0 < attenuation < rs.dc_gain,
              f"attenuation must lie in (0, dc_gain={rs.dc_gain:g}), "
              f"got {attenuation}")
     ratio = rs.k_f * rs.r / attenuation

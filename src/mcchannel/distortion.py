@@ -40,6 +40,7 @@ from .systems import (
     ParameterError,
     ReceptionSystem,
     _all,
+    _finite,
     _require,
     diffusion_gain_db,
     diffusion_phase_delay,
@@ -216,9 +217,9 @@ def normalize(ch: DiffusionChannel, rs: ReceptionSystem,
 
 def denormalize_distance(lam: float, mu: float, k_r: float) -> float:
     """Recover the physical distance x_r (um) from lam given mu and k_r."""
-    _require(math.isfinite(lam) and lam >= 0.0, f"lam must be >= 0, got {lam}")
-    _require(math.isfinite(mu) and mu > 0.0, f"mu must be > 0, got {mu}")
-    _require(math.isfinite(k_r) and k_r > 0.0, f"k_r must be > 0, got {k_r}")
+    _require(_finite(lam) and lam >= 0.0, f"lam must be >= 0, got {lam}")
+    _require(_finite(mu) and mu > 0.0, f"mu must be > 0, got {mu}")
+    _require(_finite(k_r) and k_r > 0.0, f"k_r must be > 0, got {k_r}")
     return lam * math.sqrt(2.0 * mu / k_r)
 
 
@@ -256,7 +257,7 @@ def delay_distortion_maxima(omega2p: float) -> tuple[float, float]:
     w1' = sqrt(w2' / arctan(w2') - 1); both are interior maxima of
     otherwise non-monotone curves.  Returns (w1'_diffusion, w1'_reception).
     """
-    _require(math.isfinite(omega2p) and omega2p > 0.0,
+    _require(_finite(omega2p) and omega2p > 0.0,
              f"omega2p must be finite and > 0, got {omega2p}")
     return omega2p / 4.0, math.sqrt(omega2p / math.atan(omega2p) - 1.0)
 
@@ -287,7 +288,7 @@ class DistortionReport:
     def __post_init__(self) -> None:
         for name in ("q_g", "r_g", "q_h", "r_h", "q_m", "r_m"):
             value = getattr(self, name)
-            _require(math.isfinite(value) and value >= -1e-12,
+            _require(_finite(value) and value >= -1e-12,
                      f"{name} must be finite and >= 0, got {value}")
         for total, parts in (("q_m", ("q_g", "q_h")), ("r_m", ("r_g", "r_h"))):
             lhs = getattr(self, total)

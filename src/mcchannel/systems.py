@@ -75,6 +75,16 @@ def _all(cond) -> bool:
     return cond if isinstance(cond, bool) else bool(cond.all())
 
 
+def _finite(x) -> bool:
+    """Whether the number x is finite, like math.isfinite.
+
+    math.isfinite converts x to float first, so a Python int beyond the
+    float range raises OverflowError; comparing with FLOAT_MAX is exact
+    and gives False.  nan compares false too.
+    """
+    return -FLOAT_MAX <= x <= FLOAT_MAX
+
+
 @dataclass(frozen=True)
 class DiffusionChannel:
     """1-D diffusion stage.
@@ -116,7 +126,7 @@ class ReceptionSystem:
     def __post_init__(self) -> None:
         for name in ("k_f", "k_r", "r"):
             value = getattr(self, name)
-            _require(math.isfinite(value) and value > 0.0,
+            _require(_finite(value) and value > 0.0,
                      f"{name} must be finite and > 0, got {value}")
 
     @property

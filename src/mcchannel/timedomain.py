@@ -50,6 +50,7 @@ import numpy as np
 from .systems import (
     DiffusionChannel,
     ReceptionSystem,
+    _finite,
     _require,
     cascade_response,
     diffusion_response,
@@ -86,12 +87,12 @@ class SquareWaveInput:
     offset: float = 0.0
 
     def __post_init__(self) -> None:
-        _require(math.isfinite(self.amplitude) and self.amplitude >= 0.0,
+        _require(_finite(self.amplitude) and self.amplitude >= 0.0,
                  f"amplitude must be finite and >= 0, got {self.amplitude}")
-        _require(math.isfinite(self.fundamental) and self.fundamental > 0.0,
+        _require(_finite(self.fundamental) and self.fundamental > 0.0,
                  f"fundamental must be finite and > 0, got {self.fundamental}")
         _require(0.0 < self.duty < 1.0, f"duty must be in (0, 1), got {self.duty}")
-        _require(math.isfinite(self.offset) and self.offset >= 0.0,
+        _require(_finite(self.offset) and self.offset >= 0.0,
                  f"offset must be finite and >= 0, got {self.offset}")
 
     @property
@@ -131,11 +132,11 @@ class SineInput:
     offset: float = 0.0
 
     def __post_init__(self) -> None:
-        _require(math.isfinite(self.amplitude) and self.amplitude >= 0.0,
+        _require(_finite(self.amplitude) and self.amplitude >= 0.0,
                  f"amplitude must be finite and >= 0, got {self.amplitude}")
-        _require(math.isfinite(self.fundamental) and self.fundamental > 0.0,
+        _require(_finite(self.fundamental) and self.fundamental > 0.0,
                  f"fundamental must be finite and > 0, got {self.fundamental}")
-        _require(math.isfinite(self.offset) and self.offset >= 0.0,
+        _require(_finite(self.offset) and self.offset >= 0.0,
                  f"offset must be finite and >= 0, got {self.offset}")
 
     @property
@@ -292,7 +293,7 @@ class SolverConfig:
     def __post_init__(self) -> None:
         for name in ("dx", "dt", "domain_length", "duration"):
             value = getattr(self, name)
-            _require(math.isfinite(value) and value > 0.0,
+            _require(_finite(value) and value > 0.0,
                      f"{name} must be finite and > 0, got {value}")
 
 
@@ -342,6 +343,27 @@ def _causal_response(kernel: np.ndarray, forcing: np.ndarray) -> np.ndarray:
     return out
 
 
+def _mode_sum(g: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
+    """H[p] = sum_k w_k g_k^p for p < n, from running products.
+
+    With p = a B + b and B = isqrt(n), H is one (A x m)(m x B) matrix
+    product of the left factor (g_k^B)^a and the right factor w_k g_k^b.
+    Each factor is an in-place cumulative product down its first axis, of
+    one g^B row and of the g row respectively, so no element needs pow.
+    """
+    cols = math.isqrt(n)
+    rows = -(-n // cols)
+    right = np.empty((cols, g.size))
+    right[0] = w
+    right[1:] = g
+    np.cumprod(right, axis=0, out=right)
+    left = np.empty((rows, g.size))
+    left[0] = 1.0
+    left[1:] = g ** cols
+    np.cumprod(left, axis=0, out=left)
+    return (left @ right.T).ravel()[:n]
+
+
 @_QUIET_OVERFLOW
 def simulate_fdm(ch: DiffusionChannel, rs: ReceptionSystem,
                  wave: SquareWaveInput | SineInput,
@@ -366,10 +388,17 @@ def simulate_fdm(ch: DiffusionChannel, rs: ReceptionSystem,
 
     H is built like the Fourier sum: with p = a B + b and B =
     isqrt(n_steps), it is one (A x m)(m x B) real matrix product of
-    g_k^(a B) and w_k g_k^b.  The trapezoidal binding step c_{n+1} =
-    alpha c_n + beta (u_n + u_{n+1}), alpha = (1 - k_r dt/2) / (1 +
-    k_r dt/2) and beta = (k_f r dt/2) / (1 + k_r dt/2), is the second
-    causal convolution, with kernel beta alpha^p; the receiver at the
+    (g_k^B)^a and w_k g_k^b (see _mode_sum).  Both factors are running
+    products down a and b, from one g^B row and the g row, with no
+    per-element pow; each element then carries at most a + b + 1
+    roundings.  Against per-element powers, H differs by at most 9.4e-15
+    of sum_k |w_k g_k^p| on the baseline scenario (A + B = 392), and the
+    baseline traces by 5.6e-16 x amplitude.
+
+    The trapezoidal binding step c_{n+1} = alpha c_n + beta (u_n +
+    u_{n+1}), alpha = (1 - k_r dt/2) / (1 + k_r dt/2) and beta =
+    (k_f r dt/2) / (1 + k_r dt/2), is the second causal convolution,
+    with kernel beta alpha^p; the receiver at the
     transmitter (x_r = 0) needs only this one.  Both convolutions go
     through the FFT (see _causal_response), so there is no time-step
     loop.  Each starts at the first nonzero sample of its forcing, so
@@ -380,9 +409,11 @@ def simulate_fdm(ch: DiffusionChannel, rs: ReceptionSystem,
     over 40 random channels (mu 10-1000, x_r 2-40, square and sine
     input) and the baseline scenario was 2.2e-13 x amplitude (6.8e-14
     on the baseline), which moves the baseline trace files by at most
-    1e-11 uM, one unit in the 9th digit.  A non-finite result
-    (say, an amplitude so large that v_n + v_{n+1} overflows) is
-    rejected by SimulationTrace with FloatingPointError.
+    1e-11 uM, one unit in the 9th digit.  With the running products, 40
+    further random channels (1,600-6,400 steps) gave at most 4.2e-14 and
+    the baseline 4.0e-14 x amplitude against the stepped solve.  A
+    non-finite result (say, an amplitude so large that v_n + v_{n+1}
+    overflows) is rejected by SimulationTrace with FloatingPointError.
     """
     dx, dt = cfg.dx, cfg.dt
     n_cells = int(round(cfg.domain_length / dx))
@@ -413,11 +444,7 @@ def simulate_fdm(ch: DiffusionChannel, rs: ReceptionSystem,
         s = 4.0 * h * np.sin(0.5 * theta) ** 2
         g = (1.0 - s) / (1.0 + s)
         w = (2.0 / (m + 1)) * np.sin(theta) * np.sin(node * theta) * h / (1.0 + s)
-        cols = math.isqrt(n_steps)
-        rows = -(-n_steps // cols)
-        kernel = (np.power.outer(g, np.arange(rows) * cols).T
-                  @ (w[:, None] * np.power.outer(g, np.arange(cols))))
-        u_xr = _causal_response(kernel.ravel(), v[:-1] + v[1:])
+        u_xr = _causal_response(_mode_sum(g, w, n_steps), v[:-1] + v[1:])
 
     decay = 1.0 + 0.5 * rs.k_r * dt
     alpha = (1.0 - 0.5 * rs.k_r * dt) / decay
@@ -458,7 +485,7 @@ class ActivationTiming:
 def activation_time(trace: SimulationTrace, threshold: float,
                     pulse_index: int = 0) -> ActivationTiming:
     """First threshold crossing of complex_conc within one pulse window."""
-    _require(math.isfinite(threshold) and threshold >= 0.0,
+    _require(_finite(threshold) and threshold >= 0.0,
              f"threshold must be finite and >= 0, got {threshold}")
     _require(isinstance(trace.wave, SquareWaveInput),
              "activation timing is defined for square-wave (pulsed) input")
@@ -486,16 +513,45 @@ def activation_time(trace: SimulationTrace, threshold: float,
 # Rows formatted per write: bounds the text held in memory at once.
 _TRACE_CHUNK = 4096
 
+# A column whose runs of bit-equal values average at least this many rows
+# is written as text once per run instead of formatted on every row.
+_MIN_RUN = 64
+
 
 def write_trace_csv(trace: SimulationTrace, path) -> None:
-    """Write the trace as CSV with columns t_s, v_uM, u_xr_uM, c_uM."""
+    """Write the trace as CSV with columns t_s, v_uM, u_xr_uM, c_uM.
+
+    Every value is written as %.9g, 4096 rows per write.  A column that
+    holds the same value over long runs of rows (runs of at least 64 rows
+    on average: the input column of a square wave, and the received
+    column of the reception arm of the direct route, which is the input)
+    is formatted once per run in each chunk and put into the chunk's
+    %-template as text, so % formats only the other columns.  Runs are found by
+    comparing the bits of the doubles, so -0.0 and 0.0 start different
+    runs, and each run's text is the %.9g of its value: the file is byte
+    for byte the one that formatting every cell gives.
+    """
     table = np.column_stack((trace.times, trace.input, trace.received,
                              trace.complex_conc))
+    n = len(table)
+    bits = table.view(np.int64)
+    changed = bits[1:] != bits[:-1]
+    constant = (1 + changed.sum(axis=0)) * _MIN_RUN <= n
+    run_starts = np.flatnonzero(changed[:, constant].any(axis=1)) + 1
+    varying = table[:, ~constant]
     with open(path, "w", newline="") as fh:
         fh.write(f"# route: {trace.route}\n")
         fh.write("t_s,v_uM,u_xr_uM,c_uM\n")
-        for lo in range(0, len(table), _TRACE_CHUNK):
-            block = table[lo:lo + _TRACE_CHUNK]
-            fh.write(("%.9g,%.9g,%.9g,%.9g\n" * len(block))
-                     % tuple(block.ravel().tolist()))
+        for lo in range(0, n, _TRACE_CHUNK):
+            hi = min(lo + _TRACE_CHUNK, n)
+            inner = run_starts[(run_starts > lo) & (run_starts < hi)]
+            edges = [lo, *inner.tolist(), hi]
+            template = "".join(_row_template(table[a], constant) * (b - a)
+                               for a, b in zip(edges, edges[1:]))
+            fh.write(template % tuple(varying[lo:hi].ravel().tolist()))
 
+
+def _row_template(row: np.ndarray, constant: np.ndarray) -> str:
+    """One CSV line: the text of the constant cells, %.9g for the rest."""
+    return ",".join("%.9g" % x if fixed else "%.9g"
+                    for x, fixed in zip(row.tolist(), constant.tolist())) + "\n"

@@ -9,17 +9,24 @@ from numpy.testing import assert_allclose
 
 from mcchannel import (
     ComplexResponse,
+    DesignSpec,
     DiffusionChannel,
     FrequencyBand,
     NormalizedBand,
     ParameterError,
     ReceptionSystem,
+    SineInput,
+    SolverConfig,
+    SquareWaveInput,
     cascade_gain_db,
     cascade_phase_delay,
     cascade_response,
     diffusion_gain_db,
     diffusion_phase_delay,
+    delay_distortion_maxima,
+    denormalize_distance,
     diffusion_response,
+    reception_cutoff,
     reception_gain_db,
     reception_phase_delay,
     reception_response,
@@ -201,6 +208,28 @@ def test_bands_reject_values_beyond_the_float_range(ctor, args):
     # array field, where numpy cannot convert it for the comparison.
     with pytest.raises(ParameterError, match="finite"):
         ctor(*args)
+
+
+HUGE = 10**400  # a Python int beyond the float range
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ReceptionSystem(k_f=HUGE, k_r=1.0, r=1.0),
+    lambda: DesignSpec(q0=HUGE, r0=1.0, band=FrequencyBand(W1, W2), mu=83.0,
+                       rs=RS),
+    lambda: reception_cutoff(RS, HUGE),
+    lambda: SquareWaveInput(amplitude=HUGE, fundamental=W1),
+    lambda: SineInput(amplitude=0.1, fundamental=HUGE),
+    lambda: SolverConfig(dx=HUGE, dt=1.0, domain_length=100.0, duration=10.0),
+    lambda: denormalize_distance(HUGE, 83.0, 4e-3),
+    lambda: delay_distortion_maxima(HUGE),
+], ids=["ReceptionSystem", "DesignSpec", "reception_cutoff", "SquareWaveInput",
+        "SineInput", "SolverConfig", "denormalize_distance",
+        "delay_distortion_maxima"])
+def test_scalar_checks_reject_ints_beyond_the_float_range(build):
+    # math.isfinite would raise OverflowError converting the int.
+    with pytest.raises(ParameterError):
+        build()
 
 
 def test_bands_accept_the_largest_float():

@@ -25,6 +25,7 @@ from mcchannel import (
     synthesize_fourier,
     write_trace_csv,
 )
+from mcchannel.timedomain import _mode_sum
 
 MU = 83.0
 RS = ReceptionSystem(k_f=1e-3, k_r=4e-3, r=4.0)
@@ -369,6 +370,25 @@ def test_fdm_matches_sparse_lu_reference(wave):
     assert float(np.max(np.abs(trace.complex_conc - complex_conc))) <= tol
 
 
+@pytest.mark.parametrize("n", [1, 2, 997, 1024])
+def test_mode_sum_matches_per_element_powers(n):
+    # A mesh ratio h = 6 puts s_k = 4 h sin^2(theta_k / 2) above 1 for most
+    # modes, so most g_k are negative.  Each running product carries at
+    # most ~2 sqrt(n) roundings, so the bound on |H - reference|, fixed
+    # before running, is 1e-12 of the sum of |w_k g_k^p|.
+    m, h, node = 40, 6.0, 7
+    theta = np.arange(1, m + 1) * (math.pi / (m + 1))
+    s = 4.0 * h * np.sin(0.5 * theta) ** 2
+    g = (1.0 - s) / (1.0 + s)
+    w = (2.0 / (m + 1)) * np.sin(theta) * np.sin(node * theta) * h / (1.0 + s)
+    assert (g < 0).sum() > m // 2
+    terms = w * np.power.outer(g, np.arange(n)).T
+    kernel = _mode_sum(g, w, n)
+    assert kernel.shape == (n,)
+    assert np.all(np.abs(kernel - terms.sum(axis=1))
+                  <= 1e-12 * np.abs(terms).sum(axis=1))
+
+
 # ---------------------------------------------------------------------------
 # traces and activation
 # ---------------------------------------------------------------------------
@@ -429,6 +449,8 @@ def test_activation_window_must_be_covered(trace_x14):
         activation_time(trace_x14, 0.09, pulse_index=5)
     with pytest.raises(ParameterError):
         activation_time(trace_x14, -0.1)
+    with pytest.raises(ParameterError):
+        activation_time(trace_x14, 10**400)   # beyond the float range
 
 
 def test_activation_needs_a_pulsed_input():
@@ -458,3 +480,49 @@ def test_trace_csv_round_trip(tmp_path, trace_reception):
     # nine significant digits, no more
     assert lines[2 + i].split(",")[3] == f"{trace_reception.complex_conc[i]:.9g}"
 
+
+def _reference_trace_csv(trace, path):
+    """The writer that formats every cell with %, 4096 rows per write."""
+    table = np.column_stack((trace.times, trace.input, trace.received,
+                             trace.complex_conc))
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# route: {trace.route}\n")
+        fh.write("t_s,v_uM,u_xr_uM,c_uM\n")
+        for lo in range(0, len(table), 4096):
+            block = table[lo:lo + 4096]
+            fh.write(("%.9g,%.9g,%.9g,%.9g\n" * len(block))
+                     % tuple(block.ravel().tolist()))
+
+
+def _assert_writes_like_reference(trace, tmp_path):
+    write_trace_csv(trace, tmp_path / "trace.csv")
+    _reference_trace_csv(trace, tmp_path / "reference.csv")
+    assert ((tmp_path / "trace.csv").read_bytes()
+            == (tmp_path / "reference.csv").read_bytes())
+
+
+@pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 9000])
+def test_trace_csv_equals_cell_by_cell_formatting(tmp_path, n):
+    rows = np.arange(n)
+    # The input steps at rows 3000 and 5000, so one of its runs crosses
+    # the chunk boundary at 4096.  The received column cycles through
+    # -0.0, 0.0 and subnormal values in runs of 100 rows: -0.0 and 0.0
+    # compare equal but print differently.  The complex column varies on
+    # every row.
+    v = np.where((rows >= 3000) & (rows < 5000), 0.1, 0.0)
+    cycle = np.array([-0.0, 0.0, 5e-324, 2.5e-310, -1e-315, 0.0])
+    received = cycle[(rows // 100) % cycle.size]
+    c = np.random.default_rng(n).standard_normal(n) * 1e-3
+    trace = SimulationTrace(times=rows * 0.25, input=v, received=received,
+                            complex_conc=c, route="fdm", wave=WAVE)
+    _assert_writes_like_reference(trace, tmp_path)
+
+
+def test_trace_csv_of_simulated_traces_equals_cell_by_cell_formatting(
+        tmp_path, trace_reception, trace_x14):
+    # The reception arm of the direct route has two step columns (input
+    # and received); the channel arm one; a sine input none.
+    sine = SineInput(amplitude=0.1, fundamental=W1, offset=0.05)
+    cfg = default_solver_config(CH, sine, n_periods=1, omega_max=0.05)
+    for trace in (trace_reception, trace_x14, simulate_fdm(CH, RS, sine, cfg)):
+        _assert_writes_like_reference(trace, tmp_path)
