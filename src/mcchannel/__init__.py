@@ -14,7 +14,6 @@ Units: micrometers, seconds, micromolar; angular frequencies in rad/s.
 """
 
 from .systems import (
-    ComplexResponse,
     DiffusionChannel,
     FrequencyBand,
     ParameterError,
@@ -31,18 +30,14 @@ from .systems import (
 )
 from .distortion import (
     DistortionReport,
-    EvaluationError,
     NormalizedBand,
-    amplitude_distortion,
     channel_report,
-    delay_distortion,
     delay_distortion_maxima,
     denormalize_distance,
     diffusion_amplitude_distortion,
     diffusion_amplitude_distortion_normalized,
     diffusion_delay_distortion,
     diffusion_delay_distortion_normalized,
-    grid_report,
     log_grid,
     normalize,
     reception_amplitude_distortion,
@@ -51,10 +46,8 @@ from .distortion import (
     reception_delay_distortion_normalized,
 )
 from .design import (
-    CleanBandResult,
     DesignResult,
     DesignSpec,
-    InfeasibleBandError,
     distance_bound,
     highest_clean_band,
     reception_cutoff,
@@ -88,24 +81,22 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # systems
-    "ComplexResponse", "DiffusionChannel", "FrequencyBand", "ParameterError",
-    "ReceptionSystem", "cascade_gain_db", "cascade_phase_delay",
-    "cascade_response", "diffusion_gain_db", "diffusion_phase_delay",
-    "diffusion_response", "reception_gain_db", "reception_phase_delay",
-    "reception_response",
+    "DiffusionChannel", "FrequencyBand", "ParameterError", "ReceptionSystem",
+    "cascade_gain_db", "cascade_phase_delay", "cascade_response",
+    "diffusion_gain_db", "diffusion_phase_delay", "diffusion_response",
+    "reception_gain_db", "reception_phase_delay", "reception_response",
     # distortion
-    "DistortionReport", "EvaluationError", "NormalizedBand",
-    "amplitude_distortion", "channel_report", "delay_distortion",
+    "DistortionReport", "NormalizedBand", "channel_report",
     "delay_distortion_maxima", "denormalize_distance",
     "diffusion_amplitude_distortion",
     "diffusion_amplitude_distortion_normalized", "diffusion_delay_distortion",
-    "diffusion_delay_distortion_normalized", "grid_report", "log_grid",
-    "normalize", "reception_amplitude_distortion",
+    "diffusion_delay_distortion_normalized", "log_grid", "normalize",
+    "reception_amplitude_distortion",
     "reception_amplitude_distortion_normalized", "reception_delay_distortion",
     "reception_delay_distortion_normalized",
     # design
-    "CleanBandResult", "DesignResult", "DesignSpec", "InfeasibleBandError",
-    "distance_bound", "highest_clean_band", "reception_cutoff",
+    "DesignResult", "DesignSpec", "distance_bound", "highest_clean_band",
+    "reception_cutoff",
     # timedomain
     "ActivationTiming", "SimulationTrace", "SineInput", "SolverConfig",
     "SquareWaveInput", "activation_time", "default_solver_config", "simulate_fdm",

@@ -43,7 +43,6 @@ from .design import (
 )
 from .distortion import (
     DistortionReport,
-    EvaluationError,
     NormalizedBand,
     channel_report,
     diffusion_amplitude_distortion_normalized,
@@ -362,8 +361,7 @@ def main(argv=None) -> int:
     except (ConfigError, ParameterError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (EvaluationError, FloatingPointError, np.linalg.LinAlgError,
-            RuntimeError) as exc:
+    except (FloatingPointError, np.linalg.LinAlgError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -15,6 +15,7 @@ distortion.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +44,6 @@ __all__ = [
     "DesignResult",
     "distance_bound",
     "reception_cutoff",
-    "InfeasibleBandError",
-    "CleanBandResult",
     "CleanBands",
     "highest_clean_band",
 ]
@@ -132,31 +131,15 @@ def reception_cutoff(rs: ReceptionSystem, attenuation: float) -> float:
     return math.sqrt(ratio * ratio - rs.k_r * rs.k_r)
 
 
-class InfeasibleBandError(RuntimeError):
-    """No frequency decade in the search range meets the cleanliness bound."""
-
-
-@dataclass(frozen=True)
-class CleanBandResult:
-    """Outcome of highest_clean_band for one row.
-
-    saturated is set when every band in the search range qualified, i.e.
-    the returned band is only bounded by the search range, not by the
-    distortion criterion.
-    """
-
-    band: FrequencyBand
-    saturated: bool = False
-
-
 @dataclass(frozen=True)
 class CleanBands:
-    """Outcome of highest_clean_band for an array of rows.
+    """Outcome of highest_clean_band, one entry per row.
 
     omega1 and omega2 hold each row's band, nan where the row is
     infeasible.  status holds "ok", "saturated" or "infeasible" per row:
-    a CleanBandResult without and with saturated set, or an
-    InfeasibleBandError.
+    "saturated" when the top of the search range qualifies, so the band
+    is bounded by the range rather than by the distortion criterion;
+    "infeasible" when no point of the search range qualifies.
     """
 
     omega1: np.ndarray
@@ -168,12 +151,17 @@ class CleanBands:
 # temporaries stay near 0.5 MB whatever the number of rows.
 _SCAN_ROW_BLOCK = 256
 
+# Smallest rel_tol the bisection accepts, and the limits of the search
+# range; highest_clean_band's docstring gives the reason for each.
+_MIN_REL_TOL = 4.0 * sys.float_info.epsilon
+_SEARCH_LIMITS = (1e-150, 1e150)
+
 
 def highest_clean_band(mu, x_r, rs: ReceptionSystem,
                        decade_width: float = 10.0,
                        q_fraction: float = 0.1, r_fraction: float = 0.1,
                        search_range: tuple[float, float] = (1e-8, 1e8),
-                       rel_tol: float = 1e-4) -> CleanBandResult | CleanBands:
+                       rel_tol: float = 1e-4) -> CleanBands:
     """Highest band [w1, decade_width * w1] with small diffusion distortion.
 
     A band qualifies when the diffusion-stage indices stay below the
@@ -193,33 +181,48 @@ def highest_clean_band(mu, x_r, rs: ReceptionSystem,
     below the exact upper edge w1*, within rel_tol:
     0 <= 1 - w1 / w1* <= rel_tol.
 
-    Arrays: mu and x_r may be 1-D arrays that broadcast together, one
-    row per channel; the reception stage and the other settings are
-    shared.  All rows are searched at once.  The coarse scan is one
-    predicate call per block of _SCAN_ROW_BLOCK rows, so its temporaries
-    do not grow with the number of rows, and the bisection steps every
-    row still bracketing in lockstep, one call per step, until each
-    row's own bracket is within rel_tol.  The result is a CleanBands
-    with a band and a status per row.  Every float operation is the
-    same elementwise as for one row (scan points and bracket ends from
-    float pow, midpoints sqrt(good * bad), lam as in normalize), so each
-    row's band equals, bit for bit, that of a call with its scalar mu
-    and x_r.  A call with scalar mu and x_r is the one-row case.
+    Settings: rel_tol must be at least 4 eps (8.9e-16), the floor at
+    which the bisection provably ends.  With u = eps / 2, to first order
+    in u: a step runs while the computed bad / good exceeds the computed
+    1 + rel_tol, so the exact ratio exceeds 1 + rel_tol - 2u; and the
+    midpoint sqrt(good * bad) is within 1.5u of exact, so it lies
+    strictly inside the bracket once the ratio exceeds 1 + 3u.  At the
+    floor, 8u, every step shrinks the bracket.  Below about 5u a step
+    may return a bracket end, and repeat it forever; below u, 1 + rel_tol
+    rounds to 1 and no bracket is ever narrow enough.  Both ends of
+    search_range must lie in [1e-150, 1e150], so that good * bad is a
+    normal float and the 1.5u bound holds.  decade_width and both
+    fractions must be finite.
+
+    Rows: mu and x_r are scalars or 1-D arrays that broadcast together,
+    one row per channel; a scalar pair is one row.  The reception stage
+    and the other settings are shared.  All rows are searched at once.
+    The coarse scan is one predicate call per block of _SCAN_ROW_BLOCK
+    rows, so its temporaries do not grow with the number of rows, and
+    the bisection steps every row still bracketing in lockstep, one call
+    per step, until each row's own bracket is within rel_tol.  Every
+    float operation is the same elementwise for every row (scan points
+    and bracket ends from float pow, midpoints sqrt(good * bad), lam as
+    in normalize), so each row's band equals, bit for bit, that of a
+    call with that row alone.
 
     Returns:
-        For scalar mu and x_r, a CleanBandResult; otherwise CleanBands.
+        CleanBands with a band and a status per row.
 
     Raises:
-        InfeasibleBandError: for scalar mu and x_r, if no grid point in
-            the search range qualifies (array calls report the row as
-            "infeasible" instead).
+        ParameterError: if a row or a setting is outside its domain.
     """
-    _require(decade_width > 1.0,
-             f"decade_width must be > 1, got {decade_width}")
-    _require(q_fraction > 0.0 and r_fraction > 0.0,
-             "q_fraction and r_fraction must be > 0")
+    _require(_finite(decade_width) and decade_width > 1.0,
+             f"decade_width must be finite and > 1, got {decade_width}")
+    _require(_finite(q_fraction) and q_fraction > 0.0
+             and _finite(r_fraction) and r_fraction > 0.0,
+             "q_fraction and r_fraction must be finite and > 0")
+    _require(_finite(rel_tol) and rel_tol >= _MIN_REL_TOL,
+             f"rel_tol must be finite and >= {_MIN_REL_TOL:.3g}, got {rel_tol}")
     lo, hi = search_range
-    _require(0.0 < lo < hi, f"invalid search range {search_range}")
+    _require(_SEARCH_LIMITS[0] <= lo < hi <= _SEARCH_LIMITS[1],
+             f"search range must satisfy {_SEARCH_LIMITS[0]:g} <= lo < hi <= "
+             f"{_SEARCH_LIMITS[1]:g}, got {search_range}")
     try:
         mu, x_r = np.broadcast_arrays(np.asarray(mu, dtype=float),
                                       np.asarray(x_r, dtype=float))
@@ -229,7 +232,6 @@ def highest_clean_band(mu, x_r, rs: ReceptionSystem,
     _require(mu.ndim <= 1,
              f"mu and x_r must be scalars or 1-D arrays, got shape {mu.shape}")
     DiffusionChannel(mu=mu, x_r=x_r)  # validates every row
-    scalar = mu.ndim == 0
     mu, x_r = np.atleast_1d(mu, x_r)
 
     def qualifies(omega1, mu, x_r):
@@ -272,15 +274,6 @@ def highest_clean_band(mu, x_r, rs: ReceptionSystem,
         ok = qualifies(mid, mu[rows], x_r[rows])
         good, bad = np.where(ok, mid, good), np.where(ok, bad, mid)
 
-    if not scalar:
-        status = np.where(saturated, "saturated",
-                          np.where(top < 0, "infeasible", "ok"))
-        return CleanBands(omega1, omega1 * decade_width, status)
-    if top[0] < 0:
-        raise InfeasibleBandError(
-            f"no band of width {decade_width:g} in {search_range} keeps the "
-            f"diffusion distortion below ({q_fraction:g} q_h, {r_fraction:g} r_h) "
-            f"at x_r={x_r[0]:g} um, mu={mu[0]:g} um^2/s")
-    w1 = float(omega1[0])
-    return CleanBandResult(FrequencyBand(w1, w1 * decade_width),
-                           saturated=bool(saturated[0]))
+    status = np.where(saturated, "saturated",
+                      np.where(top < 0, "infeasible", "ok"))
+    return CleanBands(omega1, omega1 * decade_width, status)

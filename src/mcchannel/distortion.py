@@ -9,8 +9,8 @@ Two scalar indices summarize how far a stage is from distortionless
 
 Both stages have monotonically decreasing gain and phase delay, so the
 band extremes sit at the band edges and the indices admit closed forms.
-A generic grid-search evaluator is kept alongside as an independent
-check and for arbitrary gain/delay curves.
+The tests check them against an independent grid search over the stage
+curves of systems.py.
 
 The indices also have a two-parameter normal form: with w' = w / k_r
 and lam = sqrt(x_r^2 k_r / (2 mu)), the four stage indices depend only
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -42,17 +41,10 @@ from .systems import (
     _all,
     _finite,
     _require,
-    diffusion_gain_db,
-    diffusion_phase_delay,
-    reception_gain_db,
-    reception_phase_delay,
 )
 
 __all__ = [
-    "EvaluationError",
     "log_grid",
-    "amplitude_distortion",
-    "delay_distortion",
     "diffusion_amplitude_distortion",
     "diffusion_delay_distortion",
     "reception_amplitude_distortion",
@@ -67,19 +59,9 @@ __all__ = [
     "delay_distortion_maxima",
     "DistortionReport",
     "channel_report",
-    "grid_report",
 ]
 
 DEFAULT_GRID_POINTS = 4096
-
-
-class EvaluationError(RuntimeError):
-    """A gain/delay curve returned a non-finite value during a grid scan."""
-
-    def __init__(self, omega: float, value: float):
-        self.omega = omega
-        self.value = value
-        super().__init__(f"non-finite curve value {value} at omega={omega}")
 
 
 def log_grid(band: FrequencyBand, n_points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
@@ -91,45 +73,6 @@ def log_grid(band: FrequencyBand, n_points: int = DEFAULT_GRID_POINTS) -> np.nda
     grid[0] = band.omega1
     grid[-1] = band.omega2
     return grid
-
-
-def _scan(fn: Callable, band: FrequencyBand, n_points: int) -> np.ndarray:
-    grid = log_grid(band, n_points)
-    values = np.asarray(fn(grid), dtype=float)
-    if values.shape != grid.shape:  # scalar-only callables
-        values = np.array([float(fn(w)) for w in grid])
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        i = int(np.flatnonzero(bad)[0])
-        raise EvaluationError(float(grid[i]), float(values[i]))
-    return values
-
-
-def amplitude_distortion(gain_db_fn: Callable, band: FrequencyBand,
-                         n_points: int = DEFAULT_GRID_POINTS) -> float:
-    """Grid estimate of the gain spread max - min over the band, in dB.
-
-    Args:
-        gain_db_fn: callable mapping omega (scalar or ndarray, rad/s) to
-            gain in dB.
-        band: analysis band.
-        n_points: number of log-spaced samples (endpoints included).
-
-    Raises:
-        EvaluationError: if the curve is non-finite anywhere on the grid.
-    """
-    values = _scan(gain_db_fn, band, n_points)
-    return float(np.max(values) - np.min(values))
-
-
-def delay_distortion(phase_delay_fn: Callable, band: FrequencyBand,
-                     n_points: int = DEFAULT_GRID_POINTS) -> float:
-    """Grid estimate of the period-normalized delay spread over the band.
-
-    Returns (max tau - min tau) / T1 with T1 = 2 pi / omega1, dimensionless.
-    """
-    values = _scan(phase_delay_fn, band, n_points)
-    return float((np.max(values) - np.min(values)) / band.period)
 
 
 # ---------------------------------------------------------------------------
@@ -307,13 +250,3 @@ def channel_report(ch: DiffusionChannel, rs: ReceptionSystem,
     return DistortionReport(band=band, q_g=q_g, r_g=r_g, q_h=q_h, r_h=r_h,
                             q_m=q_g + q_h, r_m=r_g + r_h)
 
-
-def grid_report(ch: DiffusionChannel, rs: ReceptionSystem, band: FrequencyBand,
-                n_points: int = DEFAULT_GRID_POINTS) -> DistortionReport:
-    """Grid-search counterpart of channel_report (independent of the closed forms)."""
-    q_g = amplitude_distortion(lambda w: diffusion_gain_db(ch, w), band, n_points)
-    r_g = delay_distortion(lambda w: diffusion_phase_delay(ch, w), band, n_points)
-    q_h = amplitude_distortion(lambda w: reception_gain_db(rs, w), band, n_points)
-    r_h = delay_distortion(lambda w: reception_phase_delay(rs, w), band, n_points)
-    return DistortionReport(band=band, q_g=q_g, r_g=r_g, q_h=q_h, r_h=r_h,
-                            q_m=q_g + q_h, r_m=r_g + r_h)

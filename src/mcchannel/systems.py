@@ -35,7 +35,6 @@ __all__ = [
     "DiffusionChannel",
     "ReceptionSystem",
     "FrequencyBand",
-    "ComplexResponse",
     "diffusion_response",
     "diffusion_gain_db",
     "diffusion_phase_delay",
@@ -169,23 +168,6 @@ class FrequencyBand:
         return 2.0 * math.pi / self.omega1
 
 
-@dataclass(frozen=True)
-class ComplexResponse:
-    """Polar frequency-response sample: magnitude and unwrapped phase (rad).
-
-    The phase is continuous in omega and lies in (-inf, 0] for every
-    stage modeled here; it is not reduced modulo 2 pi.
-    """
-
-    magnitude: float
-    phase: float
-
-    @property
-    def as_complex(self) -> complex:
-        return self.magnitude * complex(math.cos(self.phase),
-                                        math.sin(self.phase))
-
-
 def _check_omega(omega, allow_zero: bool = False):
     w = np.asarray(omega, dtype=float)
     ok = np.isfinite(w) & ((w >= 0.0) if allow_zero else (w > 0.0))
@@ -202,19 +184,19 @@ def _diffusion_root(ch: DiffusionChannel, omega):
 
 
 def diffusion_response(ch: DiffusionChannel, omega):
-    """Evaluate G(jw): magnitude exp(-sqrt(x_r^2 w / 2 mu)), equal phase lag."""
-    w = _check_omega(omega)
-    root = _diffusion_root(ch, w)
-    if w.ndim == 0:
-        return ComplexResponse(float(np.exp(-root)), float(-root))
+    """Evaluate G(jw): magnitude exp(-sqrt(x_r^2 w / 2 mu)), equal phase lag.
+
+    Returns (magnitude, phase) as numpy values shaped like omega.  The
+    phase is unwrapped: continuous in omega, in (-inf, 0], not reduced
+    modulo 2 pi.
+    """
+    root = _diffusion_root(ch, _check_omega(omega))
     return np.exp(-root), -root
 
 
 def diffusion_gain_db(ch: DiffusionChannel, omega):
     """Gain of the diffusion stage in dB: -20 sqrt(x_r^2 w / 2 mu) log10(e)."""
-    w = _check_omega(omega)
-    out = -20.0 * _diffusion_root(ch, w) * LOG10_E
-    return float(out) if w.ndim == 0 else out
+    return -20.0 * _diffusion_root(ch, _check_omega(omega)) * LOG10_E
 
 
 def diffusion_phase_delay(ch: DiffusionChannel, omega):
@@ -222,30 +204,24 @@ def diffusion_phase_delay(ch: DiffusionChannel, omega):
 
     Diverges as omega -> 0 for x_r > 0, so omega must be strictly positive.
     """
-    w = _check_omega(omega)
-    out = np.sqrt(ch.x_r * ch.x_r / (2.0 * ch.mu * w))
-    return float(out) if w.ndim == 0 else out
+    return np.sqrt(ch.x_r * ch.x_r / (2.0 * ch.mu * _check_omega(omega)))
 
 
 def reception_response(rs: ReceptionSystem, omega):
     """Evaluate H(jw) = k_f r / (jw + k_r) in polar form.
 
-    Valid at omega = 0, where the magnitude is the DC gain and the
-    phase is 0.
+    Returns (magnitude, phase) as numpy values shaped like omega, the
+    phase in (-pi/2, 0].  Valid at omega = 0, where the magnitude is the
+    DC gain and the phase is 0.
     """
     w = _check_omega(omega, allow_zero=True)
-    mag = rs.k_f * rs.r / np.hypot(w, rs.k_r)
-    phase = -np.arctan2(w, rs.k_r)
-    if w.ndim == 0:
-        return ComplexResponse(float(mag), float(phase))
-    return mag, phase
+    return rs.k_f * rs.r / np.hypot(w, rs.k_r), -np.arctan2(w, rs.k_r)
 
 
 def reception_gain_db(rs: ReceptionSystem, omega):
     """Gain of the reception stage in dB: 20 log10(k_f r) - 20 log10 |jw + k_r|."""
     w = _check_omega(omega, allow_zero=True)
-    out = 20.0 * (np.log10(rs.k_f * rs.r) - np.log10(np.hypot(w, rs.k_r)))
-    return float(out) if w.ndim == 0 else out
+    return 20.0 * (np.log10(rs.k_f * rs.r) - np.log10(np.hypot(w, rs.k_r)))
 
 
 def reception_phase_delay(rs: ReceptionSystem, omega):
@@ -254,23 +230,20 @@ def reception_phase_delay(rs: ReceptionSystem, omega):
     Continuously extended at omega = 0 by its limit 1 / k_r.
     """
     w = _check_omega(omega, allow_zero=True)
-    out = np.where(w > 0.0,
-                   np.arctan2(w, rs.k_r) / np.where(w > 0.0, w, 1.0),
-                   1.0 / rs.k_r)
-    return float(out) if w.ndim == 0 else out
+    return np.where(w > 0.0,
+                    np.arctan2(w, rs.k_r) / np.where(w > 0.0, w, 1.0),
+                    1.0 / rs.k_r)
 
 
 def cascade_response(ch: DiffusionChannel, rs: ReceptionSystem, omega):
-    """Evaluate the full-channel response G(jw) H(jw).
+    """Evaluate the full-channel response G(jw) H(jw) as (magnitude, phase).
 
     Magnitudes multiply and unwrapped phases add, so dB gains and phase
     delays of the stages are additive.
     """
-    g = diffusion_response(ch, omega)
-    h = reception_response(rs, omega)
-    if isinstance(g, ComplexResponse):
-        return ComplexResponse(g.magnitude * h.magnitude, g.phase + h.phase)
-    return g[0] * h[0], g[1] + h[1]
+    g_mag, g_phase = diffusion_response(ch, omega)
+    h_mag, h_phase = reception_response(rs, omega)
+    return g_mag * h_mag, g_phase + h_phase
 
 
 def cascade_gain_db(ch: DiffusionChannel, rs: ReceptionSystem, omega):

@@ -18,7 +18,6 @@ import mcchannel.cli as cli
 import mcchannel.config as config
 from mcchannel import (
     DiffusionChannel,
-    EvaluationError,
     FrequencyBand,
     NormalizedBand,
     ReceptionSystem,
@@ -550,7 +549,7 @@ def test_sweep_rejects_bad_point_count(scenario_path, tmp_path, monkeypatch,
 
 def test_numerical_failure_exits_three(scenario_path, tmp_path, monkeypatch):
     def explode(*args, **kwargs):
-        raise EvaluationError(1.0, float("nan"))
+        raise FloatingPointError("overflow encountered in multiply")
 
     monkeypatch.setattr(cli, "channel_report", explode)
     assert cli.main(["analyze", "--config", str(scenario_path),

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -15,7 +16,6 @@ from mcchannel import (
     DesignSpec,
     DiffusionChannel,
     FrequencyBand,
-    InfeasibleBandError,
     ParameterError,
     ReceptionSystem,
     diffusion_amplitude_distortion,
@@ -99,7 +99,7 @@ def test_reception_cutoff_reference_value():
     cut = reception_cutoff(RS, 0.01)
     assert_allclose(cut, CUTOFF_1PCT, rtol=1e-12)
     # inverting: the magnitude at the cutoff is the requested attenuation
-    assert_allclose(reception_response(RS, cut).magnitude, 0.01, rtol=1e-12)
+    assert_allclose(reception_response(RS, cut)[0], 0.01, rtol=1e-12)
 
 
 def test_reception_cutoff_domain():
@@ -113,12 +113,12 @@ def test_reception_cutoff_domain():
 
 def test_clean_band_reference_roots():
     slow = highest_clean_band(83.0, 10.0, RS)
-    assert not slow.saturated
-    assert_allclose(slow.band.omega1, CLEAN_W1_SLOW, rtol=2e-4)
-    assert_allclose(slow.band.omega2, 10.0 * slow.band.omega1, rtol=1e-12)
+    assert slow.status.tolist() == ["ok"]
+    assert_allclose(slow.omega1[0], CLEAN_W1_SLOW, rtol=2e-4)
+    assert_allclose(slow.omega2[0], 10.0 * slow.omega1[0], rtol=1e-12)
     fast = highest_clean_band(500.0, 2.5e-2, RS)
-    assert not fast.saturated
-    assert_allclose(fast.band.omega1, CLEAN_W1_FAST, rtol=2e-4)
+    assert fast.status.tolist() == ["ok"]
+    assert_allclose(fast.omega1[0], CLEAN_W1_FAST, rtol=2e-4)
 
 
 def test_clean_band_sits_on_the_predicate_boundary():
@@ -132,7 +132,7 @@ def test_clean_band_sits_on_the_predicate_boundary():
                 and diffusion_delay_distortion(ch, band)
                 <= 0.1 * reception_delay_distortion(RS, band))
 
-    w1 = result.band.omega1
+    w1 = result.omega1[0]
     assert qualifies(w1)
     assert not qualifies(w1 * 1.001)
     # the qualifying set is a window, not a half-line: it also fails
@@ -142,40 +142,40 @@ def test_clean_band_sits_on_the_predicate_boundary():
 
 def test_clean_band_saturates_for_vanishing_distance():
     result = highest_clean_band(83.0, 1e-6, RS, search_range=(1e-4, 1e4))
-    assert result.saturated
-    assert result.band.omega1 == 1e4
-    assert result.band.omega2 == 1e5
+    assert result.status[0] == "saturated"
+    assert result.omega1[0] == 1e4
+    assert result.omega2[0] == 1e5
 
 
 def test_clean_band_infeasible_for_large_distance():
-    with pytest.raises(InfeasibleBandError):
-        highest_clean_band(83.0, 1e4, RS)
+    result = highest_clean_band(83.0, 1e4, RS)
+    assert result.status.tolist() == ["infeasible"]
+    assert math.isnan(result.omega1[0]) and math.isnan(result.omega2[0])
 
 
 def test_clean_band_is_deterministic():
     a = highest_clean_band(83.0, 10.0, RS)
     b = highest_clean_band(83.0, 10.0, RS)
-    assert a.band.omega1 == b.band.omega1
-    assert a.band.omega2 == b.band.omega2
+    assert a.omega1[0] == b.omega1[0]
+    assert a.omega2[0] == b.omega2[0]
 
 
 def test_clean_band_drops_with_distance():
     # Farther receivers have to settle for lower bands, and the qualifying
     # window (an intersection of two frequency-dependent conditions) closes
     # entirely a little past 18 um for these parameters.
-    starts = [highest_clean_band(83.0, x, RS).band.omega1
+    starts = [highest_clean_band(83.0, x, RS).omega1[0]
               for x in (10.0, 12.0, 14.0, 16.0, 18.0)]
     assert all(b < a for a, b in zip(starts, starts[1:]))
-    with pytest.raises(InfeasibleBandError):
-        highest_clean_band(83.0, 20.0, RS)
+    assert highest_clean_band(83.0, 20.0, RS).status[0] == "infeasible"
 
 
 def test_clean_band_respects_width_and_tolerance():
     wide = highest_clean_band(83.0, 10.0, RS, decade_width=100.0)
-    assert_allclose(wide.band.omega2, 100.0 * wide.band.omega1, rtol=1e-12)
+    assert_allclose(wide.omega2[0], 100.0 * wide.omega1[0], rtol=1e-12)
     coarse = highest_clean_band(83.0, 10.0, RS, rel_tol=1e-2)
     fine = highest_clean_band(83.0, 10.0, RS, rel_tol=1e-6)
-    assert abs(coarse.band.omega1 / fine.band.omega1 - 1.0) < 1e-2
+    assert abs(coarse.omega1[0] / fine.omega1[0] - 1.0) < 1e-2
 
 
 def test_clean_band_parameter_validation():
@@ -193,6 +193,77 @@ def test_clean_band_parameter_validation():
         highest_clean_band(10**400, 10.0, RS)
     with pytest.raises(ParameterError):
         highest_clean_band(83.0, [10.0, 10**400], RS)
+
+
+@pytest.fixture
+def bounded_search(monkeypatch):
+    """Fail a clean-band search after 1,000 predicate calls.
+
+    A default search makes about 30; one that makes no progress would
+    otherwise hang the test run.
+    """
+    normalize, calls = design.normalize, [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        if calls[0] > 1000:
+            raise AssertionError("the clean-band search does not end")
+        return normalize(*args, **kwargs)
+
+    monkeypatch.setattr(design, "normalize", counted)
+
+
+@pytest.mark.parametrize("setting, value", [
+    pytest.param("rel_tol", 0.0, id="rel_tol=0"),
+    pytest.param("rel_tol", -1.0, id="rel_tol=-1"),
+    pytest.param("rel_tol", 1e-16, id="rel_tol=1e-16"),
+    pytest.param("rel_tol", 1e-300, id="rel_tol=1e-300"),
+    pytest.param("rel_tol", math.nan, id="rel_tol=nan"),
+    pytest.param("rel_tol", 10**400, id="rel_tol=10**400"),
+    pytest.param("search_range", (1e-8, math.inf), id="range=(1e-8,inf)"),
+    pytest.param("search_range", (1e-308, 1e308), id="range=(1e-308,1e308)"),
+    pytest.param("search_range", (1e-8, 10**400), id="range=(1e-8,10**400)"),
+    pytest.param("search_range", (1e-300, 1e-200), id="range=(1e-300,1e-200)"),
+    pytest.param("decade_width", 10**400, id="decade_width=10**400"),
+    pytest.param("q_fraction", 10**400, id="q_fraction=10**400"),
+    pytest.param("r_fraction", math.inf, id="r_fraction=inf"),
+])
+def test_clean_band_rejects_settings_it_cannot_honour(bounded_search, setting,
+                                                      value):
+    with pytest.raises(ParameterError):
+        highest_clean_band(83.0, 10.0, RS, **{setting: value})
+
+
+def test_clean_band_tolerance_floor(bounded_search):
+    floor = design._MIN_REL_TOL
+    assert floor == 4.0 * sys.float_info.epsilon
+    with pytest.raises(ParameterError):
+        highest_clean_band(83.0, 10.0, RS, rel_tol=math.nextafter(floor, 0.0))
+
+    # The reason for the floor: whenever the loop test bad / good >
+    # 1 + floor passes, the midpoint sqrt(good * bad) lies strictly inside
+    # the bracket, anywhere in the search limits.
+    rng = np.random.default_rng(3)
+    lo, hi = design._SEARCH_LIMITS
+    good = 10.0 ** rng.uniform(math.log10(lo), math.log10(hi), 20_000)
+    good[:2] = lo, hi / (1.0 + 2.0 * floor)
+    bad = good * (1.0 + floor)
+    while np.any(narrow := bad / good <= 1.0 + floor):
+        bad[narrow] = np.nextafter(bad[narrow], np.inf)
+    mid = np.sqrt(good * bad)
+    assert np.all(good < mid) and np.all(mid < bad)
+
+    # At the floor the search ends, on the same bisection path as a
+    # coarser tolerance, only further along it.
+    mu = 0.1 * 3e4 ** rng.random(300)
+    x_r = 1e-6 * 1e8 ** rng.random(300)
+    fine = highest_clean_band(mu, x_r, RS, rel_tol=floor)
+    coarse = highest_clean_band(mu, x_r, RS, rel_tol=1e-12)
+    ok = coarse.status == "ok"
+    assert fine.status.tolist() == coarse.status.tolist()
+    assert ok.sum() > 100
+    assert np.all(fine.omega1[ok] >= coarse.omega1[ok])
+    assert np.all(fine.omega1[ok] <= coarse.omega1[ok] * (1.0 + 1e-12))
 
 
 def _scalar_scan_reference(mu, x_r, rs, decade_width=10.0, q_fraction=0.1,
@@ -240,6 +311,10 @@ def _scalar_scan_reference(mu, x_r, rs, decade_width=10.0, q_fraction=0.1,
     return "ok", good
 
 
+STATUS = {"all": "saturated", "top": "saturated", "ok": "ok",
+          "infeasible": "infeasible"}
+
+
 def test_clean_band_matches_scalar_scan_reference():
     # Seeded rows over the survey's parameter ranges, with some rows on
     # other widths, fractions, tolerances and search ranges.  The array
@@ -264,22 +339,19 @@ def test_clean_band_matches_scalar_scan_reference():
         if not options:
             default_rows.append((mu, x_r, outcome, omega1))
         width = options.get("decade_width", 10.0)
-        if outcome == "infeasible":
-            with pytest.raises(InfeasibleBandError):
-                highest_clean_band(mu, x_r, RS, **options)
-            continue
         result = highest_clean_band(mu, x_r, RS, **options)
-        assert result.saturated == (outcome in ("all", "top")), (mu, x_r)
-        assert result.band.omega1 == omega1, (mu, x_r, options)
-        assert result.band.omega2 == omega1 * width
+        assert result.status.tolist() == [STATUS[outcome]], (mu, x_r)
+        if outcome == "infeasible":
+            assert math.isnan(result.omega1[0]), (mu, x_r, options)
+            continue
+        assert result.omega1[0] == omega1, (mu, x_r, options)
+        assert result.omega2[0] == omega1 * width
     assert set(outcomes) == {"all", "top", "ok", "infeasible"}, outcomes
 
     # The rows on the default settings, searched in one batched call.
     mu, x_r, outcome, omega1 = zip(*default_rows)
     batch = highest_clean_band(np.array(mu), np.array(x_r), RS)
-    status = {"all": "saturated", "top": "saturated", "ok": "ok",
-              "infeasible": "infeasible"}
-    assert batch.status.tolist() == [status[o] for o in outcome]
+    assert batch.status.tolist() == [STATUS[o] for o in outcome]
     assert set(batch.status.tolist()) == {"ok", "saturated", "infeasible"}
     feasible = batch.status != "infeasible"
     assert np.isnan(batch.omega1[~feasible]).all()

@@ -1,4 +1,5 @@
-"""Distortion indices: closed forms, grid evaluators, normal form, maxima."""
+"""Distortion indices: closed forms, the grid-search reference, normal
+form, maxima."""
 
 import math
 
@@ -6,24 +7,26 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from grid_search import (
+    EvaluationError,
+    amplitude_distortion,
+    delay_distortion,
+    grid_report,
+)
 from mcchannel import (
     DiffusionChannel,
     DistortionReport,
-    EvaluationError,
     FrequencyBand,
     NormalizedBand,
     ParameterError,
     ReceptionSystem,
-    amplitude_distortion,
     channel_report,
-    delay_distortion,
     delay_distortion_maxima,
     denormalize_distance,
     diffusion_amplitude_distortion,
     diffusion_amplitude_distortion_normalized,
     diffusion_delay_distortion,
     diffusion_delay_distortion_normalized,
-    grid_report,
     log_grid,
     normalize,
     reception_amplitude_distortion,

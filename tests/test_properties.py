@@ -12,7 +12,6 @@ from mcchannel import (
     DesignSpec,
     DiffusionChannel,
     FrequencyBand,
-    InfeasibleBandError,
     ReceptionSystem,
     cascade_gain_db,
     cascade_phase_delay,
@@ -48,15 +47,12 @@ def _qualifies(mu, x_r, omega1, width, fraction):
        rel_tol=st.sampled_from([1e-6, 1e-4, 1e-2]))
 def test_clean_band_edge_holds_and_fails_just_above(mu, x_r, width, fraction,
                                                     rel_tol):
-    try:
-        result = highest_clean_band(mu, x_r, RS, decade_width=width,
-                                    q_fraction=fraction, r_fraction=fraction,
-                                    rel_tol=rel_tol)
-    except InfeasibleBandError:
+    result = highest_clean_band(mu, x_r, RS, decade_width=width,
+                                q_fraction=fraction, r_fraction=fraction,
+                                rel_tol=rel_tol)
+    if result.status[0] != "ok":
         return
-    if result.saturated:
-        return
-    omega1 = result.band.omega1
+    omega1 = result.omega1[0]
     assert _qualifies(mu, x_r, omega1, width, fraction)
     assert not _qualifies(mu, x_r, omega1 * (1.0 + 2.0 * rel_tol), width,
                           fraction)
@@ -85,15 +81,13 @@ def test_clean_band_batch_equals_one_row_calls(rows, width, q_fraction,
     with mock.patch.object(design, "_SCAN_ROW_BLOCK", block):
         batch = highest_clean_band(mu, x_r, RS, **options)
     for i, (m, x) in enumerate(rows):
-        try:
-            one = highest_clean_band(m, x, RS, **options)
-        except InfeasibleBandError:
-            assert batch.status[i] == "infeasible"
+        one = highest_clean_band(m, x, RS, **options)
+        assert batch.status[i] == one.status[0]
+        if one.status[0] == "infeasible":
             assert math.isnan(batch.omega1[i]) and math.isnan(batch.omega2[i])
             continue
-        assert batch.status[i] == ("saturated" if one.saturated else "ok")
-        assert batch.omega1[i] == one.band.omega1
-        assert batch.omega2[i] == one.band.omega2
+        assert batch.omega1[i] == one.omega1[0]
+        assert batch.omega2[i] == one.omega2[0]
 
 
 @settings(max_examples=100, deadline=None)

@@ -300,11 +300,11 @@ def _fourier_reference(ch, rs, wave, n_harmonics, t):
     for n in range(1, n_harmonics + 1):
         coeff = 2.0 * wave.amplitude * math.sin(n * math.pi * wave.duty) / (n * math.pi)
         wn = n * wave.fundamental
-        g = diffusion_response(ch, wn)
-        gh = cascade_response(ch, rs, wn)
+        g_mag, g_phase = diffusion_response(ch, wn)
+        m_mag, m_phase = cascade_response(ch, rs, wn)
         arg = wn * (t - t_c)
-        received += coeff * g.magnitude * np.cos(arg + g.phase)
-        complex_conc += coeff * gh.magnitude * np.cos(arg + gh.phase)
+        received += coeff * g_mag * np.cos(arg + g_phase)
+        complex_conc += coeff * m_mag * np.cos(arg + m_phase)
     return received, complex_conc
 
 
