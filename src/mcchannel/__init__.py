@@ -67,10 +67,6 @@ from .timedomain import (
 from .config import (
     ConfigError,
     Scenario,
-    SimulationSettings,
-    SpeciesRow,
-    SweepSettings,
-    TableConfig,
     load_scenario,
     load_table,
     scenario_from_dict,
@@ -102,7 +98,6 @@ __all__ = [
     "SquareWaveInput", "activation_time", "default_solver_config", "simulate_fdm",
     "synthesize_fourier", "write_trace_csv",
     # config
-    "ConfigError", "Scenario", "SimulationSettings", "SpeciesRow",
-    "SweepSettings", "TableConfig", "load_scenario", "load_table",
+    "ConfigError", "Scenario", "load_scenario", "load_table",
     "scenario_from_dict",
 ]

@@ -109,7 +109,7 @@ def cmd_analyze(args) -> int:
     nb = normalize(ch, rs, band)
 
     _write_json(out / "report.json", {
-        "metadata": _metadata(scenario.resolved()),
+        "metadata": _metadata(scenario.parameters),
         "band": {"omega1": band.omega1, "omega2": band.omega2},
         "indices": {"q_g": report.q_g, "r_g": report.r_g,
                     "q_h": report.q_h, "r_h": report.r_h,
@@ -126,7 +126,7 @@ def cmd_analyze(args) -> int:
         cascade_phase_delay(ch, rs, grid),
     )
     with open(out / "curves.csv", "w", newline="") as fh:
-        _csv_header(fh, scenario.resolved())
+        _csv_header(fh, scenario.parameters)
         fh.write("omega_rad_per_s,gain_g_db,gain_h_db,gain_m_db,"
                  "delay_g_s,delay_h_s,delay_m_s\n")
         for i, w in enumerate(grid):
@@ -153,7 +153,7 @@ def cmd_design(args) -> int:
                       rs=scenario.reception)
     result = distance_bound(spec)
     _write_json(out / "design.json", {
-        "metadata": _metadata(scenario.resolved()),
+        "metadata": _metadata(scenario.parameters),
         "budgets": {"q0": q0, "r0": r0},
         "reception_indices": {"q_h": report.q_h, "r_h": report.r_h},
         "result": {"x_q": result.x_q, "x_r_delay": result.x_r_delay,
@@ -178,7 +178,6 @@ def cmd_sweep(args) -> int:
         "q_h": reception_amplitude_distortion_normalized,
         "r_h": reception_delay_distortion_normalized,
     }
-    parameters = scenario.resolved()
     # Rows are evaluated and written one at a time, to all four files at
     # once, so memory stays at one row of cells per surface.
     with ExitStack() as stack:
@@ -186,7 +185,7 @@ def cmd_sweep(args) -> int:
                  for name in surfaces]
         header = "omega1p," + ",".join(_fmt(w2) for w2 in grid) + "\n"
         for fh in files:
-            _csv_header(fh, parameters)
+            _csv_header(fh, scenario.parameters)
             fh.write(header)
         for w1 in grid:
             # Cells with w1 >= w2 stay blank.  Select them by value: on a
@@ -199,7 +198,7 @@ def cmd_sweep(args) -> int:
                 fh.write(row % (w1, *fn(nb).tolist()))
 
     _write_json(out / "sweep.json", {
-        "metadata": _metadata(parameters),
+        "metadata": _metadata(scenario.parameters),
         "lam": lam,
         "grid": {"omega_min": sw.omega_min, "omega_max": sw.omega_max,
                  "points": points},
@@ -225,9 +224,9 @@ def cmd_simulate(args) -> int:
     scenario = load_scenario(args.config)
     out = _out_dir(args)
     routes = ("fourier", "fdm") if args.route == "both" else (args.route,)
-    wave = scenario.wave()
-    cfg = scenario.solver_config()
-    threshold = scenario.simulation.threshold
+    wave = scenario.wave
+    cfg = scenario.solver
+    threshold = scenario.threshold
     reception_only = DiffusionChannel(mu=scenario.channel.mu, x_r=0.0)
 
     n_steps = int(round(cfg.duration / cfg.dt))
@@ -241,7 +240,7 @@ def cmd_simulate(args) -> int:
                             ("channel", scenario.channel)):
                 if route == "fourier":
                     trace = synthesize_fourier(ch, scenario.reception, wave,
-                                               scenario.harmonic_count(), t_grid)
+                                               scenario.n_harmonics, t_grid)
                 else:
                     trace = simulate_fdm(ch, scenario.reception, wave, cfg)
                 path = out / f"trace_{arm}_{route}.csv"
@@ -256,7 +255,7 @@ def cmd_simulate(args) -> int:
         raise
 
     _write_json(out / "simulate.json", {
-        "metadata": _metadata(scenario.resolved()),
+        "metadata": _metadata(scenario.parameters),
         "routes": list(routes),
         "files": [f"trace_{arm}_{route}.csv"
                   for route in routes for arm in ("reception", "channel")],
@@ -279,7 +278,7 @@ def cmd_table(args) -> int:
     }
     # One search for every row that has a distance; the rows without one
     # keep the no-distance status.
-    banded = [row for row in table.species if row.has_band]
+    banded = [row for row in table.species if row.x_r is not None]
     found = highest_clean_band(
         np.array([row.mu_lo for row in banded]),
         np.array([row.x_r for row in banded]), table.reception,
@@ -292,7 +291,7 @@ def cmd_table(args) -> int:
         entry = {"name": row.name, "mu_lo": row.mu_lo, "mu_hi": row.mu_hi,
                  "x_r": row.x_r, "omega1": None, "omega2": None,
                  "status": "no-distance"}
-        if row.has_band:
+        if row.x_r is not None:
             omega1, omega2, status = next(bands)
             entry["status"] = status
             if status != "infeasible":

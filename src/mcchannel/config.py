@@ -1,4 +1,4 @@
-"""Scenario files: loading and validation.
+"""Scenario files: loading, validation and resolution.
 
 A scenario is one YAML document holding the physical parameters of a
 run (channel, reception, band) plus optional sections for design
@@ -6,15 +6,21 @@ budgets, time-domain simulation settings, and the normalized sweep
 grid.  All quantities are in micrometers / seconds / micromolar with
 frequencies in rad/s; files are expected to say so in a header comment.
 
-Validation is strict: missing or extra keys, non-finite numbers and
-out-of-range values raise ConfigError naming the offending field.
+Each section is read through one field table, which gives every key its
+reader, its default (or _REQUIRED) and its lower bound.  Validation is
+strict: missing or extra keys, non-finite numbers and out-of-range
+values raise ConfigError naming the offending field.  A scenario is
+resolved once, at load: its input wave, harmonic count, discretization
+and the parameter set embedded in every output are fixed there, so
+every parameter error is raised before a command writes anything.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, replace
+from typing import Any, Iterable
 
 import yaml
 
@@ -23,7 +29,6 @@ from .timedomain import SolverConfig, SquareWaveInput, default_solver_config
 
 __all__ = [
     "ConfigError",
-    "SimulationSettings",
     "SweepSettings",
     "Scenario",
     "SpeciesRow",
@@ -56,8 +61,8 @@ def _mapping(node: Any, path: str) -> dict:
     return node
 
 
-def _reject_unknown(node: dict, allowed: set[str], path: str) -> None:
-    unknown = set(node) - allowed
+def _reject_unknown(node: dict, allowed: Iterable[str], path: str) -> None:
+    unknown = set(node).difference(allowed)
     if unknown:
         raise ConfigError(f"{path}: unknown key(s) {sorted(unknown)}; "
                           f"allowed: {sorted(allowed)}")
@@ -75,179 +80,107 @@ def _finite(value: Any, where: str) -> float:
     return number
 
 
-def _number(node: dict, key: str, path: str, default=None, required=True):
-    if key not in node:
-        if required:
-            raise ConfigError(f"{path}.{key}: required key missing")
-        return default
-    return _finite(node[key], f"{path}.{key}")
-
-
-def _integer(node: dict, key: str, path: str, default=None, required=True):
-    if key not in node:
-        if required:
-            raise ConfigError(f"{path}.{key}: required key missing")
-        return default
-    value = node[key]
+def _integer(value: Any, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}.{key}: expected an integer, got {value!r}")
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
     return value
 
 
-@dataclass(frozen=True)
-class SimulationSettings:
-    """Resolved time-domain settings of a scenario."""
+_REQUIRED = object()
 
-    amplitude: float = 0.1
-    duty: float = 0.5
-    offset: float = 0.0
-    threshold: float | None = None
-    fundamental: float | None = None   # None: use band.omega1
-    n_harmonics: int | None = None     # None: all harmonics inside the band
-    n_periods: int = 3
-    dx: float | None = None            # None: derive from the scenario
-    dt: float | None = None
-    domain_length: float | None = None
+
+def _field(node: dict, path: str, key: str, read, default, bound):
+    """node[key] through read, else default; above bound (integers: at or above)."""
+    if key not in node:
+        if default is _REQUIRED:
+            raise ConfigError(f"{path}.{key}: required key missing")
+        return default
+    value = read(node[key], f"{path}.{key}")
+    inclusive = read is _integer
+    if bound is not None and (value < bound if inclusive else value <= bound):
+        raise ConfigError(f"{path}.{key}: must be {'>=' if inclusive else '>'} "
+                          f"{bound}, got {value}")
+    return value
+
+
+def _fields(node: Any, path: str, table: dict) -> dict:
+    """Read one section by its table: key -> (reader, default, lower bound)."""
+    node = _mapping(node, path)
+    _reject_unknown(node, table, path)
+    return {key: _field(node, path, key, *spec) for key, spec in table.items()}
+
+
+# Bounds of None leave the check to the object the values build, whose
+# ParameterError message names the file.
+_CHANNEL = {key: (_finite, _REQUIRED, None) for key in ("mu", "x_r")}
+_RECEPTION = {key: (_finite, _REQUIRED, None) for key in ("k_f", "k_r", "r")}
+_BAND = {key: (_finite, _REQUIRED, None) for key in ("omega1", "omega2")}
+_ABSOLUTE = {key: (_finite, _REQUIRED, 0) for key in ("q0", "r0")}
+_RELATIVE = {key: (_finite, _REQUIRED, 0) for key in ("q_factor", "r_factor")}
+_SIMULATION = {
+    "amplitude": (_finite, 0.1, None),
+    "duty": (_finite, 0.5, None),
+    "offset": (_finite, 0.0, None),
+    "threshold": (_finite, None, 0),
+    "fundamental": (_finite, None, 0),    # None: band.omega1
+    "n_harmonics": (_integer, None, 0),   # None: all harmonics inside the band
+    "n_periods": (_integer, 3, 1),
+    "dx": (_finite, None, 0),             # None: default_solver_config's
+    "dt": (_finite, None, 0),
+    "domain_length": (_finite, None, 0),
+}
+_SWEEP = {
+    "omega_min": (_finite, 1e-2, None),
+    "omega_max": (_finite, 1e2, None),
+    "points": (_integer, 60, None),
+}
+_SURVEY = {
+    "decade_width": (_finite, 10.0, 1),
+    "q_fraction": (_finite, 0.1, 0),
+    "r_fraction": (_finite, 0.1, 0),
+}
+
+
+@contextmanager
+def _parameter_errors(origin: str):
+    """Report a ParameterError from building a file's objects as a ConfigError."""
+    try:
+        yield
+    except ParameterError as exc:
+        raise ConfigError(f"{origin}: {exc}") from exc
 
 
 @dataclass(frozen=True)
 class SweepSettings:
     """Log grid in reception-corner units for the normalized-index sweep."""
 
-    omega_min: float = 1e-2
-    omega_max: float = 1e2
-    points: int = 60
+    omega_min: float
+    omega_max: float
+    points: int
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """Full parameter set for one run."""
+    """Full parameter set for one run, validated and resolved at load.
+
+    wave, n_harmonics and solver carry every time-domain default filled
+    in from the band and the channel; parameters is the same resolved set
+    as plain data, embedded in every output.
+    """
 
     channel: DiffusionChannel
     reception: ReceptionSystem
     band: FrequencyBand
+    wave: SquareWaveInput
+    n_harmonics: int
+    threshold: float | None
+    solver: SolverConfig
+    sweep: SweepSettings
+    parameters: dict
     q0: float | None = None
     r0: float | None = None
     q_factor: float | None = None
     r_factor: float | None = None
-    simulation: SimulationSettings = field(default_factory=SimulationSettings)
-    sweep: SweepSettings = field(default_factory=SweepSettings)
-
-    def wave(self) -> SquareWaveInput:
-        sim = self.simulation
-        fundamental = sim.fundamental if sim.fundamental is not None else self.band.omega1
-        return SquareWaveInput(amplitude=sim.amplitude, fundamental=fundamental,
-                               duty=sim.duty, offset=sim.offset)
-
-    def harmonic_count(self) -> int:
-        """Harmonics retained by the frequency route: all n with n w1 <= w2."""
-        if self.simulation.n_harmonics is not None:
-            return self.simulation.n_harmonics
-        return int(math.floor(self.band.omega2 / self.wave().fundamental))
-
-    def solver_config(self) -> SolverConfig:
-        sim = self.simulation
-        base = default_solver_config(self.channel, self.wave(),
-                                     n_periods=sim.n_periods,
-                                     omega_max=self.band.omega2)
-        return SolverConfig(
-            dx=sim.dx if sim.dx is not None else base.dx,
-            dt=sim.dt if sim.dt is not None else base.dt,
-            domain_length=(sim.domain_length if sim.domain_length is not None
-                           else base.domain_length),
-            duration=base.duration,
-        )
-
-    def resolved(self) -> dict:
-        """Fully resolved parameter set, for embedding in every output."""
-        wave = self.wave()
-        solver = self.solver_config()
-        out: dict[str, Any] = {
-            "channel": {"mu": self.channel.mu, "x_r": self.channel.x_r},
-            "reception": {"k_f": self.reception.k_f, "k_r": self.reception.k_r,
-                          "r": self.reception.r},
-            "band": {"omega1": self.band.omega1, "omega2": self.band.omega2},
-            "simulation": {
-                "amplitude": wave.amplitude, "fundamental": wave.fundamental,
-                "duty": wave.duty, "offset": wave.offset,
-                "threshold": self.simulation.threshold,
-                "n_harmonics": self.harmonic_count(),
-                "n_periods": self.simulation.n_periods,
-                "dx": solver.dx, "dt": solver.dt,
-                "domain_length": solver.domain_length,
-                "duration": solver.duration,
-            },
-            "sweep": {"omega_min": self.sweep.omega_min,
-                      "omega_max": self.sweep.omega_max,
-                      "points": self.sweep.points},
-        }
-        if self.q0 is not None:
-            out["thresholds"] = {"q0": self.q0, "r0": self.r0}
-        elif self.q_factor is not None:
-            out["thresholds"] = {"q_factor": self.q_factor,
-                                 "r_factor": self.r_factor}
-        return out
-
-
-def _parse_thresholds(node: dict, path: str) -> dict:
-    _reject_unknown(node, {"q0", "r0", "q_factor", "r_factor"}, path)
-    absolute = "q0" in node or "r0" in node
-    relative = "q_factor" in node or "r_factor" in node
-    if absolute and relative:
-        raise ConfigError(f"{path}: give either q0/r0 or q_factor/r_factor, not both")
-    if absolute:
-        out = {"q0": _number(node, "q0", path), "r0": _number(node, "r0", path)}
-    elif relative:
-        out = {"q_factor": _number(node, "q_factor", path),
-               "r_factor": _number(node, "r_factor", path)}
-    else:
-        raise ConfigError(f"{path}: empty thresholds section")
-    for key, value in out.items():
-        if value <= 0.0:
-            raise ConfigError(f"{path}.{key}: must be > 0, got {value}")
-    return out
-
-
-def _parse_simulation(node: dict, path: str) -> SimulationSettings:
-    allowed = {"amplitude", "duty", "offset", "threshold", "fundamental",
-               "n_harmonics", "n_periods", "dx", "dt", "domain_length"}
-    _reject_unknown(node, allowed, path)
-    kwargs: dict[str, Any] = {}
-    defaults = SimulationSettings()
-    for key in ("amplitude", "duty", "offset"):
-        kwargs[key] = _number(node, key, path, default=getattr(defaults, key),
-                              required=False)
-    for key in ("threshold", "fundamental", "dx", "dt", "domain_length"):
-        kwargs[key] = _number(node, key, path, default=None, required=False)
-    kwargs["n_harmonics"] = _integer(node, "n_harmonics", path, default=None,
-                                     required=False)
-    kwargs["n_periods"] = _integer(node, "n_periods", path,
-                                   default=defaults.n_periods, required=False)
-    for key in ("threshold", "dx", "dt", "domain_length", "fundamental"):
-        value = kwargs[key]
-        if value is not None and value <= 0.0:
-            raise ConfigError(f"{path}.{key}: must be > 0, got {value}")
-    if kwargs["n_harmonics"] is not None and kwargs["n_harmonics"] < 0:
-        raise ConfigError(f"{path}.n_harmonics: must be >= 0, "
-                          f"got {kwargs['n_harmonics']}")
-    if kwargs["n_periods"] < 1:
-        raise ConfigError(f"{path}.n_periods: must be >= 1, got {kwargs['n_periods']}")
-    return SimulationSettings(**kwargs)
-
-
-def _parse_sweep(node: dict, path: str) -> SweepSettings:
-    _reject_unknown(node, {"omega_min", "omega_max", "points"}, path)
-    defaults = SweepSettings()
-    out = SweepSettings(
-        omega_min=_number(node, "omega_min", path, defaults.omega_min, False),
-        omega_max=_number(node, "omega_max", path, defaults.omega_max, False),
-        points=_integer(node, "points", path, defaults.points, False),
-    )
-    if not 0.0 < out.omega_min < out.omega_max:
-        raise ConfigError(f"{path}: need 0 < omega_min < omega_max, "
-                          f"got [{out.omega_min}, {out.omega_max}]")
-    check_sweep_points(out.points, f"{path}.points")
-    return out
 
 
 # libyaml's parser reads the 1000-row surveys several times faster than
@@ -269,51 +202,73 @@ def _load_yaml(path) -> dict:
 
 
 def scenario_from_dict(doc: dict, origin: str = "scenario") -> Scenario:
-    """Build a Scenario from an already-parsed mapping."""
+    """Build and resolve a Scenario from an already-parsed mapping."""
     _reject_unknown(doc, {"channel", "reception", "band", "thresholds",
                           "simulation", "sweep"}, origin)
     for section in ("channel", "reception", "band"):
         if section not in doc:
             raise ConfigError(f"{origin}.{section}: required section missing")
-    ch_node = _mapping(doc["channel"], f"{origin}.channel")
-    _reject_unknown(ch_node, {"mu", "x_r"}, f"{origin}.channel")
-    rs_node = _mapping(doc["reception"], f"{origin}.reception")
-    _reject_unknown(rs_node, {"k_f", "k_r", "r"}, f"{origin}.reception")
-    band_node = _mapping(doc["band"], f"{origin}.band")
-    _reject_unknown(band_node, {"omega1", "omega2"}, f"{origin}.band")
-    try:
-        channel = DiffusionChannel(
-            mu=_number(ch_node, "mu", f"{origin}.channel"),
-            x_r=_number(ch_node, "x_r", f"{origin}.channel"),
-        )
-        reception = ReceptionSystem(
-            k_f=_number(rs_node, "k_f", f"{origin}.reception"),
-            k_r=_number(rs_node, "k_r", f"{origin}.reception"),
-            r=_number(rs_node, "r", f"{origin}.reception"),
-        )
-        band = FrequencyBand(
-            omega1=_number(band_node, "omega1", f"{origin}.band"),
-            omega2=_number(band_node, "omega2", f"{origin}.band"),
-        )
-    except ParameterError as exc:
-        raise ConfigError(f"{origin}: {exc}")
+    with _parameter_errors(origin):
+        channel = DiffusionChannel(**_fields(doc["channel"], f"{origin}.channel",
+                                             _CHANNEL))
+        reception = ReceptionSystem(**_fields(doc["reception"],
+                                              f"{origin}.reception", _RECEPTION))
+        band = FrequencyBand(**_fields(doc["band"], f"{origin}.band", _BAND))
 
-    thresholds: dict = {}
-    if "thresholds" in doc:
-        thresholds = _parse_thresholds(
-            _mapping(doc["thresholds"], f"{origin}.thresholds"),
-            f"{origin}.thresholds")
-    simulation = SimulationSettings()
-    if "simulation" in doc:
-        simulation = _parse_simulation(
-            _mapping(doc["simulation"], f"{origin}.simulation"),
-            f"{origin}.simulation")
-    sweep = SweepSettings()
-    if "sweep" in doc:
-        sweep = _parse_sweep(_mapping(doc["sweep"], f"{origin}.sweep"),
-                             f"{origin}.sweep")
-    return Scenario(channel=channel, reception=reception, band=band,
-                    simulation=simulation, sweep=sweep, **thresholds)
+        thresholds: dict = {}
+        if "thresholds" in doc:
+            path = f"{origin}.thresholds"
+            node = _mapping(doc["thresholds"], path)
+            _reject_unknown(node, {*_ABSOLUTE, *_RELATIVE}, path)
+            absolute = not node.keys().isdisjoint(_ABSOLUTE)
+            relative = not node.keys().isdisjoint(_RELATIVE)
+            if absolute and relative:
+                raise ConfigError(f"{path}: give either q0/r0 or "
+                                  f"q_factor/r_factor, not both")
+            if not (absolute or relative):
+                raise ConfigError(f"{path}: empty thresholds section")
+            thresholds = _fields(node, path, _ABSOLUTE if absolute else _RELATIVE)
+
+        sim = _fields(doc.get("simulation", {}), f"{origin}.simulation",
+                      _SIMULATION)
+        path = f"{origin}.sweep"
+        sweep = SweepSettings(**_fields(doc.get("sweep", {}), path, _SWEEP))
+        if not 0.0 < sweep.omega_min < sweep.omega_max:
+            raise ConfigError(f"{path}: need 0 < omega_min < omega_max, "
+                              f"got [{sweep.omega_min}, {sweep.omega_max}]")
+        check_sweep_points(sweep.points, f"{path}.points")
+
+        wave = SquareWaveInput(
+            amplitude=sim["amplitude"], duty=sim["duty"], offset=sim["offset"],
+            fundamental=(band.omega1 if sim["fundamental"] is None
+                         else sim["fundamental"]))
+        n_harmonics = sim["n_harmonics"]
+        if n_harmonics is None:     # all n with n w1 <= w2
+            ratio = band.omega2 / wave.fundamental
+            if math.isinf(ratio):
+                raise ParameterError(f"harmonic count omega2/fundamental = "
+                                     f"{band.omega2:g}/{wave.fundamental:g} overflows")
+            n_harmonics = math.floor(ratio)
+        solver = replace(
+            default_solver_config(channel, wave, n_periods=sim["n_periods"],
+                                  omega_max=band.omega2),
+            **{key: sim[key] for key in ("dx", "dt", "domain_length")
+               if sim[key] is not None})
+
+    parameters = {
+        "channel": asdict(channel), "reception": asdict(reception),
+        "band": asdict(band),
+        "simulation": {**asdict(wave), "threshold": sim["threshold"],
+                       "n_harmonics": n_harmonics, "n_periods": sim["n_periods"],
+                       **asdict(solver)},
+        "sweep": asdict(sweep),
+    }
+    if thresholds:
+        parameters["thresholds"] = thresholds
+    return Scenario(channel=channel, reception=reception, band=band, wave=wave,
+                    n_harmonics=n_harmonics, threshold=sim["threshold"],
+                    solver=solver, sweep=sweep, parameters=parameters,
+                    **thresholds)
 
 
 def load_scenario(path) -> Scenario:
@@ -334,10 +289,6 @@ class SpeciesRow:
     mu_hi: float
     x_r: float | None
 
-    @property
-    def has_band(self) -> bool:
-        return self.x_r is not None
-
 
 @dataclass(frozen=True)
 class TableConfig:
@@ -354,28 +305,14 @@ def load_table(path) -> TableConfig:
     """Load and validate a species-survey YAML file."""
     doc = _load_yaml(path)
     origin = str(path)
-    _reject_unknown(doc, {"reception", "decade_width", "q_fraction",
-                          "r_fraction", "species"}, origin)
+    _reject_unknown(doc, {"reception", "species", *_SURVEY}, origin)
     if "reception" not in doc or "species" not in doc:
         raise ConfigError(f"{origin}: sections 'reception' and 'species' required")
-    rs_node = _mapping(doc["reception"], f"{origin}.reception")
-    _reject_unknown(rs_node, {"k_f", "k_r", "r"}, f"{origin}.reception")
-    try:
-        reception = ReceptionSystem(
-            k_f=_number(rs_node, "k_f", f"{origin}.reception"),
-            k_r=_number(rs_node, "k_r", f"{origin}.reception"),
-            r=_number(rs_node, "r", f"{origin}.reception"),
-        )
-    except ParameterError as exc:
-        raise ConfigError(f"{origin}: {exc}")
-    decade_width = _number(doc, "decade_width", origin, 10.0, False)
-    q_fraction = _number(doc, "q_fraction", origin, 0.1, False)
-    r_fraction = _number(doc, "r_fraction", origin, 0.1, False)
-    if decade_width <= 1.0:
-        raise ConfigError(f"{origin}.decade_width: must be > 1, got {decade_width}")
-    for key, value in (("q_fraction", q_fraction), ("r_fraction", r_fraction)):
-        if value <= 0.0:
-            raise ConfigError(f"{origin}.{key}: must be > 0, got {value}")
+    with _parameter_errors(origin):
+        reception = ReceptionSystem(**_fields(doc["reception"],
+                                              f"{origin}.reception", _RECEPTION))
+    settings = {key: _field(doc, origin, key, *spec)
+                for key, spec in _SURVEY.items()}
 
     if not isinstance(doc["species"], list) or not doc["species"]:
         raise ConfigError(f"{origin}.species: expected a non-empty list")
@@ -398,14 +335,9 @@ def load_table(path) -> TableConfig:
                               f"got {mu!r}")
         if not 0.0 < mu_lo <= mu_hi:
             raise ConfigError(f"{path_i}.mu: need 0 < lo <= hi, got [{mu_lo}, {mu_hi}]")
-        x_r = _number(node, "x_r", path_i, default=None, required=False)
-        if x_r is not None:
-            if x_r <= 0.0:
-                raise ConfigError(f"{path_i}.x_r: must be > 0, got {x_r}")
-            if mu_lo != mu_hi:
-                raise ConfigError(f"{path_i}: rows with x_r need a single mu, "
-                                  f"not a range")
+        x_r = _field(node, path_i, "x_r", _finite, None, 0)
+        if x_r is not None and mu_lo != mu_hi:
+            raise ConfigError(f"{path_i}: rows with x_r need a single mu, "
+                              f"not a range")
         rows.append(SpeciesRow(name=name, mu_lo=mu_lo, mu_hi=mu_hi, x_r=x_r))
-    return TableConfig(reception=reception, decade_width=decade_width,
-                       q_fraction=q_fraction, r_fraction=r_fraction,
-                       species=tuple(rows))
+    return TableConfig(reception=reception, species=tuple(rows), **settings)

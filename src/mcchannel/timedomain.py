@@ -310,14 +310,18 @@ def default_solver_config(ch: DiffusionChannel, wave: SquareWaveInput | SineInpu
     grid node.
     """
     _require(n_periods >= 1, f"n_periods must be >= 1, got {n_periods}")
+    _require(_finite(n_periods), "n_periods is beyond the float range")
     w1 = wave.fundamental
     if omega_max is None:
         omega_max = 100.0 * w1
     _require(omega_max >= w1, f"omega_max must be >= fundamental, got {omega_max}")
     L = max(10.0 * ch.x_r, 5.0 * math.sqrt(2.0 * ch.mu / w1))
     dx = math.sqrt(2.0 * ch.mu / omega_max) / 8.0
+    _require(dx > 0.0, f"dx underflows to 0 (mu={ch.mu:g}, omega_max={omega_max:g})")
     if ch.x_r > 0.0:
-        dx = ch.x_r / max(1, round(ch.x_r / dx))
+        cells = ch.x_r / dx
+        _require(_finite(cells), f"x_r/dx = {cells:g} is beyond the float range")
+        dx = ch.x_r / max(1, round(cells))
     dt = 2.0 * math.pi / omega_max / 16.0
     return SolverConfig(dx=dx, dt=dt, domain_length=L,
                         duration=n_periods * wave.period)

@@ -356,7 +356,7 @@ def test_simulate_trace_files_are_consistent(scenario_path, tmp_path):
     rows = (out / "trace_reception_fdm.csv").read_text().splitlines()
     assert rows[0] == "# route: fdm"
     assert rows[1] == "t_s,v_uM,u_xr_uM,c_uM"
-    cfg = scenario.solver_config()
+    cfg = scenario.solver
     assert len(rows) - 2 == int(round(cfg.duration / cfg.dt)) + 1
     # with x_r = 0 the received column equals the input column exactly
     for line in rows[2::97]:
@@ -421,17 +421,37 @@ def test_table_without_banded_rows(tmp_path):
     ("  amplitude: 0.1\n", "  amplitude: fast\n"),     # non-numeric
     ("  x_r: 14.0\n", "  x_r: .inf\n"),                # non-finite
     ("  omega_max: 1.0e+2\n", "  omega_max: .inf\n"),  # non-finite sweep edge
+    # Settings of the time-domain input, checked at load by every command.
+    pytest.param("  n_periods: 3\n", "  n_periods: 3\n  duty: 1.5\n", id="duty"),
+    pytest.param("  n_periods: 3\n", "  n_periods: 3\n  offset: -1.0\n",
+                 id="offset"),
+    pytest.param("  n_periods: 3\n", "  n_periods: 3\n  fundamental: 1.0\n",
+                 id="fundamental-above-omega2"),
+    # Inputs whose resolved discretization overflows or underflows.
+    pytest.param("  n_periods: 3\n", "  n_periods: 1" + "0" * 400 + "\n",
+                 id="n_periods-beyond-float"),
+    pytest.param("  omega2: 1.0e-1\n", "  omega2: 1.0e+308\n",
+                 id="harmonic-count-overflows"),
+    pytest.param(("  mu: 83.0\n", "  omega2: 1.0e-1\n"),
+                 ("  mu: 5.0e-324\n", "  omega2: 1.0e+6\n"), id="dx-underflows"),
+    pytest.param(("  x_r: 14.0\n", "  mu: 83.0\n"),
+                 ("  x_r: 1.0e+308\n", "  mu: 1.0e-300\n"), id="x_r-cells-overflow"),
 ])
-def test_malformed_scenarios_exit_two(tmp_path, mutation, hint):
-    text = (SCENARIO.replace(mutation, "") if hint == "missing"
-            else SCENARIO.replace(mutation, hint))
-    assert text != SCENARIO
+def test_malformed_scenarios_exit_two(tmp_path, capsys, mutation, hint):
+    if isinstance(mutation, str):
+        mutation, hint = (mutation,), ("" if hint == "missing" else hint,)
+    text = SCENARIO
+    for old, new in zip(mutation, hint):
+        assert old in text
+        text = text.replace(old, new)
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(text)
     out = tmp_path / "out"
-    for command in ("analyze", "sweep"):
+    for command in ("analyze", "design", "sweep", "simulate"):
         assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
+        # The message names the file, and so the field or section at fault.
+        assert capsys.readouterr().err.startswith(f"configuration error: {cfg}")
 
 
 @pytest.mark.parametrize("mutation, bad", [
@@ -450,6 +470,137 @@ def test_malformed_tables_exit_two(tmp_path, mutation, bad):
     out = tmp_path / "out"
     assert cli.main(["table", "--config", str(cfg), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+_DROP = object()
+
+
+def _edited(text: str, edits: dict) -> dict:
+    """The YAML document with each dotted path set, or dropped with _DROP."""
+    doc = yaml.safe_load(text)
+    for dotted, value in edits.items():
+        *head, last = (int(k) if k.isdigit() else k for k in dotted.split("."))
+        node = doc
+        for key in head:
+            node = node[key]
+        if value is _DROP:
+            del node[last]
+        else:
+            node[last] = value
+    return doc
+
+
+@pytest.mark.parametrize("kind, edits, message", [
+    # a missing required key or section
+    ("scenario", {"channel.mu": _DROP}, "scenario.channel.mu: required key missing"),
+    ("scenario", {"band": _DROP}, "scenario.band: required section missing"),
+    ("survey", {"species": _DROP},
+     "{origin}: sections 'reception' and 'species' required"),
+    # an unknown key
+    ("scenario", {"channel.foo": 1.0},
+     "scenario.channel: unknown key(s) ['foo']; allowed: ['mu', 'x_r']"),
+    ("scenario", {"bands": {}},
+     "scenario: unknown key(s) ['bands']; allowed: ['band', 'channel', "
+     "'reception', 'simulation', 'sweep', 'thresholds']"),
+    ("survey", {"extra": 1},
+     "{origin}: unknown key(s) ['extra']; allowed: ['decade_width', "
+     "'q_fraction', 'r_fraction', 'reception', 'species']"),
+    ("survey", {"reception.z": 1.0},
+     "{origin}.reception: unknown key(s) ['z']; allowed: ['k_f', 'k_r', 'r']"),
+    # a section that is not a mapping
+    ("scenario", {"simulation": [1]},
+     "scenario.simulation: expected a mapping, got list"),
+    ("scenario", {"channel": None},
+     "scenario.channel: expected a mapping, got NoneType"),
+    # a non-number, a bool, a non-finite value
+    ("scenario", {"simulation.amplitude": "fast"},
+     "scenario.simulation.amplitude: expected a number, got 'fast'"),
+    ("scenario", {"reception.k_f": True},
+     "scenario.reception.k_f: expected a number, got True"),
+    ("scenario", {"channel.x_r": math.inf},
+     "scenario.channel.x_r: must be finite, got inf"),
+    ("scenario", {"channel.x_r": 10 ** 400},
+     "scenario.channel.x_r: must be finite, got inf"),
+    ("scenario", {"band.omega2": math.nan},
+     "scenario.band.omega2: must be finite, got nan"),
+    ("scenario", {"simulation.n_periods": 2.5},
+     "scenario.simulation.n_periods: expected an integer, got 2.5"),
+    ("scenario", {"sweep.points": True},
+     "scenario.sweep.points: expected an integer, got True"),
+    ("survey", {"r_fraction": "x"}, "{origin}.r_fraction: expected a number, got 'x'"),
+    ("survey", {"decade_width": True},
+     "{origin}.decade_width: expected a number, got True"),
+    # a value below its bound
+    ("scenario", {"simulation.dx": 0}, "scenario.simulation.dx: must be > 0, got 0.0"),
+    ("scenario", {"simulation.n_periods": 0},
+     "scenario.simulation.n_periods: must be >= 1, got 0"),
+    ("scenario", {"simulation.n_harmonics": -1},
+     "scenario.simulation.n_harmonics: must be >= 0, got -1"),
+    ("scenario", {"thresholds.q_factor": -1},
+     "scenario.thresholds.q_factor: must be > 0, got -1.0"),
+    ("scenario", {"channel.mu": -1.0}, "scenario: mu must be finite and > 0, got -1.0"),
+    ("scenario", {"band.omega2": 1e-3},
+     "scenario: omega2 must be finite and > omega1=0.005, got 0.001"),
+    ("scenario", {"sweep.omega_min": 1e3},
+     "scenario.sweep: need 0 < omega_min < omega_max, got [1000.0, 100.0]"),
+    ("survey", {"decade_width": 1.0}, "{origin}.decade_width: must be > 1, got 1.0"),
+    ("survey", {"q_fraction": 0}, "{origin}.q_fraction: must be > 0, got 0.0"),
+    ("survey", {"reception.k_f": -1.0},
+     "{origin}: k_f must be finite and > 0, got -1.0"),
+    # thresholds given as both pairs, as neither, or as half a pair
+    ("scenario", {"thresholds.q0": 1.0},
+     "scenario.thresholds: give either q0/r0 or q_factor/r_factor, not both"),
+    ("scenario", {"thresholds.q0": "x"},
+     "scenario.thresholds: give either q0/r0 or q_factor/r_factor, not both"),
+    ("scenario", {"thresholds": {}}, "scenario.thresholds: empty thresholds section"),
+    ("scenario", {"thresholds": {"q0": 1.0}},
+     "scenario.thresholds.r0: required key missing"),
+    ("scenario", {"thresholds": {"r_factor": 1.0}},
+     "scenario.thresholds.q_factor: required key missing"),
+    ("scenario", {"thresholds.q1": 1.0},
+     "scenario.thresholds: unknown key(s) ['q1']; "
+     "allowed: ['q0', 'q_factor', 'r0', 'r_factor']"),
+    # the species-row rules
+    ("survey", {"species": "x"}, "{origin}.species: expected a non-empty list"),
+    ("survey", {"species": []}, "{origin}.species: expected a non-empty list"),
+    ("survey", {"species.0": "x"}, "{origin}.species[0]: expected a mapping, got str"),
+    ("survey", {"species.0.foo": 1},
+     "{origin}.species[0]: unknown key(s) ['foo']; allowed: ['mu', 'name', 'x_r']"),
+    ("survey", {"species.0.name": _DROP},
+     "{origin}.species[0].name: expected a non-empty string"),
+    ("survey", {"species.0.mu": "x"},
+     "{origin}.species[0].mu: expected a number or [lo, hi] pair, got 'x'"),
+    ("survey", {"species.0.mu": [1.0, 2.0, 3.0]},
+     "{origin}.species[0].mu: expected a number or [lo, hi] pair, "
+     "got [1.0, 2.0, 3.0]"),
+    ("survey", {"species.1.mu": [2.0, 1.0]},
+     "{origin}.species[1].mu: need 0 < lo <= hi, got [2.0, 1.0]"),
+    ("survey", {"species.0.mu": -1.0},
+     "{origin}.species[0].mu: need 0 < lo <= hi, got [-1.0, -1.0]"),
+    ("survey", {"species.1.mu": ["a", 1.0]},
+     "{origin}.species[1].mu[0]: expected a number, got 'a'"),
+    ("survey", {"species.0.x_r": 0.0}, "{origin}.species[0].x_r: must be > 0, got 0.0"),
+    ("survey", {"species.0.x_r": None},
+     "{origin}.species[0].x_r: expected a number, got None"),
+    ("survey", {"species.1.x_r": 1.0},
+     "{origin}.species[1]: rows with x_r need a single mu, not a range"),
+    # the sweep points range
+    ("scenario", {"sweep.points": 1},
+     "scenario.sweep.points: must be in [2, 4096], got 1"),
+    ("scenario", {"sweep.points": 5000},
+     "scenario.sweep.points: must be in [2, 4096], got 5000"),
+])
+def test_config_error_messages(tmp_path, kind, edits, message):
+    if kind == "scenario":
+        with pytest.raises(config.ConfigError) as err:
+            scenario_from_dict(_edited(SCENARIO, edits))
+    else:
+        path = tmp_path / "survey.yaml"
+        path.write_text(yaml.safe_dump(_edited(SPECIES, edits)))
+        with pytest.raises(config.ConfigError) as err:
+            load_table(path)
+        message = message.format(origin=path)
+    assert str(err.value) == message
 
 
 def test_missing_and_unparsable_files_exit_two(tmp_path):

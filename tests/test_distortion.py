@@ -2,6 +2,7 @@
 form, maxima."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -170,6 +171,34 @@ def test_denormalize_distance_round_trip():
 def test_delay_maxima_match_reference(omega2p):
     got = delay_distortion_maxima(omega2p)
     assert_allclose(got, MAXIMA[omega2p], rtol=1e-12)
+
+
+def _reception_peak_radicand(w2p: float) -> Fraction:
+    """w2'/atan(w2') - 1 as an exact rational, from its Maclaurin series.
+
+    The coefficients c_n of sum c_n x^(2n) are those of the reciprocal
+    of atan(x)/x = sum (-1)^k x^(2k)/(2k+1).  Seven terms leave out
+    less than x^16 relative to x^2/3, below 1e-28 for x <= 0.011.
+    """
+    atan_over_x = [Fraction((-1) ** k, 2 * k + 1) for k in range(8)]
+    coeffs = [Fraction(1)]
+    for n in range(1, 8):
+        coeffs.append(-sum(atan_over_x[k] * coeffs[n - k]
+                           for k in range(1, n + 1)))
+    x2 = Fraction(w2p) ** 2
+    return sum(c * x2 ** n for n, c in enumerate(coeffs) if n > 0)
+
+
+# Switch point 1e-2: the direct form's error, about 2 eps / w2'^2
+# relative, is near 4e-12 just above it; the series' truncation after
+# its w2'^6 term is near 5e-14 just below it.  Bound fixed beforehand.
+@pytest.mark.parametrize("w2p", [1e-9, 1e-7, 1e-5, 1e-3, 0.9e-2, 0.999e-2,
+                                 1e-2, 1.001e-2, 1.1e-2])
+def test_reception_delay_peak_is_accurate_for_small_bands(w2p):
+    _, peak_h = delay_distortion_maxima(w2p)
+    # peak_h^2 against the exact radicand: twice the relative error of peak_h.
+    assert abs(Fraction(peak_h) ** 2 / _reception_peak_radicand(w2p) - 1) \
+        <= 2 * 1e-11
 
 
 def test_delay_maxima_are_interior_grid_maxima():

@@ -1,14 +1,18 @@
 """Property tests of the model's invariants on generated parameters."""
 
+import copy
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcchannel import design
 from mcchannel import (
+    ConfigError,
     DesignSpec,
     DiffusionChannel,
     FrequencyBand,
@@ -23,6 +27,7 @@ from mcchannel import (
     reception_amplitude_distortion,
     reception_amplitude_distortion_normalized,
     reception_delay_distortion,
+    scenario_from_dict,
 )
 
 RS = ReceptionSystem(k_f=1e-3, k_r=4e-3, r=4.0)
@@ -181,3 +186,38 @@ def test_design_limit_meets_the_binding_budget(mu, k_r, omega1, width,
     else:
         assert _close(r_m, r0, r_scale)
         assert q_m <= q0 * (1.0 + REL_TOL) + ABS_TOL
+
+
+BASELINE = yaml.safe_load(
+    (Path(__file__).resolve().parent.parent / "scenarios" / "baseline.yaml")
+    .read_text())
+# Every key a scenario section may hold, set or not in the baseline.
+SCENARIO_FIELDS = [
+    *(("channel", k) for k in ("mu", "x_r")),
+    *(("reception", k) for k in ("k_f", "k_r", "r")),
+    *(("band", k) for k in ("omega1", "omega2")),
+    *(("thresholds", k) for k in ("q0", "r0", "q_factor", "r_factor")),
+    *(("simulation", k) for k in ("amplitude", "duty", "offset", "threshold",
+                                  "fundamental", "n_harmonics", "n_periods",
+                                  "dx", "dt", "domain_length")),
+    *(("sweep", k) for k in ("omega_min", "omega_max", "points")),
+]
+AWKWARD_VALUES = [10 ** 400, -10 ** 400, 1e308, -1e308, 5e-324, math.nan,
+                  math.inf, True, None, "text", [1.0], 0, -1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(edits=st.lists(st.tuples(st.sampled_from(SCENARIO_FIELDS),
+                                st.sampled_from(AWKWARD_VALUES)),
+                      min_size=1, max_size=3))
+def test_scenario_loads_or_raises_config_error(edits):
+    # Whatever a scenario file holds, loading it either gives a Scenario
+    # or raises ConfigError: no other exception reaches the CLI.
+    doc = copy.deepcopy(BASELINE)
+    for (section, key), value in edits:
+        doc[section][key] = value
+    try:
+        scenario = scenario_from_dict(doc)
+    except ConfigError:
+        return
+    assert scenario.solver.dx > 0.0 and scenario.n_harmonics >= 0
