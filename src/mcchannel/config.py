@@ -19,12 +19,19 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
 from typing import Any, Iterable
 
 import yaml
 
-from .systems import DiffusionChannel, FrequencyBand, ParameterError, ReceptionSystem
+from .systems import (
+    DiffusionChannel,
+    FrequencyBand,
+    ParameterError,
+    ReceptionSystem,
+    _asdict,
+    _Record,
+    _replace,
+)
 from .timedomain import SolverConfig, SquareWaveInput, default_solver_config
 
 __all__ = [
@@ -150,8 +157,7 @@ def _parameter_errors(origin: str):
         raise ConfigError(f"{origin}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class SweepSettings:
+class SweepSettings(_Record):
     """Log grid in reception-corner units for the normalized-index sweep."""
 
     omega_min: float
@@ -159,8 +165,7 @@ class SweepSettings:
     points: int
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(_Record):
     """Full parameter set for one run, validated and resolved at load.
 
     wave, n_harmonics and solver carry every time-domain default filled
@@ -249,19 +254,19 @@ def scenario_from_dict(doc: dict, origin: str = "scenario") -> Scenario:
                 raise ParameterError(f"harmonic count omega2/fundamental = "
                                      f"{band.omega2:g}/{wave.fundamental:g} overflows")
             n_harmonics = math.floor(ratio)
-        solver = replace(
+        solver = _replace(
             default_solver_config(channel, wave, n_periods=sim["n_periods"],
                                   omega_max=band.omega2),
             **{key: sim[key] for key in ("dx", "dt", "domain_length")
                if sim[key] is not None})
 
     parameters = {
-        "channel": asdict(channel), "reception": asdict(reception),
-        "band": asdict(band),
-        "simulation": {**asdict(wave), "threshold": sim["threshold"],
+        "channel": _asdict(channel), "reception": _asdict(reception),
+        "band": _asdict(band),
+        "simulation": {**_asdict(wave), "threshold": sim["threshold"],
                        "n_harmonics": n_harmonics, "n_periods": sim["n_periods"],
-                       **asdict(solver)},
-        "sweep": asdict(sweep),
+                       **_asdict(solver)},
+        "sweep": _asdict(sweep),
     }
     if thresholds:
         parameters["thresholds"] = thresholds
@@ -276,8 +281,7 @@ def load_scenario(path) -> Scenario:
     return scenario_from_dict(_load_yaml(path), str(path))
 
 
-@dataclass(frozen=True)
-class SpeciesRow:
+class SpeciesRow(_Record):
     """One signaling-molecule row of the clean-band survey.
 
     mu may be a range (mu_lo < mu_hi) only for rows without a distance;
@@ -290,8 +294,7 @@ class SpeciesRow:
     x_r: float | None
 
 
-@dataclass(frozen=True)
-class TableConfig:
+class TableConfig(_Record):
     """Inputs of the clean-band survey table."""
 
     reception: ReceptionSystem

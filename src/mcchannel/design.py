@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +26,7 @@ from .systems import (
     ParameterError,
     ReceptionSystem,
     _finite,
+    _Record,
     _require,
 )
 from .distortion import (
@@ -49,8 +49,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DesignSpec:
+class DesignSpec(_Record):
     """Whole-channel distortion budgets over a band.
 
     Attributes:
@@ -76,8 +75,7 @@ class DesignSpec:
                  f"mu must be finite and > 0, got {self.mu}")
 
 
-@dataclass(frozen=True)
-class DesignResult:
+class DesignResult(_Record):
     """Distance bounds meeting a DesignSpec.
 
     x_q / x_r_delay are the largest distances allowed by the amplitude
@@ -131,8 +129,7 @@ def reception_cutoff(rs: ReceptionSystem, attenuation: float) -> float:
     return math.sqrt(ratio * ratio - rs.k_r * rs.k_r)
 
 
-@dataclass(frozen=True)
-class CleanBands:
+class CleanBands(_Record):
     """Outcome of highest_clean_band, one entry per row.
 
     omega1 and omega2 hold each row's band, nan where the row is

@@ -27,7 +27,6 @@ forms keep their full-precision digits only while those stay scalar.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,6 +39,7 @@ from .systems import (
     ReceptionSystem,
     _all,
     _finite,
+    _Record,
     _require,
 )
 
@@ -117,8 +117,7 @@ def reception_delay_distortion(rs: ReceptionSystem,
 # Normal form
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NormalizedBand:
+class NormalizedBand(_Record):
     """Band in reception-corner units plus the diffusion scale lam.
 
     omega1p/omega2p are w1/k_r and w2/k_r; lam = sqrt(x_r^2 k_r / (2 mu))
@@ -218,8 +217,7 @@ def delay_distortion_maxima(omega2p: float) -> tuple[float, float]:
 # Combined report
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DistortionReport:
+class DistortionReport(_Record):
     """Stage and whole-channel distortion indices over one band.
 
     q_* are amplitude distortions in dB, r_* the period-normalized delay

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,8 +83,88 @@ def _finite(x) -> bool:
     return -FLOAT_MAX <= x <= FLOAT_MAX
 
 
-@dataclass(frozen=True)
-class DiffusionChannel:
+class _Record:
+    """Base of the package's immutable records, in place of dataclasses.
+
+    A subclass declares its fields as class annotations, in order; a class
+    attribute of the same name is that field's default.  Instances are
+    built from positional or keyword arguments, checked by __post_init__,
+    and cannot be changed afterwards.  repr, == and hash are those of a
+    @dataclass(frozen=True): the class name with the repr of each field,
+    equality of the field tuples for instances of the same class, and the
+    hash of the field tuple.
+
+    dataclasses generates these methods for each class with exec, about
+    1.2 ms per class on every import; here they are written once.
+    """
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields
+                         if name in cls.__dict__}
+
+    def __init__(self, *args, **kwargs) -> None:
+        cls = type(self)
+        names = cls._fields
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__name__}() takes {len(names)} arguments "
+                            f"but {len(args)} were given")
+        values = dict(zip(names, args))
+        for name in kwargs:
+            if name in values:
+                raise TypeError(f"{cls.__name__}() got multiple values for "
+                                f"argument {name!r}")
+            if name not in names:
+                raise TypeError(f"{cls.__name__}() got an unexpected keyword "
+                                f"argument {name!r}")
+        values.update(kwargs)
+        state = self.__dict__
+        for name in names:    # in field order, as dataclasses sets them
+            if name in values:
+                state[name] = values[name]
+            elif name in cls._defaults:
+                state[name] = cls._defaults[name]
+            else:
+                raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Validate the fields; subclasses raise ParameterError."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}("
+                + ", ".join(f"{name}={getattr(self, name)!r}"
+                            for name in self._fields) + ")")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+def _asdict(record: _Record) -> dict:
+    """The fields of record by name, in field order (not recursive)."""
+    return {name: getattr(record, name) for name in record._fields}
+
+
+def _replace(record: _Record, **changes) -> _Record:
+    """A copy of record with the given fields changed, validated anew."""
+    return type(record)(**{**_asdict(record), **changes})
+
+
+class DiffusionChannel(_Record):
     """1-D diffusion stage.
 
     Attributes:
@@ -108,8 +187,7 @@ class DiffusionChannel:
             raise ParameterError(f"x_r must be finite and >= 0, got {x_r}")
 
 
-@dataclass(frozen=True)
-class ReceptionSystem:
+class ReceptionSystem(_Record):
     """First-order ligand-receptor reception stage.
 
     Attributes:
@@ -139,8 +217,7 @@ class ReceptionSystem:
         return self.k_r
 
 
-@dataclass(frozen=True)
-class FrequencyBand:
+class FrequencyBand(_Record):
     """Closed analysis band [omega1, omega2], rad/s, 0 < omega1 < omega2.
 
     omega1 and omega2 may also be arrays that broadcast together: a

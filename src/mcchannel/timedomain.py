@@ -42,7 +42,6 @@ built it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -51,6 +50,7 @@ from .systems import (
     DiffusionChannel,
     ReceptionSystem,
     _finite,
+    _Record,
     _require,
     cascade_response,
     diffusion_response,
@@ -70,8 +70,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SquareWaveInput:
+class SquareWaveInput(_Record):
     """Square-wave boundary concentration at the transmitter.
 
     Attributes:
@@ -117,8 +116,7 @@ class SquareWaveInput:
         return ((index + 1.0 - self.duty) * T, (index + 1.0) * T)
 
 
-@dataclass(frozen=True)
-class SineInput:
+class SineInput(_Record):
     """Sinusoidal boundary concentration, mainly for solver validation.
 
     value(t) = offset + amplitude * sin(fundamental * t).  Driving the
@@ -149,8 +147,7 @@ class SineInput:
         return float(v) if np.ndim(t) == 0 else v
 
 
-@dataclass(frozen=True)
-class SimulationTrace:
+class SimulationTrace(_Record):
     """Sampled input and response concentrations on a uniform time grid.
 
     received is the concentration after the diffusion stage at x_r;
@@ -274,8 +271,7 @@ def synthesize_fourier(ch: DiffusionChannel, rs: ReceptionSystem,
                            wave=wave)
 
 
-@dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(_Record):
     """Discretization of the direct (finite-difference) route.
 
     Attributes:
@@ -295,6 +291,13 @@ class SolverConfig:
             value = getattr(self, name)
             _require(_finite(value) and value > 0.0,
                      f"{name} must be finite and > 0, got {value}")
+        # The step and cell counts are rounded to ints, where an inf
+        # would raise OverflowError.
+        steps, cells = self.duration / self.dt, self.domain_length / self.dx
+        _require(_finite(steps), f"duration/dt = {steps:g} is beyond the "
+                 f"float range (dt={self.dt:g})")
+        _require(_finite(cells), f"domain_length/dx = {cells:g} is beyond the "
+                 f"float range (dx={self.dx:g})")
 
 
 def default_solver_config(ch: DiffusionChannel, wave: SquareWaveInput | SineInput,
@@ -460,8 +463,7 @@ def simulate_fdm(ch: DiffusionChannel, rs: ReceptionSystem,
                            complex_conc=c, route="fdm", wave=wave)
 
 
-@dataclass(frozen=True)
-class ActivationTiming:
+class ActivationTiming(_Record):
     """Threshold-crossing summary for one pulse of a trace.
 
     t_on is the first time within the pulse window at which the

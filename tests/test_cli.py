@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line front end: files, formats,
 exit codes, determinism."""
 
+import gc
 import json
 import math
 import os
@@ -192,8 +193,9 @@ def test_design_requires_thresholds(scenario_path, tmp_path):
                             "")
     cfg = scenario_path.with_name("nothresh.yaml")
     cfg.write_text(text)
-    assert cli.main(["design", "--config", str(cfg),
-                     "--out", str(tmp_path / "out")]) == 2
+    out = tmp_path / "out"
+    assert cli.main(["design", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_sweep_grid_and_ridge(scenario_path, tmp_path):
@@ -436,6 +438,10 @@ def test_table_without_banded_rows(tmp_path):
                  ("  mu: 5.0e-324\n", "  omega2: 1.0e+6\n"), id="dx-underflows"),
     pytest.param(("  x_r: 14.0\n", "  mu: 83.0\n"),
                  ("  x_r: 1.0e+308\n", "  mu: 1.0e-300\n"), id="x_r-cells-overflow"),
+    pytest.param("  n_periods: 3\n", "  n_periods: 3\n  dt: 5.0e-324\n",
+                 id="dt-steps-overflow"),
+    pytest.param("  n_periods: 3\n", "  n_periods: 3\n  dx: 5.0e-324\n",
+                 id="dx-cells-overflow"),
 ])
 def test_malformed_scenarios_exit_two(tmp_path, capsys, mutation, hint):
     if isinstance(mutation, str):
@@ -727,16 +733,47 @@ def test_nonfinite_trace_exits_three(tmp_path, capsys, route):
     assert not (out / "simulate.json").exists()
 
 
-def test_cli_import_leaves_scipy_out():
-    # scipy is a test dependency only; no CLI job pays for its import.
-    probe = ("import sys, mcchannel.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def _probe(code: str) -> str:
+    """What a fresh interpreter running code prints, with src importable."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
-    done = subprocess.run([sys.executable, "-c", probe], env=env,
+    done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is a test dependency only; no CLI job pays for its import.
+    assert _probe("import sys, mcchannel.cli; print(sorted(m for m in "
+                  "sys.modules if m.split('.')[0] == 'scipy'))") == "[]"
+
+
+def test_cli_import_leaves_dataclasses_out():
+    # The package's records are defined without dataclasses, whose
+    # per-class exec cost every CLI job about 20 ms at import.
+    assert _probe("import sys, mcchannel.cli; "
+                  "print('dataclasses' in sys.modules)") == "False"
+
+
+def test_gc_freeze_only_on_the_program_path(scenario_path, tmp_path):
+    # Run as a program, the CLI freezes what its imports left behind
+    # before main() runs; called in-process, main() leaves the host's
+    # collector as it found it.
+    argv = ["mcchannel", "design", "--config", str(scenario_path),
+            "--out", str(tmp_path / "program")]
+    code = ("import gc, runpy, sys\n"
+            f"sys.argv = {argv!r}\n"
+            "try:\n"
+            "    runpy.run_module('mcchannel.cli', run_name='__main__')\n"
+            "except SystemExit as stop:\n"
+            "    print(stop.code, gc.get_freeze_count() > 0)\n")
+    assert _probe(code) == "0 True"
+
+    before = gc.get_freeze_count()
+    assert cli.main(["design", "--config", str(scenario_path),
+                     "--out", str(tmp_path / "in-process")]) == 0
+    assert gc.get_freeze_count() == before
 
 
 def test_version_flag(capsys):
