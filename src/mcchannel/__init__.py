@@ -32,11 +32,7 @@ from .distortion import (
     DistortionReport,
     NormalizedBand,
     channel_report,
-    delay_distortion_maxima,
-    denormalize_distance,
-    diffusion_amplitude_distortion,
     diffusion_amplitude_distortion_normalized,
-    diffusion_delay_distortion,
     diffusion_delay_distortion_normalized,
     log_grid,
     normalize,
@@ -50,7 +46,6 @@ from .design import (
     DesignSpec,
     distance_bound,
     highest_clean_band,
-    reception_cutoff,
 )
 from .timedomain import (
     ActivationTiming,
@@ -83,16 +78,13 @@ __all__ = [
     "reception_gain_db", "reception_phase_delay", "reception_response",
     # distortion
     "DistortionReport", "NormalizedBand", "channel_report",
-    "delay_distortion_maxima", "denormalize_distance",
-    "diffusion_amplitude_distortion",
-    "diffusion_amplitude_distortion_normalized", "diffusion_delay_distortion",
+    "diffusion_amplitude_distortion_normalized",
     "diffusion_delay_distortion_normalized", "log_grid", "normalize",
     "reception_amplitude_distortion",
     "reception_amplitude_distortion_normalized", "reception_delay_distortion",
     "reception_delay_distortion_normalized",
     # design
     "DesignResult", "DesignSpec", "distance_bound", "highest_clean_band",
-    "reception_cutoff",
     # timedomain
     "ActivationTiming", "SimulationTrace", "SineInput", "SolverConfig",
     "SquareWaveInput", "activation_time", "default_solver_config", "simulate_fdm",

@@ -33,6 +33,7 @@ from . import __version__
 from .config import (
     ConfigError,
     Scenario,
+    _parameter_errors,
     check_sweep_points,
     load_scenario,
     load_table,
@@ -64,6 +65,7 @@ from .systems import (
     reception_phase_delay,
 )
 from .timedomain import (
+    _fdm_grid,
     activation_time,
     simulate_fdm,
     synthesize_fourier,
@@ -104,10 +106,22 @@ def _out_dir(args) -> Path:
 
 def cmd_analyze(args) -> int:
     scenario = load_scenario(args.config)
-    out = _out_dir(args)
     ch, rs, band = scenario.channel, scenario.reception, scenario.band
     report = channel_report(ch, rs, band)
     nb = normalize(ch, rs, band)
+    grid = log_grid(band, args.points)
+    # x_r^2 w / (2 mu) can overflow where lam and w' do not.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        columns = (
+            diffusion_gain_db(ch, grid), reception_gain_db(rs, grid),
+            cascade_gain_db(ch, rs, grid),
+            diffusion_phase_delay(ch, grid), reception_phase_delay(rs, grid),
+            cascade_phase_delay(ch, rs, grid),
+        )
+    if not all(np.isfinite(column).all() for column in columns):
+        raise FloatingPointError("the response curves leave the float range "
+                                 "on the band")
+    out = _out_dir(args)
 
     _write_json(out / "report.json", {
         "metadata": _metadata(scenario.parameters),
@@ -118,14 +132,6 @@ def cmd_analyze(args) -> int:
         "normalized": {"omega1p": nb.omega1p, "omega2p": nb.omega2p,
                        "lam": nb.lam},
     })
-
-    grid = log_grid(band, args.points)
-    columns = (
-        diffusion_gain_db(ch, grid), reception_gain_db(rs, grid),
-        cascade_gain_db(ch, rs, grid),
-        diffusion_phase_delay(ch, grid), reception_phase_delay(rs, grid),
-        cascade_phase_delay(ch, rs, grid),
-    )
     with open(out / "curves.csv", "w", newline="") as fh:
         _csv_header(fh, scenario.parameters)
         fh.write("omega_rad_per_s,gain_g_db,gain_h_db,gain_m_db,"
@@ -135,24 +141,24 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _resolved_budgets(scenario: Scenario,
-                      report: DistortionReport) -> tuple[float, float]:
+def _resolved_budgets(scenario: Scenario, report: DistortionReport,
+                      origin: str) -> tuple[float, float]:
     if scenario.q0 is not None:
         return scenario.q0, scenario.r0
     if scenario.q_factor is not None:
         return scenario.q_factor * report.q_h, scenario.r_factor * report.r_h
-    raise ConfigError("design requires a thresholds section "
+    raise ConfigError(f"{origin}: design requires a thresholds section "
                       "(q0/r0 or q_factor/r_factor)")
 
 
 def cmd_design(args) -> int:
     scenario = load_scenario(args.config)
     report = channel_report(scenario.channel, scenario.reception, scenario.band)
-    q0, r0 = _resolved_budgets(scenario, report)
-    out = _out_dir(args)
+    q0, r0 = _resolved_budgets(scenario, report, args.config)
     spec = DesignSpec(q0=q0, r0=r0, band=scenario.band, mu=scenario.channel.mu,
                       rs=scenario.reception)
     result = distance_bound(spec)
+    out = _out_dir(args)
     _write_json(out / "design.json", {
         "metadata": _metadata(scenario.parameters),
         "budgets": {"q0": q0, "r0": r0},
@@ -223,11 +229,14 @@ def _timing_entry(trace, threshold: float | None) -> dict | None:
 
 def cmd_simulate(args) -> int:
     scenario = load_scenario(args.config)
-    out = _out_dir(args)
     routes = ("fourier", "fdm") if args.route == "both" else (args.route,)
     wave = scenario.wave
     cfg = scenario.solver
     threshold = scenario.threshold
+    if "fdm" in routes:  # the reception arm (x_r = 0) passes if this does
+        with _parameter_errors(args.config):
+            _fdm_grid(scenario.channel, cfg)
+    out = _out_dir(args)
     reception_only = DiffusionChannel(mu=scenario.channel.mu, x_r=0.0)
 
     n_steps = int(round(cfg.duration / cfg.dt))

@@ -20,7 +20,6 @@ import sys
 import numpy as np
 
 from .systems import (
-    LOG10_E,
     DiffusionChannel,
     FrequencyBand,
     ParameterError,
@@ -30,6 +29,7 @@ from .systems import (
     _require,
 )
 from .distortion import (
+    _in_corner_units,
     diffusion_amplitude_distortion_normalized,
     diffusion_delay_distortion_normalized,
     normalize,
@@ -81,6 +81,7 @@ class DesignResult(_Record):
     x_q / x_r_delay are the largest distances allowed by the amplitude
     and the delay budget alone; x_r_limit is their minimum, or None when
     the reception stage already exceeds a budget (feasible = False).
+    A distance that is not finite raises FloatingPointError.
     """
 
     x_q: float
@@ -88,29 +89,40 @@ class DesignResult(_Record):
     x_r_limit: float | None
     feasible: bool
 
+    def __post_init__(self) -> None:
+        # design.json would hold Infinity or NaN, which are not JSON.
+        if not (_finite(self.x_q) and _finite(self.x_r_delay)):
+            raise FloatingPointError(f"distance bound beyond the float range "
+                                     f"(x_q={self.x_q}, x_r_delay={self.x_r_delay})")
+
 
 def distance_bound(spec: DesignSpec) -> DesignResult:
     """Largest receiver distance satisfying both distortion budgets.
 
-    The diffusion indices grow linearly in x_r, so setting
-    q_g(x) = q0 - q_h and r_g(x) = r0 - r_h gives
+    Each diffusion index is lam times its value at lam = 1 (q_1, r_1 on
+    the band at w' = w / k_r), so q_g = q0 - q_h and r_g = r0 - r_h
+    invert in lam, and lam = sqrt(x_r^2 k_r / (2 mu)) gives the distance:
 
-        x_q       = sqrt(2 mu) (q0 - q_h) / (20 (sqrt w2 - sqrt w1) log10 e)
-        x_r_delay = sqrt(2 mu) (r0 - r_h) T1 / (1/sqrt w1 - 1/sqrt w2)
+        x_q       = (q0 - q_h) / q_1 * sqrt(2 mu) / sqrt(k_r)
+        x_r_delay = (r0 - r_h) / r_1 * sqrt(2 mu) / sqrt(k_r)
 
+    The square roots are taken apart, so their quotient stays in range.
     Budgets at or below the reception share leave no room for any
     positive distance; that returns a structured infeasible result
     rather than raising.
     """
-    band = spec.band
-    q_h = reception_amplitude_distortion(spec.rs, band)
-    r_h = reception_delay_distortion(spec.rs, band)
-    root = math.sqrt(2.0 * spec.mu)
-    x_q = (root * (spec.q0 - q_h)
-           / (20.0 * (math.sqrt(band.omega2) - math.sqrt(band.omega1)) * LOG10_E))
-    x_r_delay = (root * (spec.r0 - r_h) * band.period
-                 / (1.0 / math.sqrt(band.omega1) - 1.0 / math.sqrt(band.omega2)))
-    feasible = spec.q0 > q_h and spec.r0 > r_h
+    band, rs = spec.band, spec.rs
+    q_h = reception_amplitude_distortion(rs, band)
+    r_h = reception_delay_distortion(rs, band)
+    unit = _in_corner_units(band, rs, 1.0)
+    scale = math.sqrt(2.0 * spec.mu) / math.sqrt(rs.k_r)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        x_q = ((spec.q0 - q_h)
+               / diffusion_amplitude_distortion_normalized(unit) * scale)
+        x_r_delay = ((spec.r0 - r_h)
+                     / diffusion_delay_distortion_normalized(unit) * scale)
+    # A numpy comparison gives np.bool_, which json cannot write.
+    feasible = bool(spec.q0 > q_h and spec.r0 > r_h)
     limit = min(x_q, x_r_delay) if feasible else None
     return DesignResult(x_q=x_q, x_r_delay=x_r_delay, x_r_limit=limit,
                         feasible=feasible)

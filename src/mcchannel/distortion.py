@@ -12,16 +12,12 @@ band extremes sit at the band edges and the indices admit closed forms.
 The tests check them against an independent grid search over the stage
 curves of systems.py.
 
-The indices also have a two-parameter normal form: with w' = w / k_r
-and lam = sqrt(x_r^2 k_r / (2 mu)), the four stage indices depend only
-on (w1', w2', lam), and the diffusion indices are linear in lam.
-
-The normal-form closed forms take arrays (a NormalizedBand whose fields
-broadcast) and evaluate with numpy; the sweep maps and the clean-band
-search use them.  The physical closed forms evaluate one band with the
-math module.  numpy's log10, hypot and arctan differ from math's in the
-last bit for about 1% of arguments, so the reports built on the physical
-forms keep their full-precision digits only while those stay scalar.
+The indices are written once, in a two-parameter normal form: with
+w' = w / k_r and lam = sqrt(x_r^2 k_r / (2 mu)), the four stage indices
+depend only on (w1', w2', lam), and the diffusion indices are linear in
+lam.  The normal-form closed forms take arrays (a NormalizedBand whose
+fields broadcast) and evaluate with numpy; the report, the sweep maps,
+the distance bound and the clean-band search all evaluate them.
 """
 
 from __future__ import annotations
@@ -45,8 +41,6 @@ from .systems import (
 
 __all__ = [
     "log_grid",
-    "diffusion_amplitude_distortion",
-    "diffusion_delay_distortion",
     "reception_amplitude_distortion",
     "reception_delay_distortion",
     "NormalizedBand",
@@ -73,44 +67,6 @@ def log_grid(band: FrequencyBand, n_points: int = DEFAULT_GRID_POINTS) -> np.nda
     grid[0] = band.omega1
     grid[-1] = band.omega2
     return grid
-
-
-# ---------------------------------------------------------------------------
-# Closed forms (gain and delay are monotone, extremes at the band edges)
-# ---------------------------------------------------------------------------
-
-def diffusion_amplitude_distortion(ch: DiffusionChannel,
-                                   band: FrequencyBand) -> float:
-    """q of the diffusion stage: 20 sqrt(x_r^2/2mu) (sqrt w2 - sqrt w1) log10 e."""
-    return (20.0 * math.sqrt(ch.x_r * ch.x_r / (2.0 * ch.mu))
-            * (math.sqrt(band.omega2) - math.sqrt(band.omega1)) * LOG10_E)
-
-
-def diffusion_delay_distortion(ch: DiffusionChannel,
-                               band: FrequencyBand) -> float:
-    """r of the diffusion stage: sqrt(x_r^2/2mu) (1/sqrt w1 - 1/sqrt w2) / T1."""
-    spread = (math.sqrt(ch.x_r * ch.x_r / (2.0 * ch.mu))
-              * (1.0 / math.sqrt(band.omega1) - 1.0 / math.sqrt(band.omega2)))
-    return spread / band.period
-
-
-def reception_amplitude_distortion(rs: ReceptionSystem,
-                                   band: FrequencyBand) -> float:
-    """q of the reception stage: 20 log10( |jw2 + k_r| / |jw1 + k_r| )."""
-    return 20.0 * math.log10(math.hypot(band.omega2, rs.k_r)
-                             / math.hypot(band.omega1, rs.k_r))
-
-
-def reception_delay_distortion(rs: ReceptionSystem,
-                               band: FrequencyBand) -> float:
-    """r of the reception stage.
-
-    (tau(w1) - tau(w2)) / T1 collapses to
-    (arctan(w1/k_r) - (w1/w2) arctan(w2/k_r)) / (2 pi).
-    """
-    return (math.atan2(band.omega1, rs.k_r)
-            - band.omega1 / band.omega2 * math.atan2(band.omega2, rs.k_r)
-            ) / (2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -150,11 +106,14 @@ def normalize(ch: DiffusionChannel, rs: ReceptionSystem,
 
     Array fields of the channel and the band broadcast together.
     """
-    return NormalizedBand(
-        omega1p=band.omega1 / rs.k_r,
-        omega2p=band.omega2 / rs.k_r,
-        lam=np.sqrt(ch.x_r * ch.x_r * rs.k_r / (2.0 * ch.mu)),
-    )
+    return _in_corner_units(
+        band, rs, np.sqrt(ch.x_r * ch.x_r * rs.k_r / (2.0 * ch.mu)))
+
+
+def _in_corner_units(band: FrequencyBand, rs: ReceptionSystem,
+                    lam) -> NormalizedBand:
+    """The band at w' = w / k_r, with the given diffusion scale lam."""
+    return NormalizedBand(band.omega1 / rs.k_r, band.omega2 / rs.k_r, lam)
 
 
 def denormalize_distance(lam: float, mu: float, k_r: float) -> float:
@@ -190,6 +149,20 @@ def reception_delay_distortion_normalized(
     """r_H in normal form: (arctan w1' - (w1'/w2') arctan w2') / 2 pi."""
     return (np.arctan(nb.omega1p)
             - nb.omega1p / nb.omega2p * np.arctan(nb.omega2p)) / (2.0 * math.pi)
+
+
+def reception_amplitude_distortion(rs: ReceptionSystem,
+                                   band: FrequencyBand) -> float:
+    """q of the reception stage over a physical band (it needs no lam)."""
+    return reception_amplitude_distortion_normalized(
+        _in_corner_units(band, rs, 0.0))
+
+
+def reception_delay_distortion(rs: ReceptionSystem,
+                               band: FrequencyBand) -> float:
+    """r of the reception stage over a physical band (it needs no lam)."""
+    return reception_delay_distortion_normalized(
+        _in_corner_units(band, rs, 0.0))
 
 
 def delay_distortion_maxima(omega2p: float) -> tuple[float, float]:
@@ -247,13 +220,19 @@ class DistortionReport(_Record):
                      f"{total} must equal {parts[0]} + {parts[1]}")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def channel_report(ch: DiffusionChannel, rs: ReceptionSystem,
                    band: FrequencyBand) -> DistortionReport:
-    """Closed-form distortion indices for both stages and their cascade."""
-    q_g = diffusion_amplitude_distortion(ch, band)
-    r_g = diffusion_delay_distortion(ch, band)
-    q_h = reception_amplitude_distortion(rs, band)
-    r_h = reception_delay_distortion(rs, band)
+    """Closed-form distortion indices for both stages and their cascade.
+
+    The normal-form closed forms evaluated at normalize(ch, rs, band).  An
+    index beyond the float range is left to DistortionReport to reject.
+    """
+    nb = normalize(ch, rs, band)
+    q_g = float(diffusion_amplitude_distortion_normalized(nb))
+    r_g = float(diffusion_delay_distortion_normalized(nb))
+    q_h = float(reception_amplitude_distortion_normalized(nb))
+    r_h = float(reception_delay_distortion_normalized(nb))
     return DistortionReport(band=band, q_g=q_g, r_g=r_g, q_h=q_h, r_h=r_h,
                             q_m=q_g + q_h, r_m=r_g + r_h)
 

@@ -371,6 +371,24 @@ def _mode_sum(g: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
     return (left @ right.T).ravel()[:n]
 
 
+def _fdm_grid(ch: DiffusionChannel, cfg: SolverConfig) -> tuple[int, int, int]:
+    """Cells, receiver node and steps of cfg's grid; ParameterError if unusable."""
+    n_cells = int(round(cfg.domain_length / cfg.dx))
+    _require(n_cells >= 4, f"domain_length/dx = {cfg.domain_length / cfg.dx:.3g} "
+             "gives fewer than 4 cells")
+    _require(ch.x_r < cfg.domain_length,
+             f"x_r={ch.x_r:g} must lie inside the domain "
+             f"(length {cfg.domain_length:g})")
+    node = int(round(ch.x_r / cfg.dx))
+    if ch.x_r > 0.0:
+        _require(abs(node * cfg.dx - ch.x_r) <= 1e-3 * ch.x_r,
+                 f"x_r={ch.x_r:g} is not on the spatial grid (dx={cfg.dx:g}); "
+                 "snap error exceeds 0.1%")
+    n_steps = int(round(cfg.duration / cfg.dt))
+    _require(n_steps >= 2, "duration must cover at least 2 time steps")
+    return n_cells, node, n_steps
+
+
 @_QUIET_OVERFLOW
 def simulate_fdm(ch: DiffusionChannel, rs: ReceptionSystem,
                  wave: SquareWaveInput | SineInput,
@@ -423,20 +441,7 @@ def simulate_fdm(ch: DiffusionChannel, rs: ReceptionSystem,
     overflows) is rejected by SimulationTrace with FloatingPointError.
     """
     dx, dt = cfg.dx, cfg.dt
-    n_cells = int(round(cfg.domain_length / dx))
-    _require(n_cells >= 4, f"domain_length/dx = {cfg.domain_length / dx:.3g} "
-             "gives fewer than 4 cells")
-    _require(ch.x_r < cfg.domain_length,
-             f"x_r={ch.x_r:g} must lie inside the domain "
-             f"(length {cfg.domain_length:g})")
-    node = int(round(ch.x_r / dx))
-    if ch.x_r > 0.0:
-        _require(abs(node * dx - ch.x_r) <= 1e-3 * ch.x_r,
-                 f"x_r={ch.x_r:g} is not on the spatial grid (dx={dx:g}); "
-                 "snap error exceeds 0.1%")
-
-    n_steps = int(round(cfg.duration / dt))
-    _require(n_steps >= 2, "duration must cover at least 2 time steps")
+    n_cells, node, n_steps = _fdm_grid(ch, cfg)
     times = np.arange(n_steps + 1) * dt
     v = wave.value(times)
 

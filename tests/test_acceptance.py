@@ -39,7 +39,6 @@ from mcchannel import (
     cascade_phase_delay,
     channel_report,
     default_solver_config,
-    delay_distortion_maxima,
     diffusion_amplitude_distortion_normalized,
     diffusion_delay_distortion_normalized,
     diffusion_response,
@@ -47,11 +46,12 @@ from mcchannel import (
     highest_clean_band,
     normalize,
     reception_amplitude_distortion_normalized,
-    reception_cutoff,
     reception_delay_distortion_normalized,
     simulate_fdm,
     synthesize_fourier,
 )
+from mcchannel.design import reception_cutoff
+from mcchannel.distortion import delay_distortion_maxima
 
 RS = ReceptionSystem(k_f=1e-3, k_r=4e-3, r=4.0)
 BAND = FrequencyBand(5e-4, 0.4)

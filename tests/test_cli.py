@@ -188,7 +188,7 @@ def test_design_infeasible_still_exits_zero(scenario_path, tmp_path):
     assert payload["result"]["x_r_limit"] is None
 
 
-def test_design_requires_thresholds(scenario_path, tmp_path):
+def test_design_requires_thresholds(scenario_path, tmp_path, capsys):
     text = SCENARIO.replace("thresholds:\n  q_factor: 1.2\n  r_factor: 1.2\n",
                             "")
     cfg = scenario_path.with_name("nothresh.yaml")
@@ -196,6 +196,26 @@ def test_design_requires_thresholds(scenario_path, tmp_path):
     out = tmp_path / "out"
     assert cli.main(["design", "--config", str(cfg), "--out", str(out)]) == 2
     assert not out.exists()
+    assert capsys.readouterr().err.startswith(
+        f"configuration error: {cfg}: design requires a thresholds section")
+
+
+def test_design_distances_stay_in_range(scenario_path, tmp_path):
+    # lam = sqrt(x_r^2 k_r / 2 mu) underflows to 0 here for every x_r
+    # below about 3e63, so a bound that formed lam at a trial distance
+    # would divide by zero; the inversion in lam does not form it.
+    text = (SCENARIO.replace("mu: 83.0", "mu: 1.0e+150")
+            .replace("k_r: 4.0e-3", "k_r: 1.0e-300")
+            .replace("omega1: 5.0e-3", "omega1: 1.0e-6")
+            .replace("omega2: 1.0e-1", "omega2: 1.0e-5"))
+    cfg = scenario_path.with_name("extreme.yaml")
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main(["design", "--config", str(cfg), "--out", str(out)]) == 0
+    result = json.loads((out / "design.json").read_text())["result"]
+    assert result["feasible"] is True
+    assert all(math.isfinite(result[key])
+               for key in ("x_q", "x_r_delay", "x_r_limit"))
 
 
 def test_sweep_grid_and_ridge(scenario_path, tmp_path):
@@ -674,12 +694,22 @@ def test_design_evaluates_the_report_once(scenario_path, tmp_path,
     assert len(calls) == 1
 
 
-def test_offgrid_receiver_exits_two(scenario_path, tmp_path):
+def test_offgrid_receiver_exits_two(scenario_path, tmp_path, capsys):
+    # The FDM grid is checked before any output exists, and only for the
+    # routes that use it.
     text = SCENARIO.replace("  n_periods: 3\n", "  n_periods: 3\n  dx: 3.0\n")
     cfg = scenario_path.with_name("offgrid.yaml")
     cfg.write_text(text)
-    assert cli.main(["simulate", "--config", str(cfg),
-                     "--out", str(tmp_path / "out"), "--route", "fdm"]) == 2
+    out = tmp_path / "out"
+    for route in ("fdm", "both"):
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out),
+                         "--route", route]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            f"configuration error: {cfg}: x_r=14 is not on the spatial grid "
+            "(dx=3); snap error exceeds 0.1%\n")
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--route", "fourier"]) == 0
 
 
 def test_sweep_rejects_bad_point_count(scenario_path, tmp_path, monkeypatch,
@@ -731,6 +761,42 @@ def test_nonfinite_trace_exits_three(tmp_path, capsys, route):
     assert err.count("\n") == 1 and err.endswith("\n")
     assert not list(out.glob("trace_*.csv"))
     assert not (out / "simulate.json").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, edits, failure", [
+    # x_q = sqrt(2 mu) (q0 - q_h) / q_1 lies beyond the float range.
+    ("design", {"mu: 83.0": "mu: 1.0e+10",
+                "  q_factor: 1.2\n  r_factor: 1.2\n":
+                "  q0: 1.0e+305\n  r0: 1.0e+305\n"},
+     "distance bound beyond the float range (x_q=inf, x_r_delay=inf)"),
+    # sqrt(w2') - sqrt(w1') rounds to 0: the inversion divides by zero.
+    ("design", {"k_r: 4.0e-3": "k_r: 1.0", "omega1: 5.0e-3": "omega1: 1.0",
+                "omega2: 1.0e-1": "omega2: 1.0000000000000002",
+                "  q_factor: 1.2\n  r_factor: 1.2\n": "  q0: 1.0\n  r0: 1.0\n"},
+     "distance bound beyond the float range (x_q=inf, x_r_delay=inf)"),
+    # lam and w' are in range, but x_r^2 w / (2 mu) of the curves is not.
+    ("analyze", {"mu: 83.0": "mu: 1.0e-300", "k_f: 1.0e-3": "k_f: 1.0",
+                 "k_r: 4.0e-3": "k_r: 1.0e-150", "r: 4.0": "r: 1.0",
+                 "omega1: 5.0e-3": "omega1: 1.0e+8",
+                 "omega2: 1.0e-1": "omega2: 1.0e+9"},
+     "the response curves leave the float range on the band"),
+], ids=["design", "design-narrow-band", "analyze"])
+def test_nonfinite_results_exit_three(tmp_path, capsys, command, edits,
+                                      failure):
+    # A number beyond the float range never reaches an artifact (json
+    # would write Infinity, which is not JSON): one numerical failure
+    # line, no numpy RuntimeWarning (an error here), no output directory.
+    text = SCENARIO
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new)
+    cfg = tmp_path / "overflow.yaml"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"numerical failure: {failure}\n"
+    assert not out.exists()
 
 
 def _probe(code: str) -> str:

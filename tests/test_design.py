@@ -18,15 +18,13 @@ from mcchannel import (
     FrequencyBand,
     ParameterError,
     ReceptionSystem,
-    diffusion_amplitude_distortion,
-    diffusion_delay_distortion,
+    channel_report,
     distance_bound,
     highest_clean_band,
     reception_amplitude_distortion,
-    reception_cutoff,
-    reception_delay_distortion,
     reception_response,
 )
+from mcchannel.design import reception_cutoff
 
 RS = ReceptionSystem(k_f=1e-3, k_r=4e-3, r=4.0)
 BAND = FrequencyBand(5e-4, 0.4)
@@ -64,14 +62,11 @@ def test_distance_bound_saturates_budgets():
     # At the returned distances the stage indices exactly consume the
     # slack the budgets leave beyond the reception share.
     result = distance_bound(_spec(1.2 * Q_H, 1.2 * R_H))
-    ch_q = DiffusionChannel(mu=MU, x_r=result.x_q)
-    assert_allclose(diffusion_amplitude_distortion(ch_q, BAND)
-                    + reception_amplitude_distortion(RS, BAND),
-                    1.2 * Q_H, rtol=1e-12)
-    ch_r = DiffusionChannel(mu=MU, x_r=result.x_r_delay)
-    assert_allclose(diffusion_delay_distortion(ch_r, BAND)
-                    + reception_delay_distortion(RS, BAND),
-                    1.2 * R_H, rtol=1e-12)
+    at_q = channel_report(DiffusionChannel(mu=MU, x_r=result.x_q), RS, BAND)
+    assert_allclose(at_q.q_g + at_q.q_h, 1.2 * Q_H, rtol=1e-12)
+    at_r = channel_report(DiffusionChannel(mu=MU, x_r=result.x_r_delay), RS,
+                          BAND)
+    assert_allclose(at_r.r_g + at_r.r_h, 1.2 * R_H, rtol=1e-12)
 
 
 def test_infeasible_budgets_return_structured_result():
@@ -126,11 +121,9 @@ def test_clean_band_sits_on_the_predicate_boundary():
     ch = DiffusionChannel(mu=83.0, x_r=10.0)
 
     def qualifies(w1):
-        band = FrequencyBand(w1, 10.0 * w1)
-        return (diffusion_amplitude_distortion(ch, band)
-                <= 0.1 * reception_amplitude_distortion(RS, band)
-                and diffusion_delay_distortion(ch, band)
-                <= 0.1 * reception_delay_distortion(RS, band))
+        report = channel_report(ch, RS, FrequencyBand(w1, 10.0 * w1))
+        return (report.q_g <= 0.1 * report.q_h
+                and report.r_g <= 0.1 * report.r_h)
 
     w1 = result.omega1[0]
     assert qualifies(w1)

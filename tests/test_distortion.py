@@ -22,11 +22,7 @@ from mcchannel import (
     ParameterError,
     ReceptionSystem,
     channel_report,
-    delay_distortion_maxima,
-    denormalize_distance,
-    diffusion_amplitude_distortion,
     diffusion_amplitude_distortion_normalized,
-    diffusion_delay_distortion,
     diffusion_delay_distortion_normalized,
     log_grid,
     normalize,
@@ -35,6 +31,7 @@ from mcchannel import (
     reception_delay_distortion,
     reception_delay_distortion_normalized,
 )
+from mcchannel.distortion import delay_distortion_maxima, denormalize_distance
 
 CH = DiffusionChannel(mu=83.0, x_r=14.0)
 RS = ReceptionSystem(k_f=1e-3, k_r=4e-3, r=4.0)
@@ -59,21 +56,20 @@ MAXIMA = {
 
 
 def test_closed_forms_match_reference_values():
-    assert_allclose(diffusion_amplitude_distortion(CH, BAND), Q_G, rtol=1e-12)
-    assert_allclose(diffusion_delay_distortion(CH, BAND), R_G, rtol=1e-12)
+    report = channel_report(CH, RS, BAND)
+    assert_allclose(report.q_g, Q_G, rtol=1e-12)
+    assert_allclose(report.r_g, R_G, rtol=1e-12)
     assert_allclose(reception_amplitude_distortion(RS, BAND), Q_H, rtol=1e-12)
     assert_allclose(reception_delay_distortion(RS, BAND), R_H, rtol=1e-12)
 
 
 def test_indices_scale_linearly_with_distance():
     # Both diffusion indices are proportional to x_r.
-    ch2 = DiffusionChannel(mu=83.0, x_r=14.6)
-    assert_allclose(diffusion_amplitude_distortion(ch2, BAND),
-                    6.004964984425757, rtol=1e-12)
-    assert_allclose(diffusion_delay_distortion(ch2, BAND),
-                    0.0038901944552531425, rtol=1e-12)
-    assert diffusion_amplitude_distortion(
-        DiffusionChannel(mu=83.0, x_r=0.0), BAND) == 0.0
+    report = channel_report(DiffusionChannel(mu=83.0, x_r=14.6), RS, BAND)
+    assert_allclose(report.q_g, 6.004964984425757, rtol=1e-12)
+    assert_allclose(report.r_g, 0.0038901944552531425, rtol=1e-12)
+    assert channel_report(DiffusionChannel(mu=83.0, x_r=0.0), RS,
+                          BAND).q_g == 0.0
 
 
 def test_log_grid_pins_endpoints():
@@ -109,12 +105,12 @@ def test_grid_matches_closed_forms_on_random_parameters():
         width = rng.uniform(0.5, 6.0)
         w1 = 10.0 ** rng.uniform(-6.0, 3.0 - width)
         band = FrequencyBand(w1, w1 * 10.0 ** width)
-        ch = DiffusionChannel(mu=mu, x_r=x_r)
+        report = channel_report(DiffusionChannel(mu=mu, x_r=x_r), rs, band)
         pairs = [
-            (diffusion_amplitude_distortion(ch, band),
+            (report.q_g,
              amplitude_distortion(lambda w: -20.0 * math.log10(math.e)
                                   * np.sqrt(x_r * x_r * w / (2.0 * mu)), band)),
-            (diffusion_delay_distortion(ch, band),
+            (report.r_g,
              delay_distortion(lambda w: np.sqrt(x_r * x_r / (2.0 * mu * w)),
                               band)),
             (reception_amplitude_distortion(rs, band),

@@ -1,0 +1,116 @@
+"""Rounding error of the closed forms against a 50-digit reference.
+
+The reference below writes the four stage indices and the two distance
+bounds out in physical units and evaluates them with mpmath at 50
+significant digits, on the exact binary values of each float input.  The
+scenarios are the baseline and 300 drawn the way the benchmark draws its
+seeded scenarios (perfbench/workloads.py, scenario_yaml), each value
+rounded to the seven significant digits a generated file holds.
+"""
+
+import math
+import random
+import sys
+
+import mpmath
+import pytest
+from mpmath import mp, mpf
+
+from mcchannel import (
+    DesignSpec,
+    DiffusionChannel,
+    FrequencyBand,
+    ReceptionSystem,
+    channel_report,
+    distance_bound,
+)
+
+EPS = sys.float_info.epsilon
+# Bounds fixed before measuring, in units of eps relative to the
+# reference.  The indices take a handful of roundings each.  A distance
+# divides the budget slack q0 - q_h by q_1: at factor f the rounding of
+# q_h is amplified by 1 / (f - 1), up to 10 here.
+INDEX_BOUND = 4.0 * EPS
+DISTANCE_BOUND = 16.0 * EPS
+
+# (mu, x_r, k_r, omega1, omega2, budget factor) of scenarios/baseline.yaml.
+BASELINE = (83.0, 14.0, 4e-3, 5e-4, 0.4, 1.2)
+
+
+def _seven_digits(x: float) -> float:
+    return float(f"{x:.6e}")
+
+
+def _log_uniform(rng: random.Random, lo: float, hi: float) -> float:
+    return lo * (hi / lo) ** rng.random()
+
+
+def _drawn(rng: random.Random) -> tuple:
+    """One scenario, drawn in scenario_yaml's order (ratio as in cli-batch)."""
+    ratio = _log_uniform(rng, 50.0, 800.0)
+    mu = _log_uniform(rng, 20.0, 500.0)
+    k_r = _log_uniform(rng, 1e-3, 1e-2)
+    omega1 = _log_uniform(rng, 2e-4, 1e-3)
+    dx = math.sqrt(2.0 * mu / (omega1 * ratio)) / 8.0
+    x_r = dx * max(1, round(rng.uniform(5.0, 30.0) / dx))
+    factor = rng.uniform(1.1, 1.5)
+    rng.uniform(0.3, 0.6)   # the activation threshold
+    return tuple(_seven_digits(v) for v in
+                 (mu, x_r, k_r, omega1, omega1 * ratio, factor))
+
+
+def _scenarios() -> list[tuple]:
+    rng = random.Random(20240)
+    return [BASELINE] + [_drawn(rng) for _ in range(300)]
+
+
+def _reference(mu, x_r, k_r, omega1, omega2):
+    """q_g, r_g, q_h, r_h in physical units, at mp.dps digits."""
+    mu, x_r, k_r, w1, w2 = (mpf(v) for v in (mu, x_r, k_r, omega1, omega2))
+    scale = mpmath.sqrt(x_r * x_r / (2 * mu))
+    period = 2 * mp.pi / w1
+    q_g = 20 * scale * (mpmath.sqrt(w2) - mpmath.sqrt(w1)) / mpmath.ln(10)
+    r_g = scale * (1 / mpmath.sqrt(w1) - 1 / mpmath.sqrt(w2)) / period
+    q_h = 10 * mpmath.log10((w2 * w2 + k_r * k_r) / (w1 * w1 + k_r * k_r))
+    r_h = (mpmath.atan(w1 / k_r) - w1 / w2 * mpmath.atan(w2 / k_r)) / (2 * mp.pi)
+    return q_g, r_g, q_h, r_h
+
+
+def _relative_errors():
+    """Largest relative error of the indices and of the distances."""
+    worst_index = worst_distance = 0.0
+    with mp.workdps(50):
+        for mu, x_r, k_r, omega1, omega2, factor in _scenarios():
+            ch = DiffusionChannel(mu=mu, x_r=x_r)
+            rs = ReceptionSystem(k_f=k_r / 4.0, k_r=k_r, r=4.0)
+            band = FrequencyBand(omega1, omega2)
+            report = channel_report(ch, rs, band)
+            exact = _reference(mu, x_r, k_r, omega1, omega2)
+            for got, want in zip((report.q_g, report.r_g, report.q_h,
+                                  report.r_h), exact):
+                worst_index = max(worst_index, float(abs(mpf(got) / want - 1)))
+
+            # The budgets as design sets them, from the computed q_h and
+            # r_h; the reference inverts the exact indices.
+            q0, r0 = factor * report.q_h, factor * report.r_h
+            result = distance_bound(DesignSpec(q0=q0, r0=r0, band=band,
+                                               mu=mu, rs=rs))
+            q_g, r_g, q_h, r_h = exact
+            for got, want in ((result.x_q, x_r * (q0 - q_h) / q_g),
+                              (result.x_r_delay, x_r * (r0 - r_h) / r_g)):
+                worst_distance = max(worst_distance,
+                                     float(abs(mpf(got) / want - 1)))
+    return worst_index, worst_distance
+
+
+@pytest.fixture(scope="module")
+def errors():
+    return _relative_errors()
+
+
+def test_indices_are_within_four_eps_of_the_reference(errors):
+    assert errors[0] <= INDEX_BOUND, errors[0] / EPS
+
+
+def test_distances_are_within_sixteen_eps_of_the_reference(errors):
+    assert errors[1] <= DISTANCE_BOUND, errors[1] / EPS

@@ -22,14 +22,13 @@ from mcchannel import (
     cascade_response,
     diffusion_gain_db,
     diffusion_phase_delay,
-    delay_distortion_maxima,
-    denormalize_distance,
     diffusion_response,
-    reception_cutoff,
     reception_gain_db,
     reception_phase_delay,
     reception_response,
 )
+from mcchannel.design import reception_cutoff
+from mcchannel.distortion import delay_distortion_maxima, denormalize_distance
 
 CH = DiffusionChannel(mu=83.0, x_r=14.0)
 RS = ReceptionSystem(k_f=1e-3, k_r=4e-3, r=4.0)
