@@ -50,9 +50,9 @@ from .design import (
 from .timedomain import (
     ActivationTiming,
     SimulationTrace,
-    SineInput,
     SolverConfig,
     SquareWaveInput,
+    TimeGrid,
     activation_time,
     default_solver_config,
     simulate_fdm,
@@ -86,8 +86,8 @@ __all__ = [
     # design
     "DesignResult", "DesignSpec", "distance_bound", "highest_clean_band",
     # timedomain
-    "ActivationTiming", "SimulationTrace", "SineInput", "SolverConfig",
-    "SquareWaveInput", "activation_time", "default_solver_config", "simulate_fdm",
+    "ActivationTiming", "SimulationTrace", "SolverConfig", "SquareWaveInput",
+    "TimeGrid", "activation_time", "default_solver_config", "simulate_fdm",
     "synthesize_fourier", "write_trace_csv",
     # config
     "ConfigError", "Scenario", "load_scenario", "load_table",

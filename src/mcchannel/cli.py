@@ -31,10 +31,12 @@ import numpy as np
 
 from . import __version__
 from .config import (
+    MAX_CURVE_POINTS,
+    MAX_SWEEP_POINTS,
     ConfigError,
     Scenario,
     _parameter_errors,
-    check_sweep_points,
+    check_points,
     load_scenario,
     load_table,
 )
@@ -44,14 +46,15 @@ from .design import (
     highest_clean_band,
 )
 from .distortion import (
-    DistortionReport,
     NormalizedBand,
     channel_report,
     diffusion_amplitude_distortion_normalized,
     diffusion_delay_distortion_normalized,
     log_grid,
     normalize,
+    reception_amplitude_distortion,
     reception_amplitude_distortion_normalized,
+    reception_delay_distortion,
     reception_delay_distortion_normalized,
 )
 from .systems import (
@@ -105,11 +108,13 @@ def _out_dir(args) -> Path:
 
 
 def cmd_analyze(args) -> int:
+    points = check_points(args.points, "--points", MAX_CURVE_POINTS)
     scenario = load_scenario(args.config)
     ch, rs, band = scenario.channel, scenario.reception, scenario.band
-    report = channel_report(ch, rs, band)
-    nb = normalize(ch, rs, band)
-    grid = log_grid(band, args.points)
+    with _parameter_errors(args.config):
+        report = channel_report(ch, rs, band)
+        nb = normalize(ch, rs, band)
+    grid = log_grid(band, points)
     # x_r^2 w / (2 mu) can overflow where lam and w' do not.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         columns = (
@@ -141,28 +146,32 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _resolved_budgets(scenario: Scenario, report: DistortionReport,
+def _resolved_budgets(scenario: Scenario, q_h: float, r_h: float,
                       origin: str) -> tuple[float, float]:
     if scenario.q0 is not None:
         return scenario.q0, scenario.r0
     if scenario.q_factor is not None:
-        return scenario.q_factor * report.q_h, scenario.r_factor * report.r_h
+        return scenario.q_factor * q_h, scenario.r_factor * r_h
     raise ConfigError(f"{origin}: design requires a thresholds section "
                       "(q0/r0 or q_factor/r_factor)")
 
 
 def cmd_design(args) -> int:
     scenario = load_scenario(args.config)
-    report = channel_report(scenario.channel, scenario.reception, scenario.band)
-    q0, r0 = _resolved_budgets(scenario, report, args.config)
-    spec = DesignSpec(q0=q0, r0=r0, band=scenario.band, mu=scenario.channel.mu,
-                      rs=scenario.reception)
-    result = distance_bound(spec)
+    rs, band = scenario.reception, scenario.band
+    # The reception share alone: design.json holds no diffusion index.
+    with _parameter_errors(args.config):
+        q_h = float(reception_amplitude_distortion(rs, band))
+        r_h = float(reception_delay_distortion(rs, band))
+        q0, r0 = _resolved_budgets(scenario, q_h, r_h, args.config)
+        spec = DesignSpec(q0=q0, r0=r0, band=band, mu=scenario.channel.mu,
+                          rs=rs)
+        result = distance_bound(spec)
     out = _out_dir(args)
     _write_json(out / "design.json", {
         "metadata": _metadata(scenario.parameters),
         "budgets": {"q0": q0, "r0": r0},
-        "reception_indices": {"q_h": report.q_h, "r_h": report.r_h},
+        "reception_indices": {"q_h": q_h, "r_h": r_h},
         "result": {"x_q": result.x_q, "x_r_delay": result.x_r_delay,
                    "x_r_limit": result.x_r_limit, "feasible": result.feasible},
     })
@@ -173,7 +182,7 @@ def cmd_sweep(args) -> int:
     scenario = load_scenario(args.config)
     sw = scenario.sweep
     points = (sw.points if args.points is None
-              else check_sweep_points(args.points, "--points"))
+              else check_points(args.points, "--points", MAX_SWEEP_POINTS))
     out = _out_dir(args)
     lam = normalize(scenario.channel, scenario.reception, scenario.band).lam
     grid = np.logspace(np.log10(sw.omega_min), np.log10(sw.omega_max), points)
@@ -239,9 +248,6 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args)
     reception_only = DiffusionChannel(mu=scenario.channel.mu, x_r=0.0)
 
-    n_steps = int(round(cfg.duration / cfg.dt))
-    t_grid = np.arange(n_steps + 1) * cfg.dt
-
     timings: dict = {}
     written: list[Path] = []
     try:
@@ -250,7 +256,8 @@ def cmd_simulate(args) -> int:
                             ("channel", scenario.channel)):
                 if route == "fourier":
                     trace = synthesize_fourier(ch, scenario.reception, wave,
-                                               scenario.n_harmonics, t_grid)
+                                               scenario.n_harmonics,
+                                               cfg.time_grid)
                 else:
                     trace = simulate_fdm(ch, scenario.reception, wave, cfg)
                 path = out / f"trace_{arm}_{route}.csv"

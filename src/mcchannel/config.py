@@ -52,13 +52,15 @@ class ConfigError(ValueError):
 
 # sweep writes four CSV surfaces of points^2 cells: about 450 MB at 4096.
 MAX_SWEEP_POINTS = 4096
+# analyze holds seven float columns of this many rows, 56 MB, and writes
+# them as a CSV of about 80 MB.
+MAX_CURVE_POINTS = 10**6
 
 
-def check_sweep_points(points: int, where: str) -> int:
-    """Return points if 2 <= points <= MAX_SWEEP_POINTS, else raise naming where."""
-    if not 2 <= points <= MAX_SWEEP_POINTS:
-        raise ConfigError(f"{where}: must be in [2, {MAX_SWEEP_POINTS}], "
-                          f"got {points}")
+def check_points(points: int, where: str, maximum: int) -> int:
+    """Return points if 2 <= points <= maximum, else raise naming where."""
+    if not 2 <= points <= maximum:
+        raise ConfigError(f"{where}: must be in [2, {maximum}], got {points}")
     return points
 
 
@@ -241,7 +243,7 @@ def scenario_from_dict(doc: dict, origin: str = "scenario") -> Scenario:
         if not 0.0 < sweep.omega_min < sweep.omega_max:
             raise ConfigError(f"{path}: need 0 < omega_min < omega_max, "
                               f"got [{sweep.omega_min}, {sweep.omega_max}]")
-        check_sweep_points(sweep.points, f"{path}.points")
+        check_points(sweep.points, f"{path}.points", MAX_SWEEP_POINTS)
 
         wave = SquareWaveInput(
             amplitude=sim["amplitude"], duty=sim["duty"], offset=sim["offset"],

@@ -32,6 +32,8 @@ initial medium, and the first full pulse window is free of start-up
 artifacts from a mid-edge start.  The direct route returns exact zeros
 in that stretch.
 
+Both routes sample one TimeGrid (t0, dt, n), in the CLI the solver
+configuration's time_grid, so their traces share a time column.
 Agreement between the two routes over a late period (after transients
 decay, the direct route approaches the steady-periodic solution) is the
 main end-to-end check on both.  Every trace must be finite:
@@ -42,7 +44,6 @@ built it.
 from __future__ import annotations
 
 import math
-from typing import Iterable
 
 import numpy as np
 
@@ -58,7 +59,7 @@ from .systems import (
 
 __all__ = [
     "SquareWaveInput",
-    "SineInput",
+    "TimeGrid",
     "SimulationTrace",
     "SolverConfig",
     "default_solver_config",
@@ -103,11 +104,10 @@ class SquareWaveInput(_Record):
         """Time average offset + amplitude * duty, uM."""
         return self.offset + self.amplitude * self.duty
 
-    def value(self, t):
-        """Evaluate the wave at time(s) t (s); the rising edge counts as high."""
+    def value(self, t) -> np.ndarray:
+        """The wave at the times t (s); the rising edge counts as high."""
         frac = np.mod(np.asarray(t, dtype=float) / self.period, 1.0)
-        v = self.offset + self.amplitude * (frac >= 1.0 - self.duty)
-        return float(v) if np.ndim(t) == 0 else v
+        return self.offset + self.amplitude * (frac >= 1.0 - self.duty)
 
     def pulse_window(self, index: int) -> tuple[float, float]:
         """The index-th high interval [(index + 1 - duty) T, (index + 1) T]."""
@@ -116,35 +116,28 @@ class SquareWaveInput(_Record):
         return ((index + 1.0 - self.duty) * T, (index + 1.0) * T)
 
 
-class SineInput(_Record):
-    """Sinusoidal boundary concentration, mainly for solver validation.
+class TimeGrid(_Record):
+    """The n uniform sample instants t0 + k dt, k = 0 .. n - 1, in s."""
 
-    value(t) = offset + amplitude * sin(fundamental * t).  Driving the
-    direct solver with a single tone and comparing the settled response
-    against the analytic magnitude and phase exercises the discretization
-    one frequency at a time.
-    """
-
-    amplitude: float
-    fundamental: float
-    offset: float = 0.0
+    t0: float
+    dt: float
+    n: int
 
     def __post_init__(self) -> None:
-        _require(_finite(self.amplitude) and self.amplitude >= 0.0,
-                 f"amplitude must be finite and >= 0, got {self.amplitude}")
-        _require(_finite(self.fundamental) and self.fundamental > 0.0,
-                 f"fundamental must be finite and > 0, got {self.fundamental}")
-        _require(_finite(self.offset) and self.offset >= 0.0,
-                 f"offset must be finite and >= 0, got {self.offset}")
+        _require(_finite(self.t0), f"t0 must be finite, got {self.t0}")
+        _require(_finite(self.dt) and self.dt > 0.0,
+                 f"dt must be finite and > 0, got {self.dt}")
+        _require(self.n >= 0, f"n must be >= 0, got {self.n}")
+
+    def __len__(self) -> int:
+        return self.n
 
     @property
-    def period(self) -> float:
-        return 2.0 * math.pi / self.fundamental
-
-    def value(self, t):
-        v = self.offset + self.amplitude * np.sin(
-            self.fundamental * np.asarray(t, dtype=float))
-        return float(v) if np.ndim(t) == 0 else v
+    def times(self) -> np.ndarray:
+        """The instants as a read-only array."""
+        t = self.t0 + np.arange(self.n) * self.dt
+        t.setflags(write=False)
+        return t
 
 
 class SimulationTrace(_Record):
@@ -157,22 +150,18 @@ class SimulationTrace(_Record):
     finite; a nan or inf raises FloatingPointError.
     """
 
-    times: np.ndarray
+    grid: TimeGrid
     input: np.ndarray
     received: np.ndarray
     complex_conc: np.ndarray
     route: str
-    wave: SquareWaveInput | SineInput
+    wave: SquareWaveInput
 
     def __post_init__(self) -> None:
-        n = len(self.times)
+        n = len(self.grid)
         for name in ("input", "received", "complex_conc"):
             _require(len(getattr(self, name)) == n,
-                     f"{name} length {len(getattr(self, name))} != times length {n}")
-        if n > 2:
-            steps = np.diff(self.times)
-            _require(bool(np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)),
-                     "times must be uniformly sampled")
+                     f"{name} length {len(getattr(self, name))} != grid length {n}")
         for name in ("times", "input", "received", "complex_conc"):
             series = getattr(self, name)
             # Every route ends here, so an overflow anywhere in a solver
@@ -183,8 +172,12 @@ class SimulationTrace(_Record):
             series.setflags(write=False)
 
     @property
+    def times(self) -> np.ndarray:
+        return self.grid.times
+
+    @property
     def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
+        return self.grid.dt
 
 
 # Harmonics per factor block of the Fourier sum: keeps each block's
@@ -199,7 +192,7 @@ _QUIET_OVERFLOW = np.errstate(over="ignore", invalid="ignore")
 @_QUIET_OVERFLOW
 def synthesize_fourier(ch: DiffusionChannel, rs: ReceptionSystem,
                        wave: SquareWaveInput, n_harmonics: int,
-                       t_grid: Iterable[float]) -> SimulationTrace:
+                       t_grid: TimeGrid) -> SimulationTrace:
     """Steady-periodic response via truncated Fourier synthesis.
 
     The wave's pulse (width duty * T, centered at t_c = (1 - duty/2) T)
@@ -220,12 +213,7 @@ def synthesize_fourier(ch: DiffusionChannel, rs: ReceptionSystem,
     exp(i w_n t_{aB}) exp(i w_n b dt), and the sum is an (A x N) by
     (N x B) complex matrix product whose two factors need 2 sqrt(K) N
     exponentials instead of K N cosines.  Harmonics are taken in blocks
-    of _HARMONIC_BLOCK to keep the temporaries small.  The grid must be
-    uniform (SimulationTrace rejects any other); dt is its mean step.
-    Within a row the samples are taken at t_{aB} + b dt, so a grid whose
-    step drifts within SimulationTrace's 1e-9 relative tolerance is
-    evaluated with phase errors of order w_N B 1e-9 dt (on the baseline
-    grid, up to 5e-10 uM).
+    of _HARMONIC_BLOCK to keep the temporaries small.
 
     Accuracy: both this product and a per-harmonic cosine loop carry the
     rounding of phases up to w_N t_K.  On the baseline scenario (800
@@ -234,8 +222,8 @@ def synthesize_fourier(ch: DiffusionChannel, rs: ReceptionSystem,
     by at most 6.2e-14 uM (the loop by 2.5e-14 uM).
     """
     _require(n_harmonics >= 0, f"n_harmonics must be >= 0, got {n_harmonics}")
-    t = np.asarray(t_grid, dtype=float)
-    n_samples = t.size
+    t = t_grid.times
+    n_samples = len(t_grid)
 
     # DC components: the diffusion stage has unit DC gain.
     received = np.full_like(t, wave.mean)
@@ -252,9 +240,8 @@ def synthesize_fourier(ch: DiffusionChannel, rs: ReceptionSystem,
 
         cols = math.isqrt(n_samples)
         rows = -(-n_samples // cols)
-        dt = (t[-1] - t[0]) / (n_samples - 1) if n_samples > 1 else 0.0
         row_starts = t[::cols]
-        col_offsets = np.arange(cols) * dt
+        col_offsets = np.arange(cols) * t_grid.dt
         sums = np.zeros((2 * rows, cols), dtype=complex)
         for lo in range(0, n_harmonics, _HARMONIC_BLOCK):
             w = wn[lo:lo + _HARMONIC_BLOCK]
@@ -266,7 +253,7 @@ def synthesize_fourier(ch: DiffusionChannel, rs: ReceptionSystem,
         received += series[0]
         complex_conc += series[1]
 
-    return SimulationTrace(times=t, input=wave.value(t), received=received,
+    return SimulationTrace(grid=t_grid, input=wave.value(t), received=received,
                            complex_conc=complex_conc, route="fourier",
                            wave=wave)
 
@@ -299,24 +286,25 @@ class SolverConfig(_Record):
         _require(_finite(cells), f"domain_length/dx = {cells:g} is beyond the "
                  f"float range (dx={self.dx:g})")
 
+    @property
+    def time_grid(self) -> TimeGrid:
+        """The instants k dt from 0 to the step nearest duration."""
+        return TimeGrid(0.0, self.dt, round(self.duration / self.dt) + 1)
 
-def default_solver_config(ch: DiffusionChannel, wave: SquareWaveInput | SineInput,
-                          n_periods: int = 3,
-                          omega_max: float | None = None) -> SolverConfig:
+
+def default_solver_config(ch: DiffusionChannel, wave: SquareWaveInput,
+                          n_periods: int, omega_max: float) -> SolverConfig:
     """Derive a discretization from the scenario.
 
     The domain extends to max(10 x_r, 5 delta(w1)) with delta(w) =
     sqrt(2 mu / w) the penetration depth, deep enough that the truncated
     far boundary perturbs the solution at x_r by well under 1%.  Steps
-    resolve the penetration depth and period of omega_max (default
-    100 * fundamental), and dx is rounded so that x_r lands exactly on a
-    grid node.
+    resolve the penetration depth and period of omega_max, and dx is
+    rounded so that x_r lands exactly on a grid node.
     """
     _require(n_periods >= 1, f"n_periods must be >= 1, got {n_periods}")
     _require(_finite(n_periods), "n_periods is beyond the float range")
     w1 = wave.fundamental
-    if omega_max is None:
-        omega_max = 100.0 * w1
     _require(omega_max >= w1, f"omega_max must be >= fundamental, got {omega_max}")
     L = max(10.0 * ch.x_r, 5.0 * math.sqrt(2.0 * ch.mu / w1))
     dx = math.sqrt(2.0 * ch.mu / omega_max) / 8.0
@@ -371,8 +359,8 @@ def _mode_sum(g: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
     return (left @ right.T).ravel()[:n]
 
 
-def _fdm_grid(ch: DiffusionChannel, cfg: SolverConfig) -> tuple[int, int, int]:
-    """Cells, receiver node and steps of cfg's grid; ParameterError if unusable."""
+def _fdm_grid(ch: DiffusionChannel, cfg: SolverConfig) -> tuple[int, int, TimeGrid]:
+    """Cells, receiver node and time grid of cfg; ParameterError if unusable."""
     n_cells = int(round(cfg.domain_length / cfg.dx))
     _require(n_cells >= 4, f"domain_length/dx = {cfg.domain_length / cfg.dx:.3g} "
              "gives fewer than 4 cells")
@@ -384,14 +372,14 @@ def _fdm_grid(ch: DiffusionChannel, cfg: SolverConfig) -> tuple[int, int, int]:
         _require(abs(node * cfg.dx - ch.x_r) <= 1e-3 * ch.x_r,
                  f"x_r={ch.x_r:g} is not on the spatial grid (dx={cfg.dx:g}); "
                  "snap error exceeds 0.1%")
-    n_steps = int(round(cfg.duration / cfg.dt))
-    _require(n_steps >= 2, "duration must cover at least 2 time steps")
-    return n_cells, node, n_steps
+    grid = cfg.time_grid
+    _require(len(grid) >= 3, "duration must cover at least 2 time steps")
+    return n_cells, node, grid
 
 
 @_QUIET_OVERFLOW
 def simulate_fdm(ch: DiffusionChannel, rs: ReceptionSystem,
-                 wave: SquareWaveInput | SineInput,
+                 wave: SquareWaveInput,
                  cfg: SolverConfig) -> SimulationTrace:
     """Transient response from rest via Crank-Nicolson finite differences.
 
@@ -441,9 +429,9 @@ def simulate_fdm(ch: DiffusionChannel, rs: ReceptionSystem,
     overflows) is rejected by SimulationTrace with FloatingPointError.
     """
     dx, dt = cfg.dx, cfg.dt
-    n_cells, node, n_steps = _fdm_grid(ch, cfg)
-    times = np.arange(n_steps + 1) * dt
-    v = wave.value(times)
+    n_cells, node, grid = _fdm_grid(ch, cfg)
+    n_steps = len(grid) - 1
+    v = wave.value(grid.times)
 
     if node == 0:
         # Receiver at the transmitter: the diffusion stage is an identity
@@ -464,7 +452,7 @@ def simulate_fdm(ch: DiffusionChannel, rs: ReceptionSystem,
     c = _causal_response(beta * alpha ** np.arange(n_steps),
                          u_xr[:-1] + u_xr[1:])
 
-    return SimulationTrace(times=times, input=v, received=u_xr,
+    return SimulationTrace(grid=grid, input=v, received=u_xr,
                            complex_conc=c, route="fdm", wave=wave)
 
 

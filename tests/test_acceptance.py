@@ -19,6 +19,7 @@ each reference band, are printed in the verdict lines.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -31,7 +32,6 @@ from mcchannel import (
     FrequencyBand,
     NormalizedBand,
     ReceptionSystem,
-    SineInput,
     SolverConfig,
     SquareWaveInput,
     activation_time,
@@ -74,6 +74,15 @@ def _assert_all(num: int, checks: list[tuple[str, bool]]) -> None:
     assert not failed, f"criterion {num:02d} failed: " + "; ".join(failed)
 
 
+class _Sine(NamedTuple):
+    """sin(fundamental t), a unit one-tone drive for the direct solver."""
+
+    fundamental: float
+
+    def value(self, t):
+        return np.sin(self.fundamental * t)
+
+
 def _random_parameters(rng):
     mu = 10.0 ** rng.uniform(-1.0, math.log10(7000.0))
     x_r = 10.0 ** rng.uniform(-2.0, math.log10(400.0))
@@ -96,7 +105,7 @@ def traces():
     fdm100 = simulate_fdm(CH100, RS, WAVE, cfg100)
     reception = simulate_fdm(CH0, RS, WAVE, cfg14)
     n_harmonics = int(math.floor(BAND.omega2 / WAVE.fundamental))
-    fourier14 = synthesize_fourier(CH14, RS, WAVE, n_harmonics, fdm14.times)
+    fourier14 = synthesize_fourier(CH14, RS, WAVE, n_harmonics, fdm14.grid)
     return {"fdm14": fdm14, "fdm100": fdm100, "reception": reception,
             "fourier14": fourier14}
 
@@ -282,8 +291,7 @@ def test_criterion_09_solver_matches_analytic_response():
         length = dx * round(max(10.0 * CH14.x_r, 5.0 * delta) / dx)
         cfg = SolverConfig(dx=dx, dt=T / 128.0, domain_length=length,
                            duration=8.0 * T)
-        trace = simulate_fdm(CH14, RS, SineInput(amplitude=1.0, fundamental=w),
-                             cfg)
+        trace = simulate_fdm(CH14, RS, _Sine(w), cfg)
         mask = trace.times >= 7.0 * T - 1e-9
         t, u = trace.times[mask], trace.received[mask]
         basis = np.column_stack([np.sin(w * t), np.cos(w * t),

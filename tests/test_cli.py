@@ -27,6 +27,8 @@ from mcchannel import (
     distance_bound,
     DesignSpec,
     load_scenario,
+    reception_amplitude_distortion,
+    reception_delay_distortion,
     load_table,
     scenario_from_dict,
 )
@@ -370,6 +372,21 @@ def test_simulate_activation_summary(scenario_path, tmp_path):
         assert (out / name).read_bytes() == (again / name).read_bytes()
 
 
+def test_both_routes_write_one_time_column(scenario_path, tmp_path):
+    # Both routes sample the solver's time grid: the t_s columns of the
+    # Fourier and FDM traces are the same bytes.
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(scenario_path),
+                     "--out", str(out), "--route", "both"]) == 0
+    for arm in ("reception", "channel"):
+        columns = [[line.split(",", 1)[0] for line in
+                    (out / f"trace_{arm}_{route}.csv").read_text().splitlines()[1:]]
+                   for route in ("fourier", "fdm")]
+        assert columns[0] == columns[1]
+        assert len(columns[0]) == len(load_scenario(scenario_path)
+                                      .solver.time_grid) + 1
+
+
 def test_simulate_trace_files_are_consistent(scenario_path, tmp_path):
     out = tmp_path / "out"
     assert cli.main(["simulate", "--config", str(scenario_path),
@@ -680,8 +697,10 @@ def test_malformed_yaml_exits_two(tmp_path, capsys, text):
         assert "configuration error" in capsys.readouterr().err
 
 
-def test_design_evaluates_the_report_once(scenario_path, tmp_path,
-                                          monkeypatch):
+def test_design_evaluates_no_channel_report(scenario_path, tmp_path,
+                                            monkeypatch):
+    # design.json holds the reception share only, so design never forms
+    # the diffusion indices.
     calls = []
 
     def counted(*args):
@@ -691,7 +710,65 @@ def test_design_evaluates_the_report_once(scenario_path, tmp_path,
     monkeypatch.setattr(cli, "channel_report", counted)
     assert cli.main(["design", "--config", str(scenario_path),
                      "--out", str(tmp_path / "out")]) == 0
-    assert len(calls) == 1
+    assert calls == []
+
+
+# (edits to SCENARIO, the ParameterError message after the file name)
+# omega2 / k_r overflows: the normal-form band is out of range.
+BAND_BEYOND_RANGE = ({"k_r: 4.0e-3": "k_r: 1.0e-300",
+                      "omega1: 5.0e-3": "omega1: 1.0e+8",
+                      "omega2: 1.0e-1": "omega2: 1.0e+9"},
+                     "omega2p must be finite and > omega1p=1e+308, got inf")
+# lam = sqrt(x_r^2 k_r / 2 mu) overflows; design does not need it.
+LAM_BEYOND_RANGE = ({"mu: 83.0": "mu: 1.0", "x_r: 14.0": "x_r: 1.0e+100",
+                     "k_r: 4.0e-3": "k_r: 1.0e+150",
+                     "omega1: 5.0e-3": "omega1: 1.0e+199",
+                     "omega2: 1.0e-1": "omega2: 1.0e+200"},
+                    "lam must be finite and >= 0, got inf")
+
+
+def _scenario_with(tmp_path, edits: dict) -> Path:
+    text = SCENARIO
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new)
+    cfg = tmp_path / "edited.yaml"
+    cfg.write_text(text)
+    return cfg
+
+
+@pytest.mark.parametrize("command, case", [
+    ("analyze", BAND_BEYOND_RANGE), ("design", BAND_BEYOND_RANGE),
+    ("analyze", LAM_BEYOND_RANGE),
+], ids=["analyze-band", "design-band", "analyze-lam"])
+def test_errors_after_load_name_the_file(tmp_path, capsys, command, case):
+    edits, message = case
+    cfg = _scenario_with(tmp_path, edits)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"configuration error: {cfg}: {message}\n"
+    assert not out.exists()
+
+
+def test_design_needs_no_diffusion_index(tmp_path):
+    # lam overflows, but the bound is lam-free: the reception share and
+    # the inversion at lam = 1 are in range, and so are the distances.
+    cfg = _scenario_with(tmp_path, LAM_BEYOND_RANGE[0])
+    out = tmp_path / "out"
+    assert cli.main(["design", "--config", str(cfg), "--out", str(out)]) == 0
+    payload = json.loads((out / "design.json").read_text())
+    scenario = load_scenario(cfg)
+    q_h = reception_amplitude_distortion(scenario.reception, scenario.band)
+    r_h = reception_delay_distortion(scenario.reception, scenario.band)
+    assert payload["reception_indices"] == {"q_h": q_h, "r_h": r_h}
+    assert payload["budgets"] == {"q0": 1.2 * q_h, "r0": 1.2 * r_h}
+    want = distance_bound(DesignSpec(q0=1.2 * q_h, r0=1.2 * r_h,
+                                     band=scenario.band, mu=1.0,
+                                     rs=scenario.reception))
+    result = payload["result"]
+    assert result == {"x_q": want.x_q, "x_r_delay": want.x_r_delay,
+                      "x_r_limit": want.x_r_limit, "feasible": want.feasible}
+    assert all(math.isfinite(result[key]) for key in ("x_q", "x_r_delay"))
 
 
 def test_offgrid_receiver_exits_two(scenario_path, tmp_path, capsys):
@@ -731,7 +808,24 @@ def test_sweep_rejects_bad_point_count(scenario_path, tmp_path, monkeypatch,
         assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
         assert "sweep.points" in capsys.readouterr().err
-    assert config.check_sweep_points(ceiling, "--points") == ceiling
+    assert config.check_points(ceiling, "--points", ceiling) == ceiling
+
+
+def test_analyze_rejects_bad_point_count(scenario_path, tmp_path, monkeypatch,
+                                        capsys):
+    # Just above the cap is refused before any grid or output exists.
+    def no_grid(*args, **kwargs):
+        raise AssertionError("analyze built a grid for a rejected point count")
+
+    monkeypatch.setattr(np, "logspace", no_grid)
+    out = tmp_path / "out"
+    for points in (1, config.MAX_CURVE_POINTS + 1):
+        assert cli.main(["analyze", "--config", str(scenario_path),
+                         "--out", str(out), "--points", str(points)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            f"configuration error: --points: must be in "
+            f"[2, {config.MAX_CURVE_POINTS}], got {points}\n")
 
 
 def test_numerical_failure_exits_three(scenario_path, tmp_path, monkeypatch):

@@ -33,9 +33,9 @@ from mcchannel.systems import (
 from mcchannel.timedomain import (
     ActivationTiming,
     SimulationTrace,
-    SineInput,
     SolverConfig,
     SquareWaveInput,
+    TimeGrid,
 )
 
 RS = ReceptionSystem(k_f=1e-3, k_r=4e-3, r=4.0)
@@ -49,7 +49,7 @@ SCENARIO = scenario_from_dict({
 
 
 def _trace(n=3):
-    return dict(times=np.arange(float(n)), input=np.zeros(n),
+    return dict(grid=TimeGrid(0.0, 1.0, n), input=np.zeros(n),
                 received=np.zeros(n), complex_conc=np.zeros(n),
                 route="fourier", wave=SquareWaveInput(0.1, 1.0))
 
@@ -77,8 +77,7 @@ CASES = {
     SquareWaveInput: (dict(amplitude=0.1, fundamental=5e-3, duty=0.25,
                            offset=0.0),
                       {"duty": 0.5}, {"duty": 1.5}),
-    SineInput: (dict(amplitude=0.1, fundamental=5e-3, offset=1.0),
-                {"offset": 0.0}, {"amplitude": -1.0}),
+    TimeGrid: (dict(t0=0.0, dt=0.5, n=4), {"n": 5}, {"dt": 0.0}),
     SimulationTrace: (_trace(), {"route": "fdm"}, {"input": np.zeros(2)}),
     SolverConfig: (dict(dx=1.0, dt=1.0, domain_length=10.0, duration=10.0),
                    {"dt": 0.5}, {"dt": 5e-324}),

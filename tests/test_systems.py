@@ -14,9 +14,9 @@ from mcchannel import (
     NormalizedBand,
     ParameterError,
     ReceptionSystem,
-    SineInput,
     SolverConfig,
     SquareWaveInput,
+    TimeGrid,
     cascade_gain_db,
     cascade_phase_delay,
     cascade_response,
@@ -213,12 +213,12 @@ HUGE = 10**400  # a Python int beyond the float range
                        rs=RS),
     lambda: reception_cutoff(RS, HUGE),
     lambda: SquareWaveInput(amplitude=HUGE, fundamental=W1),
-    lambda: SineInput(amplitude=0.1, fundamental=HUGE),
+    lambda: TimeGrid(t0=0.0, dt=HUGE, n=3),
     lambda: SolverConfig(dx=HUGE, dt=1.0, domain_length=100.0, duration=10.0),
     lambda: denormalize_distance(HUGE, 83.0, 4e-3),
     lambda: delay_distortion_maxima(HUGE),
 ], ids=["ReceptionSystem", "DesignSpec", "reception_cutoff", "SquareWaveInput",
-        "SineInput", "SolverConfig", "denormalize_distance",
+        "TimeGrid", "SolverConfig", "denormalize_distance",
         "delay_distortion_maxima"])
 def test_scalar_checks_reject_ints_beyond_the_float_range(build):
     # math.isfinite would raise OverflowError converting the int.

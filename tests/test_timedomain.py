@@ -2,6 +2,7 @@
 activation timing, and trace export."""
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -14,9 +15,9 @@ from mcchannel import (
     ParameterError,
     ReceptionSystem,
     SimulationTrace,
-    SineInput,
     SolverConfig,
     SquareWaveInput,
+    TimeGrid,
     activation_time,
     cascade_response,
     default_solver_config,
@@ -40,6 +41,18 @@ WAVE = SquareWaveInput(amplitude=0.1, fundamental=W1, duty=0.5)
 # from a fine-step convolution of erfc with the binding kernel.
 LATENCY_RECEPTION = 575.6462732485114
 LATENCY_X14 = 707.8683587498934
+
+
+class Sine(NamedTuple):
+    """offset + amplitude sin(fundamental t): a one-tone drive for the
+    direct solver, which reads only value(); not a pulsed input."""
+
+    amplitude: float
+    fundamental: float
+    offset: float = 0.0
+
+    def value(self, t):
+        return self.offset + self.amplitude * np.sin(self.fundamental * t)
 
 
 @pytest.fixture(scope="module")
@@ -94,16 +107,31 @@ def test_wave_validation():
         SquareWaveInput(amplitude=0.1, fundamental=W1, duty=1.0)
     with pytest.raises(ParameterError):
         WAVE.pulse_window(-1)
-    with pytest.raises(ParameterError):
-        SineInput(amplitude=1.0, fundamental=-1.0)
 
 
-def test_sine_input_values():
-    tone = SineInput(amplitude=2.0, fundamental=0.5, offset=1.0)
-    assert tone.period == 4.0 * math.pi
-    assert_allclose(tone.value(math.pi), 3.0, rtol=1e-12)
-    assert_allclose(tone.value(np.array([0.0, math.pi])), [1.0, 3.0],
-                    rtol=0, atol=1e-12)
+# ---------------------------------------------------------------------------
+# time grid
+# ---------------------------------------------------------------------------
+
+def test_time_grid_instants():
+    grid = TimeGrid(t0=2.5, dt=0.25, n=5)
+    assert len(grid) == 5
+    assert np.array_equal(grid.times, 2.5 + np.arange(5) * 0.25)
+    with pytest.raises(ValueError):
+        grid.times[0] = 7.0
+    assert len(TimeGrid(0.0, 1.0, 0).times) == 0
+    for bad in (dict(t0=math.nan), dict(t0=math.inf), dict(dt=0.0),
+                dict(dt=-1.0), dict(dt=math.nan), dict(n=-1)):
+        with pytest.raises(ParameterError):
+            TimeGrid(**{"t0": 0.0, "dt": 1.0, "n": 3, **bad})
+
+
+def test_solver_time_grid_covers_the_duration():
+    cfg = SolverConfig(dx=1.0, dt=0.3, domain_length=10.0, duration=10.0)
+    assert cfg.time_grid == TimeGrid(0.0, 0.3, 34)   # 10 / 0.3 rounds to 33
+    trace = simulate_fdm(CH0, RS, WAVE, cfg)
+    assert trace.grid == cfg.time_grid
+    assert trace.dt == 0.3
 
 
 # ---------------------------------------------------------------------------
@@ -111,25 +139,26 @@ def test_sine_input_values():
 # ---------------------------------------------------------------------------
 
 def test_fourier_dc_term_only():
-    t = np.linspace(0.0, 2.0 * WAVE.period, 101)
-    trace = synthesize_fourier(CH, RS, WAVE, 0, t)
+    grid = TimeGrid(0.0, WAVE.period / 50.0, 101)
+    trace = synthesize_fourier(CH, RS, WAVE, 0, grid)
     assert np.all(trace.received == WAVE.mean)
     assert np.all(trace.complex_conc == WAVE.mean * RS.dc_gain)
     assert trace.route == "fourier"
 
 
 def test_fourier_reports_exact_square_input():
-    t = np.linspace(0.0, 2.0 * WAVE.period, 257)
-    trace = synthesize_fourier(CH, RS, WAVE, 40, t)
-    assert np.array_equal(trace.input, WAVE.value(t))
+    grid = TimeGrid(0.0, WAVE.period / 128.0, 257)
+    trace = synthesize_fourier(CH, RS, WAVE, 40, grid)
+    assert trace.grid == grid
+    assert np.array_equal(trace.input, WAVE.value(grid.times))
 
 
 def test_fourier_even_harmonics_vanish_at_half_duty():
     # The n=2 coefficient carries sin(pi), which rounds to ~1.2e-16 rather
     # than exactly 0, so compare with a tiny absolute tolerance.
-    t = np.linspace(0.0, WAVE.period, 97)
-    one = synthesize_fourier(CH, RS, WAVE, 1, t)
-    two = synthesize_fourier(CH, RS, WAVE, 2, t)
+    grid = TimeGrid(0.0, WAVE.period / 96.0, 97)
+    one = synthesize_fourier(CH, RS, WAVE, 1, grid)
+    two = synthesize_fourier(CH, RS, WAVE, 2, grid)
     assert_allclose(two.complex_conc, one.complex_conc, rtol=0, atol=1e-16)
     assert_allclose(two.received, one.received, rtol=0, atol=1e-16)
 
@@ -138,27 +167,28 @@ def test_fourier_overshoot_is_gibbs_sized():
     # Through an identity diffusion stage the received series is the
     # truncated square-wave expansion; its overshoot must sit near the
     # classic ~9% of the step, not at some grid artifact.
-    t = np.arange(4097) * (WAVE.period / 2048.0)
-    trace = synthesize_fourier(CH0, RS, WAVE, 101, t)
+    grid = TimeGrid(0.0, WAVE.period / 2048.0, 4097)
+    trace = synthesize_fourier(CH0, RS, WAVE, 101, grid)
     assert 0.105 < float(np.max(trace.received)) < 0.110
     assert -0.010 < float(np.min(trace.received)) < -0.005
 
 
 def test_fourier_truncation_error_shrinks():
-    t = np.arange(2049) * (WAVE.period / 1024.0)
-    reference = synthesize_fourier(CH, RS, WAVE, 1600, t).complex_conc
+    grid = TimeGrid(0.0, WAVE.period / 1024.0, 2049)
+    reference = synthesize_fourier(CH, RS, WAVE, 1600, grid).complex_conc
     errs = []
     for n in (25, 100, 400):
-        approx = synthesize_fourier(CH, RS, WAVE, n, t).complex_conc
+        approx = synthesize_fourier(CH, RS, WAVE, n, grid).complex_conc
         errs.append(float(np.linalg.norm(approx - reference)))
     assert errs[0] > errs[1] > errs[2]
 
 
 def test_fourier_scaling_is_exact_for_power_of_two():
-    t = np.arange(513) * (WAVE.period / 256.0)
-    base = synthesize_fourier(CH, RS, WAVE, 64, t)
+    grid = TimeGrid(0.0, WAVE.period / 256.0, 513)
+    base = synthesize_fourier(CH, RS, WAVE, 64, grid)
     double = synthesize_fourier(
-        CH, RS, SquareWaveInput(amplitude=0.2, fundamental=W1, duty=0.5), 64, t)
+        CH, RS, SquareWaveInput(amplitude=0.2, fundamental=W1, duty=0.5), 64,
+        grid)
     assert np.array_equal(2.0 * base.complex_conc, double.complex_conc)
     assert np.array_equal(2.0 * base.received, double.received)
 
@@ -279,7 +309,7 @@ def test_fdm_rejects_bad_discretizations():
     with pytest.raises(ParameterError):
         SolverConfig(dx=0.0, dt=1.0, domain_length=10.0, duration=10.0)
     with pytest.raises(ParameterError):
-        default_solver_config(CH, WAVE, n_periods=0)
+        default_solver_config(CH, WAVE, n_periods=0, omega_max=0.4)
 
 
 # ---------------------------------------------------------------------------
@@ -349,20 +379,21 @@ def _fdm_reference(ch, rs, wave, cfg):
 def test_fourier_matches_per_harmonic_reference(ratio, n_harmonics, duty,
                                                 t0_periods, n_samples):
     wave = SquareWaveInput(amplitude=0.1, fundamental=W1, duty=duty)
-    dt = wave.period / (16.0 * ratio)
-    t = t0_periods * wave.period + np.arange(n_samples) * dt
-    trace = synthesize_fourier(CH, RS, wave, n_harmonics, t)
-    received, complex_conc = _fourier_reference(CH, RS, wave, n_harmonics, t)
+    grid = TimeGrid(t0_periods * wave.period, wave.period / (16.0 * ratio),
+                    n_samples)
+    trace = synthesize_fourier(CH, RS, wave, n_harmonics, grid)
+    received, complex_conc = _fourier_reference(CH, RS, wave, n_harmonics,
+                                                grid.times)
     tol = KERNEL_TOL * wave.amplitude
     assert float(np.max(np.abs(trace.received - received))) <= tol
     assert float(np.max(np.abs(trace.complex_conc - complex_conc))) <= tol
 
 
 @pytest.mark.parametrize("wave", [
-    WAVE, SineInput(amplitude=0.1, fundamental=W1, offset=0.05),
+    WAVE, Sine(amplitude=0.1, fundamental=W1, offset=0.05),
 ], ids=["square", "sine"])
 def test_fdm_matches_sparse_lu_reference(wave):
-    cfg = default_solver_config(CH, wave, n_periods=2, omega_max=0.05)
+    cfg = default_solver_config(CH, WAVE, n_periods=2, omega_max=0.05)
     trace = simulate_fdm(CH, RS, wave, cfg)
     received, complex_conc = _fdm_reference(CH, RS, wave, cfg)
     tol = KERNEL_TOL * wave.amplitude
@@ -394,19 +425,23 @@ def test_mode_sum_matches_per_element_powers(n):
 # ---------------------------------------------------------------------------
 
 def test_trace_validation_and_immutability():
-    t = np.arange(5, dtype=float)
+    grid = TimeGrid(0.0, 1.0, 5)
     z = np.zeros(5)
-    trace = SimulationTrace(times=t, input=z, received=z.copy(),
+    trace = SimulationTrace(grid=grid, input=z, received=z.copy(),
                             complex_conc=z.copy(), route="fdm", wave=WAVE)
     assert trace.dt == 1.0
+    assert np.array_equal(trace.times, np.arange(5.0))
     with pytest.raises(ValueError):
         trace.times[0] = 7.0
+    with pytest.raises(ValueError):
+        trace.received[0] = 7.0
     with pytest.raises(ParameterError):
-        SimulationTrace(times=t, input=z[:4], received=z, complex_conc=z,
+        SimulationTrace(grid=grid, input=z[:4], received=z, complex_conc=z,
                         route="fdm", wave=WAVE)
-    with pytest.raises(ParameterError):
-        SimulationTrace(times=np.array([0.0, 1.0, 3.0, 7.0]), input=z[:4],
-                        received=z[:4], complex_conc=z[:4], route="fdm",
+    with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
+        # t0 and dt are finite, the last instant 2e308 is not
+        SimulationTrace(grid=TimeGrid(0.0, 1e308, 3), input=z[:3],
+                        received=z[:3], complex_conc=z[:3], route="fdm",
                         wave=WAVE)
 
 
@@ -454,7 +489,7 @@ def test_activation_window_must_be_covered(trace_x14):
 
 
 def test_activation_needs_a_pulsed_input():
-    tone = SineInput(amplitude=1.0, fundamental=0.02)
+    tone = Sine(amplitude=1.0, fundamental=0.02)
     cfg = SolverConfig(dx=1.0, dt=10.0, domain_length=100.0, duration=630.0)
     trace = simulate_fdm(CH0, RS, tone, cfg)
     with pytest.raises(ParameterError):
@@ -513,8 +548,9 @@ def test_trace_csv_equals_cell_by_cell_formatting(tmp_path, n):
     cycle = np.array([-0.0, 0.0, 5e-324, 2.5e-310, -1e-315, 0.0])
     received = cycle[(rows // 100) % cycle.size]
     c = np.random.default_rng(n).standard_normal(n) * 1e-3
-    trace = SimulationTrace(times=rows * 0.25, input=v, received=received,
-                            complex_conc=c, route="fdm", wave=WAVE)
+    trace = SimulationTrace(grid=TimeGrid(0.0, 0.25, n), input=v,
+                            received=received, complex_conc=c, route="fdm",
+                            wave=WAVE)
     _assert_writes_like_reference(trace, tmp_path)
 
 
@@ -522,7 +558,7 @@ def test_trace_csv_of_simulated_traces_equals_cell_by_cell_formatting(
         tmp_path, trace_reception, trace_x14):
     # The reception arm of the direct route has two step columns (input
     # and received); the channel arm one; a sine input none.
-    sine = SineInput(amplitude=0.1, fundamental=W1, offset=0.05)
-    cfg = default_solver_config(CH, sine, n_periods=1, omega_max=0.05)
+    sine = Sine(amplitude=0.1, fundamental=W1, offset=0.05)
+    cfg = default_solver_config(CH, WAVE, n_periods=1, omega_max=0.05)
     for trace in (trace_reception, trace_x14, simulate_fdm(CH, RS, sine, cfg)):
         _assert_writes_like_reference(trace, tmp_path)
