@@ -59,7 +59,6 @@ from .distortion import (
 )
 from .systems import (
     DiffusionChannel,
-    ParameterError,
     cascade_gain_db,
     cascade_phase_delay,
     diffusion_gain_db,
@@ -107,18 +106,21 @@ def _out_dir(args) -> Path:
     return out
 
 
+# Rows of curves.csv formatted per write: bounds the text held at once.
+_CSV_CHUNK = 4096
+
+
 def cmd_analyze(args) -> int:
     points = check_points(args.points, "--points", MAX_CURVE_POINTS)
     scenario = load_scenario(args.config)
     ch, rs, band = scenario.channel, scenario.reception, scenario.band
-    with _parameter_errors(args.config):
-        report = channel_report(ch, rs, band)
-        nb = normalize(ch, rs, band)
+    report = channel_report(ch, rs, band)
+    nb = normalize(ch, rs, band)
     grid = log_grid(band, points)
     # x_r^2 w / (2 mu) can overflow where lam and w' do not.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         columns = (
-            diffusion_gain_db(ch, grid), reception_gain_db(rs, grid),
+            grid, diffusion_gain_db(ch, grid), reception_gain_db(rs, grid),
             cascade_gain_db(ch, rs, grid),
             diffusion_phase_delay(ch, grid), reception_phase_delay(rs, grid),
             cascade_phase_delay(ch, rs, grid),
@@ -141,8 +143,10 @@ def cmd_analyze(args) -> int:
         _csv_header(fh, scenario.parameters)
         fh.write("omega_rad_per_s,gain_g_db,gain_h_db,gain_m_db,"
                  "delay_g_s,delay_h_s,delay_m_s\n")
-        for i, w in enumerate(grid):
-            fh.write(",".join(_fmt(col[i]) for col in (grid, *columns)) + "\n")
+        for lo in range(0, points, _CSV_CHUNK):
+            rows = np.column_stack([c[lo:lo + _CSV_CHUNK] for c in columns])
+            fh.write("%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g\n" * len(rows)
+                     % tuple(rows.ravel().tolist()))
     return 0
 
 
@@ -160,13 +164,11 @@ def cmd_design(args) -> int:
     scenario = load_scenario(args.config)
     rs, band = scenario.reception, scenario.band
     # The reception share alone: design.json holds no diffusion index.
-    with _parameter_errors(args.config):
-        q_h = float(reception_amplitude_distortion(rs, band))
-        r_h = float(reception_delay_distortion(rs, band))
-        q0, r0 = _resolved_budgets(scenario, q_h, r_h, args.config)
-        spec = DesignSpec(q0=q0, r0=r0, band=band, mu=scenario.channel.mu,
-                          rs=rs)
-        result = distance_bound(spec)
+    q_h = float(reception_amplitude_distortion(rs, band))
+    r_h = float(reception_delay_distortion(rs, band))
+    q0, r0 = _resolved_budgets(scenario, q_h, r_h, args.config)
+    spec = DesignSpec(q0=q0, r0=r0, band=band, mu=scenario.channel.mu, rs=rs)
+    result = distance_bound(spec)
     out = _out_dir(args)
     _write_json(out / "design.json", {
         "metadata": _metadata(scenario.parameters),
@@ -178,12 +180,29 @@ def cmd_design(args) -> int:
     return 0
 
 
+# Cells per sweep block, in whole rows: 0.5 MB of each surface.
+_SWEEP_BLOCK_CELLS = 2**16
+
+
+def _sweep_blocks(grid: np.ndarray, lam: float, surfaces):
+    """Per block of rows: w1, the cells where w1 < w2 (by value: a grid a
+    few ulps wide repeats values), and each surface there, row by row."""
+    rows_per_block = max(1, _SWEEP_BLOCK_CELLS // grid.size)
+    for lo in range(0, grid.size, rows_per_block):
+        w1 = grid[lo:lo + rows_per_block]
+        later = w1[:, None] < grid
+        rows, cols = np.nonzero(later)
+        nb = NormalizedBand(w1[rows], grid[cols], lam)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            values = [fn(nb) for fn in surfaces]    # the caller checks them
+        yield w1.tolist(), later.tolist(), values
+
+
 def cmd_sweep(args) -> int:
     scenario = load_scenario(args.config)
     sw = scenario.sweep
     points = (sw.points if args.points is None
               else check_points(args.points, "--points", MAX_SWEEP_POINTS))
-    out = _out_dir(args)
     lam = normalize(scenario.channel, scenario.reception, scenario.band).lam
     grid = np.logspace(np.log10(sw.omega_min), np.log10(sw.omega_max), points)
     grid[0], grid[-1] = sw.omega_min, sw.omega_max
@@ -194,8 +213,12 @@ def cmd_sweep(args) -> int:
         "q_h": reception_amplitude_distortion_normalized,
         "r_h": reception_delay_distortion_normalized,
     }
-    # Rows are evaluated and written one at a time, to all four files at
-    # once, so memory stays at one row of cells per surface.
+    # Each block is evaluated twice: checked before --out exists, then written.
+    for _, _, values in _sweep_blocks(grid, lam, surfaces.values()):
+        if not all(np.isfinite(v).all() for v in values):
+            raise FloatingPointError("a sweep surface leaves the float range "
+                                     "on the grid")
+    out = _out_dir(args)
     with ExitStack() as stack:
         files = [stack.enter_context(open(out / f"{name}.csv", "w", newline=""))
                  for name in surfaces]
@@ -203,15 +226,13 @@ def cmd_sweep(args) -> int:
         for fh in files:
             _csv_header(fh, scenario.parameters)
             fh.write(header)
-        for w1 in grid:
-            # Cells with w1 >= w2 stay blank.  Select them by value: on a
-            # grid a few ulps wide, neighbouring values can be equal.
-            later = w1 < grid
-            nb = NormalizedBand(w1, grid[later], lam)
-            row = "%.9g," + ",".join(["%.9g" if cell else ""
-                                      for cell in later.tolist()]) + "\n"
-            for fh, fn in zip(files, surfaces.values()):
-                fh.write(row % (w1, *fn(nb).tolist()))
+        for w1, later, values in _sweep_blocks(grid, lam, surfaces.values()):
+            # w1 heads each row; cells with w1 >= w2 stay blank.
+            template = "".join(_fmt(w) + "," + ",".join(
+                ["%.9g" if cell else "" for cell in row]) + "\n"
+                for w, row in zip(w1, later))
+            for fh, cells in zip(files, values):
+                fh.write(template % tuple(cells.tolist()))
 
     _write_json(out / "sweep.json", {
         "metadata": _metadata(scenario.parameters),
@@ -226,7 +247,7 @@ def cmd_sweep(args) -> int:
 def _timing_entry(trace, threshold: float | None) -> dict | None:
     if threshold is None:
         return None
-    timing = activation_time(trace, threshold, pulse_index=0)
+    timing = activation_time(trace, threshold)
     return {
         "threshold": timing.threshold,
         "t_on": timing.t_on,
@@ -243,8 +264,7 @@ def cmd_simulate(args) -> int:
     cfg = scenario.solver
     threshold = scenario.threshold
     if "fdm" in routes:  # the reception arm (x_r = 0) passes if this does
-        with _parameter_errors(args.config):
-            _fdm_grid(scenario.channel, cfg)
+        _fdm_grid(scenario.channel, cfg)
     out = _out_dir(args)
     reception_only = DiffusionChannel(mu=scenario.channel.mu, x_r=0.0)
 
@@ -283,7 +303,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_table(args) -> int:
     table = load_table(args.config)
-    out = _out_dir(args)
     parameters = {
         "reception": {"k_f": table.reception.k_f, "k_r": table.reception.k_r,
                       "r": table.reception.r},
@@ -315,6 +334,7 @@ def cmd_table(args) -> int:
                 entry.update(omega1=omega1, omega2=omega2)
         rows_out.append(entry)
 
+    out = _out_dir(args)
     with open(out / "table.csv", "w", newline="") as fh:
         _csv_header(fh, parameters)
         fh.write("name,mu_lo_um2_per_s,mu_hi_um2_per_s,x_r_um,"
@@ -373,8 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ConfigError, ParameterError) as exc:
+        with _parameter_errors(args.config):
+            return args.func(args)
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (FloatingPointError, np.linalg.LinAlgError, RuntimeError) as exc:

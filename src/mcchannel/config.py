@@ -23,6 +23,7 @@ from typing import Any, Iterable
 
 import yaml
 
+from .distortion import _lam
 from .systems import (
     DiffusionChannel,
     FrequencyBand,
@@ -344,5 +345,10 @@ def load_table(path) -> TableConfig:
         if x_r is not None and mu_lo != mu_hi:
             raise ConfigError(f"{path_i}: rows with x_r need a single mu, "
                               f"not a range")
+        # The clean-band search normalizes each banded row to this lam.
+        if x_r is not None and not math.isfinite(
+                _lam(DiffusionChannel(mu=mu_lo, x_r=x_r), reception)):
+            raise ConfigError(f"{path_i}: lam = sqrt(x_r^2 k_r / (2 mu)) is "
+                              f"beyond the float range")
         rows.append(SpeciesRow(name=name, mu_lo=mu_lo, mu_hi=mu_hi, x_r=x_r))
     return TableConfig(reception=reception, species=tuple(rows), **settings)

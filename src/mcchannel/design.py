@@ -15,7 +15,6 @@ distortion.
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 
@@ -160,17 +159,16 @@ class CleanBands(_Record):
 # temporaries stay near 0.5 MB whatever the number of rows.
 _SCAN_ROW_BLOCK = 256
 
-# Smallest rel_tol the bisection accepts, and the limits of the search
-# range; highest_clean_band's docstring gives the reason for each.
-_MIN_REL_TOL = 4.0 * sys.float_info.epsilon
-_SEARCH_LIMITS = (1e-150, 1e150)
+# The clean-band search: the bisection's relative tolerance, and the
+# range of band starts w1 it scans.
+_REL_TOL = 1e-4
+_SEARCH_RANGE = (1e-8, 1e8)
 
 
 def highest_clean_band(mu, x_r, rs: ReceptionSystem,
                        decade_width: float = 10.0,
-                       q_fraction: float = 0.1, r_fraction: float = 0.1,
-                       search_range: tuple[float, float] = (1e-8, 1e8),
-                       rel_tol: float = 1e-4) -> CleanBands:
+                       q_fraction: float = 0.1,
+                       r_fraction: float = 0.1) -> CleanBands:
     """Highest band [w1, decade_width * w1] with small diffusion distortion.
 
     A band qualifies when the diffusion-stage indices stay below the
@@ -180,28 +178,15 @@ def highest_clean_band(mu, x_r, rs: ReceptionSystem,
     The qualifying set is not a half-line: toward low frequencies the
     reception indices vanish faster (q_h ~ w1^2, r_h ~ w1^3) than the
     diffusion ones (~ sqrt(w1)), so the predicate fails at both extremes
-    for x_r > 0.  The search therefore scans a coarse log grid for the
-    top of the qualifying set and bisects the upper transition to the
-    requested relative tolerance.  Deterministic: repeated calls return
-    identical results.
+    for x_r > 0.  The search therefore scans a coarse log grid over
+    _SEARCH_RANGE for the top of the qualifying set and bisects the
+    upper transition.  Deterministic: repeated calls return identical
+    results.
 
     Precision: the returned w1 is the qualifying end of the final
     bisection bracket, so it satisfies the predicate and lies at or
-    below the exact upper edge w1*, within rel_tol:
-    0 <= 1 - w1 / w1* <= rel_tol.
-
-    Settings: rel_tol must be at least 4 eps (8.9e-16), the floor at
-    which the bisection provably ends.  With u = eps / 2, to first order
-    in u: a step runs while the computed bad / good exceeds the computed
-    1 + rel_tol, so the exact ratio exceeds 1 + rel_tol - 2u; and the
-    midpoint sqrt(good * bad) is within 1.5u of exact, so it lies
-    strictly inside the bracket once the ratio exceeds 1 + 3u.  At the
-    floor, 8u, every step shrinks the bracket.  Below about 5u a step
-    may return a bracket end, and repeat it forever; below u, 1 + rel_tol
-    rounds to 1 and no bracket is ever narrow enough.  Both ends of
-    search_range must lie in [1e-150, 1e150], so that good * bad is a
-    normal float and the 1.5u bound holds.  decade_width and both
-    fractions must be finite.
+    below the exact upper edge w1*, within _REL_TOL:
+    0 <= 1 - w1 / w1* <= _REL_TOL.
 
     Rows: mu and x_r are scalars or 1-D arrays that broadcast together,
     one row per channel; a scalar pair is one row.  The reception stage
@@ -209,11 +194,11 @@ def highest_clean_band(mu, x_r, rs: ReceptionSystem,
     The coarse scan is one predicate call per block of _SCAN_ROW_BLOCK
     rows, so its temporaries do not grow with the number of rows, and
     the bisection steps every row still bracketing in lockstep, one call
-    per step, until each row's own bracket is within rel_tol.  Every
-    float operation is the same elementwise for every row (scan points
-    and bracket ends from float pow, midpoints sqrt(good * bad), lam as
-    in normalize), so each row's band equals, bit for bit, that of a
-    call with that row alone.
+    per step, until each row's own bracket is within the tolerance.
+    Every float operation is the same elementwise for every row (scan
+    points and bracket ends from float pow, midpoints sqrt(good * bad),
+    lam as in normalize), so each row's band equals, bit for bit, that
+    of a call with that row alone.
 
     Returns:
         CleanBands with a band and a status per row.
@@ -226,12 +211,6 @@ def highest_clean_band(mu, x_r, rs: ReceptionSystem,
     _require(_finite(q_fraction) and q_fraction > 0.0
              and _finite(r_fraction) and r_fraction > 0.0,
              "q_fraction and r_fraction must be finite and > 0")
-    _require(_finite(rel_tol) and rel_tol >= _MIN_REL_TOL,
-             f"rel_tol must be finite and >= {_MIN_REL_TOL:.3g}, got {rel_tol}")
-    lo, hi = search_range
-    _require(_SEARCH_LIMITS[0] <= lo < hi <= _SEARCH_LIMITS[1],
-             f"search range must satisfy {_SEARCH_LIMITS[0]:g} <= lo < hi <= "
-             f"{_SEARCH_LIMITS[1]:g}, got {search_range}")
     try:
         mu, x_r = np.broadcast_arrays(np.asarray(mu, dtype=float),
                                       np.asarray(x_r, dtype=float))
@@ -256,8 +235,8 @@ def highest_clean_band(mu, x_r, rs: ReceptionSystem,
     # window, whose width is set by polynomial-order crossings.  The scan
     # points come from float pow, whose result does not depend on which
     # SIMD kernel numpy dispatches to; w1 is reported in full.
-    decades = math.log10(hi / lo)
-    n_scan = max(2, int(round(decades * 16)) + 1)
+    lo, hi = _SEARCH_RANGE
+    n_scan = int(round(math.log10(hi / lo) * 16)) + 1
     step = (hi / lo) ** (1.0 / (n_scan - 1))
     scan = np.array([lo * step ** i for i in range(n_scan)])
     top = np.empty(mu.size, dtype=np.intp)  # last qualifying point, or -1
@@ -274,7 +253,7 @@ def highest_clean_band(mu, x_r, rs: ReceptionSystem,
     rows = np.flatnonzero((top >= 0) & ~saturated)
     good, bad = scan[top[rows]], scan[top[rows] + 1]
     while True:
-        wide = bad / good > 1.0 + rel_tol
+        wide = bad / good > 1.0 + _REL_TOL
         omega1[rows[~wide]] = good[~wide]
         rows, good, bad = rows[wide], good[wide], bad[wide]
         if rows.size == 0:

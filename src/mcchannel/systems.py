@@ -211,11 +211,6 @@ class ReceptionSystem(_Record):
         """Zero-frequency gain k_f r / k_r (dimensionless)."""
         return self.k_f * self.r / self.k_r
 
-    @property
-    def corner(self) -> float:
-        """Pole frequency k_r, rad/s."""
-        return self.k_r
-
 
 class FrequencyBand(_Record):
     """Closed analysis band [omega1, omega2], rad/s, 0 < omega1 < omega2.
@@ -238,11 +233,6 @@ class FrequencyBand(_Record):
         if not (_all(w2 <= FLOAT_MAX) and _all(w2 > w1)):
             raise ParameterError(f"omega2 must be finite and > omega1={w1}, "
                                  f"got {w2}")
-
-    @property
-    def period(self) -> float | np.ndarray:
-        """Period of the lowest band frequency, T1 = 2 pi / omega1, s."""
-        return 2.0 * math.pi / self.omega1
 
 
 def _check_omega(omega, allow_zero: bool = False):

@@ -283,6 +283,8 @@ class SolverConfig(_Record):
         steps, cells = self.duration / self.dt, self.domain_length / self.dx
         _require(_finite(steps), f"duration/dt = {steps:g} is beyond the "
                  f"float range (dt={self.dt:g})")
+        _require(round(steps) >= 2, f"duration/dt = {steps:g} gives fewer "
+                 f"than 2 time steps (dt={self.dt:g})")
         _require(_finite(cells), f"domain_length/dx = {cells:g} is beyond the "
                  f"float range (dx={self.dx:g})")
 
@@ -372,9 +374,7 @@ def _fdm_grid(ch: DiffusionChannel, cfg: SolverConfig) -> tuple[int, int, TimeGr
         _require(abs(node * cfg.dx - ch.x_r) <= 1e-3 * ch.x_r,
                  f"x_r={ch.x_r:g} is not on the spatial grid (dx={cfg.dx:g}); "
                  "snap error exceeds 0.1%")
-    grid = cfg.time_grid
-    _require(len(grid) >= 3, "duration must cover at least 2 time steps")
-    return n_cells, node, grid
+    return n_cells, node, cfg.time_grid
 
 
 @_QUIET_OVERFLOW
@@ -457,7 +457,7 @@ def simulate_fdm(ch: DiffusionChannel, rs: ReceptionSystem,
 
 
 class ActivationTiming(_Record):
-    """Threshold-crossing summary for one pulse of a trace.
+    """Threshold-crossing summary for the first pulse of a trace.
 
     t_on is the first time within the pulse window at which the
     bound-receptor concentration reaches the threshold (linearly
@@ -481,16 +481,16 @@ class ActivationTiming(_Record):
         return self.t_on - self.pulse_window[0]
 
 
-def activation_time(trace: SimulationTrace, threshold: float,
-                    pulse_index: int = 0) -> ActivationTiming:
-    """First threshold crossing of complex_conc within one pulse window."""
+def activation_time(trace: SimulationTrace,
+                    threshold: float) -> ActivationTiming:
+    """First threshold crossing of complex_conc within pulse 0's window."""
     _require(_finite(threshold) and threshold >= 0.0,
              f"threshold must be finite and >= 0, got {threshold}")
     _require(isinstance(trace.wave, SquareWaveInput),
              "activation timing is defined for square-wave (pulsed) input")
-    window = trace.wave.pulse_window(pulse_index)
+    window = trace.wave.pulse_window(0)
     _require(window[1] <= trace.times[-1] + trace.dt * 0.5,
-             f"pulse {pulse_index} window {window} not covered by the trace")
+             f"pulse 0 window {window} not covered by the trace")
     t, c = trace.times, trace.complex_conc
     inside = (t >= window[0]) & (t <= window[1])
     idx = np.flatnonzero(inside & (c >= threshold))

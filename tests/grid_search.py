@@ -56,7 +56,7 @@ def delay_distortion(phase_delay_fn, band, n_points=GRID_POINTS):
     Returns (max tau - min tau) / T1 with T1 = 2 pi / omega1, dimensionless.
     """
     values = _scan(phase_delay_fn, band, n_points)
-    return float((np.max(values) - np.min(values)) / band.period)
+    return float((np.max(values) - np.min(values)) / (2.0 * np.pi / band.omega1))
 
 
 def grid_report(ch, rs, band, n_points=GRID_POINTS):
@@ -65,5 +65,4 @@ def grid_report(ch, rs, band, n_points=GRID_POINTS):
     r_g = delay_distortion(lambda w: diffusion_phase_delay(ch, w), band, n_points)
     q_h = amplitude_distortion(lambda w: reception_gain_db(rs, w), band, n_points)
     r_h = delay_distortion(lambda w: reception_phase_delay(rs, w), band, n_points)
-    return DistortionReport(band=band, q_g=q_g, r_g=r_g, q_h=q_h, r_h=r_h,
-                            q_m=q_g + q_h, r_m=r_g + r_h)
+    return DistortionReport(band=band, q_g=q_g, r_g=r_g, q_h=q_h, r_h=r_h)

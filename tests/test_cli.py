@@ -22,11 +22,18 @@ from mcchannel import (
     FrequencyBand,
     NormalizedBand,
     ReceptionSystem,
+    cascade_gain_db,
+    cascade_phase_delay,
     channel_report,
     diffusion_delay_distortion_normalized,
+    diffusion_gain_db,
+    diffusion_phase_delay,
     distance_bound,
     DesignSpec,
     load_scenario,
+    log_grid,
+    reception_gain_db,
+    reception_phase_delay,
     reception_amplitude_distortion,
     reception_delay_distortion,
     load_table,
@@ -136,6 +143,22 @@ def test_analyze_outputs(scenario_path, tmp_path):
         # stage columns add up to the cascade columns
         assert abs(float(row[1]) + float(row[2]) - float(row[3])) < 1e-6
         assert abs(float(row[4]) + float(row[5]) - float(row[6])) < 1e-6
+
+
+def test_curves_match_per_cell_formatting(scenario_path, tmp_path):
+    # curves.csv is formatted in chunks of rows, through one %-template
+    # per chunk; its bytes are those of formatting each cell alone.
+    points = 10**5
+    out = tmp_path / "out"
+    assert cli.main(["analyze", "--config", str(scenario_path),
+                     "--out", str(out), "--points", str(points)]) == 0
+    grid = log_grid(BAND, points)
+    columns = [c.tolist() for c in (
+        grid, diffusion_gain_db(CH, grid), reception_gain_db(RS, grid),
+        cascade_gain_db(CH, RS, grid), diffusion_phase_delay(CH, grid),
+        reception_phase_delay(RS, grid), cascade_phase_delay(CH, RS, grid))]
+    want = [",".join("%.9g" % cell for cell in row) for row in zip(*columns)]
+    assert _data_rows(out / "curves.csv")[1:] == want
 
 
 def test_analyze_is_deterministic_up_to_timestamp(scenario_path, tmp_path):
@@ -479,7 +502,11 @@ def test_table_without_banded_rows(tmp_path):
                  id="dt-steps-overflow"),
     pytest.param("  n_periods: 3\n", "  n_periods: 3\n  dx: 5.0e-324\n",
                  id="dx-cells-overflow"),
+    # A time grid of one instant: dt above twice the duration.
+    pytest.param("  n_periods: 3\n", "  n_periods: 3\n  dt: 1.0e+6\n",
+                 id="dt-one-sample"),
 ])
+@pytest.mark.filterwarnings("error")
 def test_malformed_scenarios_exit_two(tmp_path, capsys, mutation, hint):
     if isinstance(mutation, str):
         mutation, hint = (mutation,), ("" if hint == "missing" else hint,)
@@ -490,8 +517,9 @@ def test_malformed_scenarios_exit_two(tmp_path, capsys, mutation, hint):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(text)
     out = tmp_path / "out"
-    for command in ("analyze", "design", "sweep", "simulate"):
-        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    for command in (["analyze"], ["design"], ["sweep"], ["simulate"],
+                    ["simulate", "--route", "fourier"]):
+        assert cli.main([*command, "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
         # The message names the file, and so the field or section at fault.
         assert capsys.readouterr().err.startswith(f"configuration error: {cfg}")
@@ -504,15 +532,19 @@ def test_malformed_scenarios_exit_two(tmp_path, capsys, mutation, hint):
     ("    x_r: 10.0\n", "    x_r: 1" + "0" * 400 + "\n"),
     ("decade_width: 10.0\n", "decade_width: .nan\n"),
     ("q_fraction: 0.1\n", "q_fraction: .nan\n"),
+    # lam = sqrt(x_r^2 k_r / 2 mu) of a banded row overflows.
+    ("    mu: 83.0\n    x_r: 10.0\n", "    mu: 1.0e-300\n    x_r: 1.0e+100\n"),
 ], ids=["mu-pair-text", "mu-pair-inf", "x_r-inf", "x_r-beyond-float",
-        "decade_width-nan", "q_fraction-nan"])
-def test_malformed_tables_exit_two(tmp_path, mutation, bad):
+        "decade_width-nan", "q_fraction-nan", "lam-overflows"])
+@pytest.mark.filterwarnings("error")
+def test_malformed_tables_exit_two(tmp_path, capsys, mutation, bad):
     assert mutation in SPECIES
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(SPECIES.replace(mutation, bad))
     out = tmp_path / "out"
     assert cli.main(["table", "--config", str(cfg), "--out", str(out)]) == 2
     assert not out.exists()
+    assert capsys.readouterr().err.startswith(f"configuration error: {cfg}")
 
 
 _DROP = object()
@@ -739,8 +771,9 @@ def _scenario_with(tmp_path, edits: dict) -> Path:
 
 @pytest.mark.parametrize("command, case", [
     ("analyze", BAND_BEYOND_RANGE), ("design", BAND_BEYOND_RANGE),
-    ("analyze", LAM_BEYOND_RANGE),
-], ids=["analyze-band", "design-band", "analyze-lam"])
+    ("analyze", LAM_BEYOND_RANGE), ("sweep", LAM_BEYOND_RANGE),
+], ids=["analyze-band", "design-band", "analyze-lam", "sweep-lam"])
+@pytest.mark.filterwarnings("error")
 def test_errors_after_load_name_the_file(tmp_path, capsys, command, case):
     edits, message = case
     cfg = _scenario_with(tmp_path, edits)
@@ -875,7 +908,12 @@ def test_nonfinite_trace_exits_three(tmp_path, capsys, route):
                  "omega1: 5.0e-3": "omega1: 1.0e+8",
                  "omega2: 1.0e-1": "omega2: 1.0e+9"},
      "the response curves leave the float range on the band"),
-], ids=["design", "design-narrow-band", "analyze"])
+    # lam is in range, but r_g = (w1'/2 pi) lam (...) is not at w1' = 1e200.
+    ("sweep", {"mu: 83.0": "mu: 1.0e-300", "x_r: 14.0": "x_r: 1.0e+5",
+               "omega_max: 1.0e+2": "omega_max: 1.0e+300",
+               "points: 9": "points: 4"},
+     "a sweep surface leaves the float range on the grid"),
+], ids=["design", "design-narrow-band", "analyze", "sweep"])
 def test_nonfinite_results_exit_three(tmp_path, capsys, command, edits,
                                       failure):
     # A number beyond the float range never reaches an artifact (json
@@ -966,4 +1004,4 @@ def test_shipped_scenarios_parse():
         "band": {"omega1": 5e-4, "omega2": 0.4},
     }
     parsed = scenario_from_dict(doc)
-    assert parsed.band.period == 2.0 * math.pi / 5e-4
+    assert parsed.wave.period == 2.0 * math.pi / 5e-4

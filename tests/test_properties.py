@@ -48,19 +48,16 @@ def _qualifies(mu, x_r, omega1, width, fraction):
 @settings(max_examples=200, deadline=None)
 @given(mu=_log_uniform(0.1, 3000.0), x_r=_log_uniform(1e-3, 100.0),
        width=st.sampled_from([2.0, 10.0, 100.0]),
-       fraction=st.sampled_from([0.05, 0.1, 0.5]),
-       rel_tol=st.sampled_from([1e-6, 1e-4, 1e-2]))
-def test_clean_band_edge_holds_and_fails_just_above(mu, x_r, width, fraction,
-                                                    rel_tol):
+       fraction=st.sampled_from([0.05, 0.1, 0.5]))
+def test_clean_band_edge_holds_and_fails_just_above(mu, x_r, width, fraction):
     result = highest_clean_band(mu, x_r, RS, decade_width=width,
-                                q_fraction=fraction, r_fraction=fraction,
-                                rel_tol=rel_tol)
+                                q_fraction=fraction, r_fraction=fraction)
     if result.status[0] != "ok":
         return
     omega1 = result.omega1[0]
     assert _qualifies(mu, x_r, omega1, width, fraction)
-    assert not _qualifies(mu, x_r, omega1 * (1.0 + 2.0 * rel_tol), width,
-                          fraction)
+    assert not _qualifies(mu, x_r, omega1 * (1.0 + 2.0 * design._REL_TOL),
+                          width, fraction)
 
 
 @settings(max_examples=60, deadline=None)
@@ -70,18 +67,14 @@ def test_clean_band_edge_holds_and_fails_just_above(mu, x_r, width, fraction,
        width=st.sampled_from([2.0, 10.0, 100.0]),
        q_fraction=st.sampled_from([0.05, 0.1, 0.5]),
        r_fraction=st.sampled_from([0.05, 0.1, 0.5]),
-       rel_tol=st.sampled_from([1e-6, 1e-4, 1e-2]),
-       search_range=st.sampled_from([(1e-8, 1e8), (1e-4, 1e4), (1e-3, 10.0)]),
        block=st.integers(1, 5))
 def test_clean_band_batch_equals_one_row_calls(rows, width, q_fraction,
-                                               r_fraction, rel_tol,
-                                               search_range, block):
+                                               r_fraction, block):
     # One batched call, with row blocks small enough that the scan crosses
     # block seams, gives every row the band and status of its own
     # scalar call, bit for bit.
     options = dict(decade_width=width, q_fraction=q_fraction,
-                   r_fraction=r_fraction, rel_tol=rel_tol,
-                   search_range=search_range)
+                   r_fraction=r_fraction)
     mu, x_r = (np.array(column) for column in zip(*rows))
     with mock.patch.object(design, "_SCAN_ROW_BLOCK", block):
         batch = highest_clean_band(mu, x_r, RS, **options)
@@ -176,10 +169,11 @@ def test_design_limit_meets_the_binding_budget(mu, k_r, omega1, width,
     delay = cascade_phase_delay(ch, rs, edges)
     # Gain and phase delay of both stages fall monotonically in w, so the
     # spreads are the differences between the band edges.
+    period = 2.0 * math.pi / band.omega1
     q_m = float(gain[0] - gain[1])
-    r_m = float(delay[0] - delay[1]) / band.period
+    r_m = float(delay[0] - delay[1]) / period
     q_scale = float(np.max(np.abs(gain)))
-    r_scale = float(np.max(np.abs(delay))) / band.period
+    r_scale = float(np.max(np.abs(delay))) / period
     if result.x_q <= result.x_r_delay:
         assert _close(q_m, q0, q_scale)
         assert r_m <= r0 * (1.0 + REL_TOL) + ABS_TOL

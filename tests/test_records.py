@@ -64,9 +64,8 @@ CASES = {
                     {"omega2": 1e-4}),
     NormalizedBand: (dict(omega1p=1.0, omega2p=10.0, lam=0.5), {"lam": 0.6},
                      {"lam": -1.0}),
-    DistortionReport: (dict(band=BAND, q_g=1.0, r_g=0.1, q_h=2.0, r_h=0.2,
-                            q_m=3.0, r_m=0.1 + 0.2),
-                       {"band": FrequencyBand(5e-3, 0.2)}, {"q_m": 5.0}),
+    DistortionReport: (dict(band=BAND, q_g=1.0, r_g=0.1, q_h=2.0, r_h=0.2),
+                       {"band": FrequencyBand(5e-3, 0.2)}, {"q_g": -1.0}),
     DesignSpec: (dict(q0=1.0, r0=0.1, band=BAND, mu=83.0, rs=RS),
                  {"mu": 84.0}, {"q0": 0.0}),
     DesignResult: (dict(x_q=1.0, x_r_delay=2.0, x_r_limit=1.0, feasible=True),

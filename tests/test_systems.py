@@ -121,7 +121,6 @@ def test_gain_db_consistent_with_magnitude():
 
 def test_reception_reference_values():
     assert RS.dc_gain == 1.0
-    assert RS.corner == RS.k_r
     assert_allclose(reception_response(RS, W1)[0], MAG_H_W1, rtol=1e-12)
     assert_allclose(reception_response(RS, W2)[0], MAG_H_W2, rtol=1e-12)
     assert_allclose(reception_phase_delay(RS, W1), DELAY_H_W1, rtol=1e-12)
@@ -162,11 +161,6 @@ def test_cascade_combines_stage_responses():
     assert_allclose(cascade_phase_delay(CH, RS, grid),
                     diffusion_phase_delay(CH, grid)
                     + reception_phase_delay(RS, grid), rtol=0, atol=0)
-
-
-def test_band_period():
-    band = FrequencyBand(W1, W2)
-    assert_allclose(band.period, 2.0 * math.pi / W1, rtol=1e-15)
 
 
 @pytest.mark.parametrize("ctor, kwargs", [

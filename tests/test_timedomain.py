@@ -132,6 +132,10 @@ def test_solver_time_grid_covers_the_duration():
     trace = simulate_fdm(CH0, RS, WAVE, cfg)
     assert trace.grid == cfg.time_grid
     assert trace.dt == 0.3
+    # Every route needs 3 instants: a grid of 2 steps is the shortest.
+    assert len(SolverConfig(1.0, 1.0, 10.0, 1.5).time_grid) == 3
+    with pytest.raises(ParameterError, match="fewer than 2 time steps"):
+        SolverConfig(1.0, 1.0, 10.0, 1.4)
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +307,7 @@ def test_fdm_rejects_bad_discretizations():
                                                 domain_length=300.0,
                                                 duration=100.0))
     with pytest.raises(ParameterError):  # fewer than 2 time steps
-        simulate_fdm(CH, RS, WAVE, SolverConfig(dx=1.0, dt=200.0,
-                                                domain_length=300.0,
-                                                duration=100.0))
+        SolverConfig(dx=1.0, dt=200.0, domain_length=300.0, duration=100.0)
     with pytest.raises(ParameterError):
         SolverConfig(dx=0.0, dt=1.0, domain_length=10.0, duration=10.0)
     with pytest.raises(ParameterError):
@@ -472,16 +474,15 @@ def test_activation_unreached_threshold(trace_x14):
     assert not timing.activated
 
 
-def test_activation_on_a_later_pulse(trace_reception):
-    timing = activation_time(trace_reception, 0.09, pulse_index=1)
-    assert timing.pulse_window == WAVE.pulse_window(1)
-    # by the second pulse the trace is essentially periodic
-    assert abs(timing.latency - LATENCY_RECEPTION) < 1.5 * trace_reception.dt
-
-
 def test_activation_window_must_be_covered(trace_x14):
-    with pytest.raises(ParameterError):
-        activation_time(trace_x14, 0.09, pulse_index=5)
+    # Pulse 0's window ends at T; this grid ends one step short of it.
+    short = synthesize_fourier(CH, RS, WAVE, 8,
+                               TimeGrid(0.0, WAVE.period / 64.0, 64))
+    with pytest.raises(ParameterError, match="not covered"):
+        activation_time(short, 0.09)
+    covered = synthesize_fourier(CH, RS, WAVE, 8,
+                                 TimeGrid(0.0, WAVE.period / 64.0, 65))
+    assert activation_time(covered, 0.0).t_on == WAVE.pulse_window(0)[0]
     with pytest.raises(ParameterError):
         activation_time(trace_x14, -0.1)
     with pytest.raises(ParameterError):
