@@ -12,9 +12,9 @@ writing CSV/JSON results into an output directory:
 * table     highest-clean-band survey over a list of species rows
 
 Exit codes: 0 success (including a structurally infeasible design),
-2 configuration error, 3 numerical failure.  Outputs embed the resolved
-parameter set; reruns are byte-identical except for the generated_at
-timestamp in JSON metadata.
+2 configuration error, 3 numerical failure; a failed run leaves no files.
+Outputs embed the resolved parameter set; reruns are byte-identical
+except for the generated_at timestamp in JSON metadata.
 """
 
 from __future__ import annotations
@@ -22,8 +22,9 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -67,7 +68,6 @@ from .systems import (
     reception_phase_delay,
 )
 from .timedomain import (
-    _fdm_grid,
     activation_time,
     simulate_fdm,
     synthesize_fourier,
@@ -100,17 +100,11 @@ def _csv_header(fh, parameters: dict) -> None:
              + json.dumps(parameters, separators=(",", ":")) + "\n")
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 # Rows of curves.csv formatted per write: bounds the text held at once.
 _CSV_CHUNK = 4096
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args, out: Path) -> None:
     points = check_points(args.points, "--points", MAX_CURVE_POINTS)
     scenario = load_scenario(args.config)
     ch, rs, band = scenario.channel, scenario.reception, scenario.band
@@ -128,8 +122,6 @@ def cmd_analyze(args) -> int:
     if not all(np.isfinite(column).all() for column in columns):
         raise FloatingPointError("the response curves leave the float range "
                                  "on the band")
-    out = _out_dir(args)
-
     _write_json(out / "report.json", {
         "metadata": _metadata(scenario.parameters),
         "band": {"omega1": band.omega1, "omega2": band.omega2},
@@ -147,7 +139,6 @@ def cmd_analyze(args) -> int:
             rows = np.column_stack([c[lo:lo + _CSV_CHUNK] for c in columns])
             fh.write("%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g\n" * len(rows)
                      % tuple(rows.ravel().tolist()))
-    return 0
 
 
 def _resolved_budgets(scenario: Scenario, q_h: float, r_h: float,
@@ -160,7 +151,7 @@ def _resolved_budgets(scenario: Scenario, q_h: float, r_h: float,
                       "(q0/r0 or q_factor/r_factor)")
 
 
-def cmd_design(args) -> int:
+def cmd_design(args, out: Path) -> None:
     scenario = load_scenario(args.config)
     rs, band = scenario.reception, scenario.band
     # The reception share alone: design.json holds no diffusion index.
@@ -169,7 +160,6 @@ def cmd_design(args) -> int:
     q0, r0 = _resolved_budgets(scenario, q_h, r_h, args.config)
     spec = DesignSpec(q0=q0, r0=r0, band=band, mu=scenario.channel.mu, rs=rs)
     result = distance_bound(spec)
-    out = _out_dir(args)
     _write_json(out / "design.json", {
         "metadata": _metadata(scenario.parameters),
         "budgets": {"q0": q0, "r0": r0},
@@ -177,7 +167,6 @@ def cmd_design(args) -> int:
         "result": {"x_q": result.x_q, "x_r_delay": result.x_r_delay,
                    "x_r_limit": result.x_r_limit, "feasible": result.feasible},
     })
-    return 0
 
 
 # Cells per sweep block, in whole rows: 0.5 MB of each surface.
@@ -186,7 +175,7 @@ _SWEEP_BLOCK_CELLS = 2**16
 
 def _sweep_blocks(grid: np.ndarray, lam: float, surfaces):
     """Per block of rows: w1, the cells where w1 < w2 (by value: a grid a
-    few ulps wide repeats values), and each surface there, row by row."""
+    few ulps wide repeats values), and each surface, checked finite, by row."""
     rows_per_block = max(1, _SWEEP_BLOCK_CELLS // grid.size)
     for lo in range(0, grid.size, rows_per_block):
         w1 = grid[lo:lo + rows_per_block]
@@ -194,11 +183,14 @@ def _sweep_blocks(grid: np.ndarray, lam: float, surfaces):
         rows, cols = np.nonzero(later)
         nb = NormalizedBand(w1[rows], grid[cols], lam)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            values = [fn(nb) for fn in surfaces]    # the caller checks them
+            values = [fn(nb) for fn in surfaces]
+        if not all(np.isfinite(v).all() for v in values):
+            raise FloatingPointError("a sweep surface leaves the float range "
+                                     "on the grid")
         yield w1.tolist(), later.tolist(), values
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args, out: Path) -> None:
     scenario = load_scenario(args.config)
     sw = scenario.sweep
     points = (sw.points if args.points is None
@@ -213,12 +205,6 @@ def cmd_sweep(args) -> int:
         "q_h": reception_amplitude_distortion_normalized,
         "r_h": reception_delay_distortion_normalized,
     }
-    # Each block is evaluated twice: checked before --out exists, then written.
-    for _, _, values in _sweep_blocks(grid, lam, surfaces.values()):
-        if not all(np.isfinite(v).all() for v in values):
-            raise FloatingPointError("a sweep surface leaves the float range "
-                                     "on the grid")
-    out = _out_dir(args)
     with ExitStack() as stack:
         files = [stack.enter_context(open(out / f"{name}.csv", "w", newline=""))
                  for name in surfaces]
@@ -241,7 +227,6 @@ def cmd_sweep(args) -> int:
                  "points": points},
         "files": [f"{name}.csv" for name in surfaces],
     })
-    return 0
 
 
 def _timing_entry(trace, threshold: float | None) -> dict | None:
@@ -257,39 +242,24 @@ def _timing_entry(trace, threshold: float | None) -> dict | None:
     }
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, out: Path) -> None:
     scenario = load_scenario(args.config)
     routes = ("fourier", "fdm") if args.route == "both" else (args.route,)
-    wave = scenario.wave
-    cfg = scenario.solver
-    threshold = scenario.threshold
-    if "fdm" in routes:  # the reception arm (x_r = 0) passes if this does
-        _fdm_grid(scenario.channel, cfg)
-    out = _out_dir(args)
     reception_only = DiffusionChannel(mu=scenario.channel.mu, x_r=0.0)
 
     timings: dict = {}
-    written: list[Path] = []
-    try:
-        for route in routes:
-            for arm, ch in (("reception", reception_only),
-                            ("channel", scenario.channel)):
-                if route == "fourier":
-                    trace = synthesize_fourier(ch, scenario.reception, wave,
-                                               scenario.n_harmonics,
-                                               cfg.time_grid)
-                else:
-                    trace = simulate_fdm(ch, scenario.reception, wave, cfg)
-                path = out / f"trace_{arm}_{route}.csv"
-                written.append(path)
-                write_trace_csv(trace, path)
-                timings[f"{arm}_{route}"] = _timing_entry(trace, threshold)
-    except BaseException:
-        # A failed run leaves no traces without the simulate.json that
-        # describes them.
-        for path in written:
-            path.unlink(missing_ok=True)
-        raise
+    for route in routes:
+        for arm, ch in (("reception", reception_only),
+                        ("channel", scenario.channel)):
+            if route == "fourier":
+                trace = synthesize_fourier(ch, scenario.reception, scenario.wave,
+                                           scenario.n_harmonics,
+                                           scenario.solver.time_grid)
+            else:
+                trace = simulate_fdm(ch, scenario.reception, scenario.wave,
+                                     scenario.solver)
+            write_trace_csv(trace, out / f"trace_{arm}_{route}.csv")
+            timings[f"{arm}_{route}"] = _timing_entry(trace, scenario.threshold)
 
     _write_json(out / "simulate.json", {
         "metadata": _metadata(scenario.parameters),
@@ -298,10 +268,9 @@ def cmd_simulate(args) -> int:
                   for route in routes for arm in ("reception", "channel")],
         "activation": timings,
     })
-    return 0
 
 
-def cmd_table(args) -> int:
+def cmd_table(args, out: Path) -> None:
     table = load_table(args.config)
     parameters = {
         "reception": {"k_f": table.reception.k_f, "k_r": table.reception.k_r,
@@ -334,7 +303,6 @@ def cmd_table(args) -> int:
                 entry.update(omega1=omega1, omega2=omega2)
         rows_out.append(entry)
 
-    out = _out_dir(args)
     with open(out / "table.csv", "w", newline="") as fh:
         _csv_header(fh, parameters)
         fh.write("name,mu_lo_um2_per_s,mu_hi_um2_per_s,x_r_um,"
@@ -351,7 +319,6 @@ def cmd_table(args) -> int:
         "metadata": _metadata(parameters),
         "rows": rows_out,
     })
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -390,17 +357,48 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _staging(out: str):
+    """A fresh directory in out's parent, so that each move is a rename,
+    whose files replace their namesakes in out if the block returns.  A
+    block that raises leaves the filesystem as it found it."""
+    target = Path(out).resolve()
+    lineage = (target, *target.parents)
+    found = next(path for path in lineage if path.exists())
+    if not found.is_dir():
+        raise ConfigError(f"--out {out}: {found} is not a directory")
+    made = lineage[1:lineage.index(found)]     # deepest first
+    target.parent.mkdir(parents=True, exist_ok=True)
+    # Unique, so a stray from a killed run is never published.
+    stage = target.with_name(
+        f".{target.name}.staging-{os.getpid()}-{os.urandom(4).hex()}")
+    stage.mkdir()
+    try:
+        yield stage
+        target.mkdir(exist_ok=True)
+        for path in stage.iterdir():
+            path.replace(target / path.name)
+        made = ()                               # they now hold out
+    finally:
+        for path in stage.iterdir():            # what a failed run staged
+            path.unlink()
+        stage.rmdir()
+        for path in made:
+            path.rmdir()
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with _parameter_errors(args.config):
-            return args.func(args)
+        with _staging(args.out) as stage, _parameter_errors(args.config):
+            args.func(args, stage)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (FloatingPointError, np.linalg.LinAlgError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 def run() -> int:

@@ -109,11 +109,10 @@ class SquareWaveInput(_Record):
         frac = np.mod(np.asarray(t, dtype=float) / self.period, 1.0)
         return self.offset + self.amplitude * (frac >= 1.0 - self.duty)
 
-    def pulse_window(self, index: int) -> tuple[float, float]:
-        """The index-th high interval [(index + 1 - duty) T, (index + 1) T]."""
-        _require(index >= 0, f"pulse index must be >= 0, got {index}")
-        T = self.period
-        return ((index + 1.0 - self.duty) * T, (index + 1.0) * T)
+    @property
+    def pulse_window(self) -> tuple[float, float]:
+        """The first high interval [(1 - duty) T, T]."""
+        return (1.0 - self.duty) * self.period, self.period
 
 
 class TimeGrid(_Record):
@@ -361,22 +360,6 @@ def _mode_sum(g: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
     return (left @ right.T).ravel()[:n]
 
 
-def _fdm_grid(ch: DiffusionChannel, cfg: SolverConfig) -> tuple[int, int, TimeGrid]:
-    """Cells, receiver node and time grid of cfg; ParameterError if unusable."""
-    n_cells = int(round(cfg.domain_length / cfg.dx))
-    _require(n_cells >= 4, f"domain_length/dx = {cfg.domain_length / cfg.dx:.3g} "
-             "gives fewer than 4 cells")
-    _require(ch.x_r < cfg.domain_length,
-             f"x_r={ch.x_r:g} must lie inside the domain "
-             f"(length {cfg.domain_length:g})")
-    node = int(round(ch.x_r / cfg.dx))
-    if ch.x_r > 0.0:
-        _require(abs(node * cfg.dx - ch.x_r) <= 1e-3 * ch.x_r,
-                 f"x_r={ch.x_r:g} is not on the spatial grid (dx={cfg.dx:g}); "
-                 "snap error exceeds 0.1%")
-    return n_cells, node, cfg.time_grid
-
-
 @_QUIET_OVERFLOW
 def simulate_fdm(ch: DiffusionChannel, rs: ReceptionSystem,
                  wave: SquareWaveInput,
@@ -429,7 +412,18 @@ def simulate_fdm(ch: DiffusionChannel, rs: ReceptionSystem,
     overflows) is rejected by SimulationTrace with FloatingPointError.
     """
     dx, dt = cfg.dx, cfg.dt
-    n_cells, node, grid = _fdm_grid(ch, cfg)
+    n_cells = int(round(cfg.domain_length / dx))
+    _require(n_cells >= 4, f"domain_length/dx = {cfg.domain_length / dx:.3g} "
+             "gives fewer than 4 cells")
+    _require(ch.x_r < cfg.domain_length,
+             f"x_r={ch.x_r:g} must lie inside the domain "
+             f"(length {cfg.domain_length:g})")
+    node = int(round(ch.x_r / dx))
+    if ch.x_r > 0.0:
+        _require(abs(node * dx - ch.x_r) <= 1e-3 * ch.x_r,
+                 f"x_r={ch.x_r:g} is not on the spatial grid (dx={dx:g}); "
+                 "snap error exceeds 0.1%")
+    grid = cfg.time_grid
     n_steps = len(grid) - 1
     v = wave.value(grid.times)
 
@@ -488,7 +482,7 @@ def activation_time(trace: SimulationTrace,
              f"threshold must be finite and >= 0, got {threshold}")
     _require(isinstance(trace.wave, SquareWaveInput),
              "activation timing is defined for square-wave (pulsed) input")
-    window = trace.wave.pulse_window(0)
+    window = trace.wave.pulse_window
     _require(window[1] <= trace.times[-1] + trace.dt * 0.5,
              f"pulse 0 window {window} not covered by the trace")
     t, c = trace.times, trace.complex_conc

@@ -326,7 +326,7 @@ def test_criterion_11_activation_traces(traces):
     fdm14, fdm100, reception = (traces["fdm14"], traces["fdm100"],
                                 traces["reception"])
     plateau = WAVE.amplitude * RS.dc_gain
-    window = WAVE.pulse_window(0)
+    window = WAVE.pulse_window
     mask = (fdm14.times >= window[0]) & (fdm14.times <= window[1])
     gap14 = float(np.max(np.abs(fdm14.complex_conc[mask]
                                 - reception.complex_conc[mask])))

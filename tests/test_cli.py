@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -465,14 +466,18 @@ def test_table_with_every_banded_row_infeasible(tmp_path):
             (None, None, "infeasible"), (None, None, "infeasible")]
 
 
+@pytest.mark.filterwarnings("error")
 def test_table_without_banded_rows(tmp_path):
-    cfg = tmp_path / "ranges.yaml"
-    cfg.write_text(SPECIES.replace("    mu: 83.0\n    x_r: 10.0\n",
-                                   "    mu: [83.0, 90.0]\n"))
-    out = tmp_path / "out"
-    assert cli.main(["table", "--config", str(cfg), "--out", str(out)]) == 0
-    rows = json.loads((out / "table.json").read_text())["rows"]
-    assert [r["status"] for r in rows] == ["no-distance", "no-distance"]
+    # No row is searched, so a k_r whose search would overflow is no error.
+    for k_r in ("4.0e-3", "1.0e-300"):
+        cfg = tmp_path / "ranges.yaml"
+        cfg.write_text(SPECIES.replace("    mu: 83.0\n    x_r: 10.0\n",
+                                       "    mu: [83.0, 90.0]\n")
+                       .replace("  k_r: 4.0e-3\n", f"  k_r: {k_r}\n"))
+        out = tmp_path / f"out-{k_r}"
+        assert cli.main(["table", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = json.loads((out / "table.json").read_text())["rows"]
+        assert [r["status"] for r in rows] == ["no-distance", "no-distance"]
 
 
 @pytest.mark.parametrize("mutation, hint", [
@@ -534,8 +539,12 @@ def test_malformed_scenarios_exit_two(tmp_path, capsys, mutation, hint):
     ("q_fraction: 0.1\n", "q_fraction: .nan\n"),
     # lam = sqrt(x_r^2 k_r / 2 mu) of a banded row overflows.
     ("    mu: 83.0\n    x_r: 10.0\n", "    mu: 1.0e-300\n    x_r: 1.0e+100\n"),
+    # The clean-band search's top band edge, 1e8 * decade_width / k_r,
+    # overflows.
+    ("  k_r: 4.0e-3\n", "  k_r: 1.0e-300\n"),
 ], ids=["mu-pair-text", "mu-pair-inf", "x_r-inf", "x_r-beyond-float",
-        "decade_width-nan", "q_fraction-nan", "lam-overflows"])
+        "decade_width-nan", "q_fraction-nan", "lam-overflows",
+        "k_r-search-overflows"])
 @pytest.mark.filterwarnings("error")
 def test_malformed_tables_exit_two(tmp_path, capsys, mutation, bad):
     assert mutation in SPECIES
@@ -664,7 +673,13 @@ def _edited(text: str, edits: dict) -> dict:
      "scenario.sweep.points: must be in [2, 4096], got 1"),
     ("scenario", {"sweep.points": 5000},
      "scenario.sweep.points: must be in [2, 4096], got 5000"),
+    # the clean-band search's top band edge beyond the float range
+    ("survey", {"reception.k_r": 1e-300, "species": [
+        {"name": "tiny", "mu": 1e-300, "x_r": 1e-5}]},
+     "{origin}.reception.k_r: the clean-band search reaches omega2/k_r = "
+     "1e+08 * decade_width / k_r, beyond the float range"),
 ])
+@pytest.mark.filterwarnings("error")
 def test_config_error_messages(tmp_path, kind, edits, message):
     if kind == "scenario":
         with pytest.raises(config.ConfigError) as err:
@@ -805,8 +820,7 @@ def test_design_needs_no_diffusion_index(tmp_path):
 
 
 def test_offgrid_receiver_exits_two(scenario_path, tmp_path, capsys):
-    # The FDM grid is checked before any output exists, and only for the
-    # routes that use it.
+    # The FDM grid is checked only for the routes that use it.
     text = SCENARIO.replace("  n_periods: 3\n", "  n_periods: 3\n  dx: 3.0\n")
     cfg = scenario_path.with_name("offgrid.yaml")
     cfg.write_text(text)
@@ -875,7 +889,7 @@ def test_numerical_failure_exits_three(scenario_path, tmp_path, monkeypatch):
 def test_nonfinite_trace_exits_three(tmp_path, capsys, route):
     # Finite inputs whose traces overflow: v_n + v_{n+1} and the Fourier
     # coefficients exceed the float range.  The run fails as a numerical
-    # failure and removes the traces it wrote.  The finiteness check is
+    # failure and leaves no output directory.  The finiteness check is
     # the only report: no numpy RuntimeWarning (an error here) on the way.
     cfg = tmp_path / "overflow.yaml"
     cfg.write_text(SCENARIO.replace("amplitude: 0.1", "amplitude: 1.5e+308")
@@ -886,8 +900,7 @@ def test_nonfinite_trace_exits_three(tmp_path, capsys, route):
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: ") and "not finite" in err
     assert err.count("\n") == 1 and err.endswith("\n")
-    assert not list(out.glob("trace_*.csv"))
-    assert not (out / "simulate.json").exists()
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("error")
@@ -929,6 +942,90 @@ def test_nonfinite_results_exit_three(tmp_path, capsys, command, edits,
     assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 3
     assert capsys.readouterr().err == f"numerical failure: {failure}\n"
     assert not out.exists()
+
+
+COMMANDS = ["analyze", "design", "sweep", "simulate", "table"]
+
+
+def _config_for(command, scenario_path, species_path) -> str:
+    return str(species_path if command == "table" else scenario_path)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_failed_write_leaves_no_output(scenario_path, species_path, tmp_path,
+                                       monkeypatch, capsys, command):
+    # Every command writes a JSON artifact, most of them after their CSVs:
+    # a failure there leaves no --out, no staging directory and none of
+    # the missing parents of --out.  The same run then succeeds and leaves
+    # only --out in its parent.
+    def broken(path, payload):
+        raise FloatingPointError("injected")
+
+    cfg = _config_for(command, scenario_path, species_path)
+    for i, relative in enumerate(("out", "made/for/out")):
+        base = tmp_path / f"case{i}"
+        base.mkdir()
+        out = base / relative
+        monkeypatch.setattr(cli, "_write_json", broken)
+        argv = [command, "--config", cfg, "--out", str(out)]
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err == "numerical failure: injected\n"
+        assert not any(base.iterdir())
+        monkeypatch.undo()
+        assert cli.main(argv) == 0
+        assert sorted(path.name for path in out.parent.iterdir()) == ["out"]
+        assert any(out.glob("*.json"))
+
+
+def test_existing_out_keeps_its_files(scenario_path, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "keep.txt").write_text("kept\n")
+    (out / "design.json").write_text("stale\n")
+    argv = ["design", "--config", str(scenario_path), "--out", str(out)]
+
+    # A failure midway through writing design.json, after its open().
+    def broken(payload, indent):
+        raise FloatingPointError("injected")
+
+    monkeypatch.setattr(cli, "json", SimpleNamespace(dumps=broken))
+    assert cli.main(argv) == 3
+    assert sorted(tmp_path.iterdir()) == [out, scenario_path]
+    assert sorted(path.name for path in out.iterdir()) == ["design.json",
+                                                           "keep.txt"]
+    assert (out / "keep.txt").read_bytes() == b"kept\n"
+    assert (out / "design.json").read_bytes() == b"stale\n"
+
+    monkeypatch.undo()
+    assert cli.main(argv) == 0
+    assert sorted(tmp_path.iterdir()) == [out, scenario_path]
+    assert (out / "keep.txt").read_bytes() == b"kept\n"
+    assert "result" in json.loads((out / "design.json").read_text())
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_out_on_a_file_exits_two(scenario_path, species_path, tmp_path,
+                                 monkeypatch, capsys, command, below):
+    # Refused before the configuration is even read; the file is untouched.
+    def no_load(path):
+        raise AssertionError("loaded the configuration")
+
+    monkeypatch.setattr(cli, "load_scenario", no_load)
+    monkeypatch.setattr(cli, "load_table", no_load)
+    blocker = tmp_path / "blocker"
+    blocker.write_bytes(b"data\n")
+    out = blocker / "sub" if below else blocker
+    before = sorted(tmp_path.iterdir())
+    assert cli.main([command, "--config",
+                     _config_for(command, scenario_path, species_path),
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: --out {out}: {blocker.resolve()} "
+        "is not a directory\n")
+    assert blocker.read_bytes() == b"data\n"
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def _probe(code: str) -> str:

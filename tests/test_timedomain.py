@@ -92,8 +92,7 @@ def test_square_wave_duty_and_mean():
     assert wave.value(0.5 * T) == 0.5          # still in the low stretch
     assert wave.value(0.75 * T) == 2.5         # high quarter at the period end
     assert wave.mean == 0.5 + 2.0 * 0.25
-    assert wave.pulse_window(0) == (0.75 * T, T)
-    assert wave.pulse_window(2) == (2.75 * T, 3.0 * T)
+    assert wave.pulse_window == (0.75 * T, T)
 
 
 def test_wave_validation():
@@ -105,8 +104,6 @@ def test_wave_validation():
         SquareWaveInput(amplitude=0.1, fundamental=W1, duty=0.0)
     with pytest.raises(ParameterError):
         SquareWaveInput(amplitude=0.1, fundamental=W1, duty=1.0)
-    with pytest.raises(ParameterError):
-        WAVE.pulse_window(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +264,7 @@ def test_fdm_trace_stays_physical(trace_x14):
     assert float(np.min(trace_x14.received)) >= 0.0
     assert float(np.min(trace_x14.complex_conc)) >= 0.0
     assert float(np.max(trace_x14.complex_conc)) < RS.r
-    win = WAVE.pulse_window(0)
+    win = WAVE.pulse_window
     mask = (trace_x14.times >= win[0]) & (trace_x14.times <= win[1])
     steps = np.diff(trace_x14.complex_conc[mask])
     assert float(np.min(steps)) > -5e-3 * float(np.max(trace_x14.complex_conc))
@@ -281,7 +278,7 @@ def test_fdm_is_exactly_zero_before_the_first_edge(coarse_cfg, ch, duty):
     # samples are exact zeros, not rounding noise of either sign.
     wave = SquareWaveInput(amplitude=0.1, fundamental=W1, duty=duty)
     trace = simulate_fdm(ch, RS, wave, coarse_cfg)
-    quiet = trace.times < wave.pulse_window(0)[0]
+    quiet = trace.times < wave.pulse_window[0]
     assert np.count_nonzero(quiet) > 100
     assert np.all(trace.input[quiet] == 0.0)
     assert np.all(trace.received[quiet] == 0.0)
@@ -452,7 +449,7 @@ def test_activation_against_analytic_crossings(trace_x14, trace_reception):
     slack = 0.75 * trace_x14.dt
     rec = activation_time(trace_reception, 0.09)
     assert rec.activated
-    assert rec.pulse_window == WAVE.pulse_window(0)
+    assert rec.pulse_window == WAVE.pulse_window
     assert abs(rec.latency - LATENCY_RECEPTION) < slack
     assert abs(rec.t_on - (WAVE.period / 2.0 + LATENCY_RECEPTION)) < slack
     ch = activation_time(trace_x14, 0.09)
@@ -482,7 +479,7 @@ def test_activation_window_must_be_covered(trace_x14):
         activation_time(short, 0.09)
     covered = synthesize_fourier(CH, RS, WAVE, 8,
                                  TimeGrid(0.0, WAVE.period / 64.0, 65))
-    assert activation_time(covered, 0.0).t_on == WAVE.pulse_window(0)[0]
+    assert activation_time(covered, 0.0).t_on == WAVE.pulse_window[0]
     with pytest.raises(ParameterError):
         activation_time(trace_x14, -0.1)
     with pytest.raises(ParameterError):
