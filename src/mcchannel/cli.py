@@ -24,7 +24,7 @@ import gc
 import json
 import os
 import sys
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, contextmanager, suppress
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -245,28 +245,31 @@ def _timing_entry(trace, threshold: float | None) -> dict | None:
 def cmd_simulate(args, out: Path) -> None:
     scenario = load_scenario(args.config)
     routes = ("fourier", "fdm") if args.route == "both" else (args.route,)
+    names = [f"{arm}_{route}" for route in routes
+             for arm in ("reception", "channel")]
     reception_only = DiffusionChannel(mu=scenario.channel.mu, x_r=0.0)
 
+    # Last name first: the FDM channel arm, the only one whose grid can be
+    # refused, runs before any other solve.
     timings: dict = {}
-    for route in routes:
-        for arm, ch in (("reception", reception_only),
-                        ("channel", scenario.channel)):
-            if route == "fourier":
-                trace = synthesize_fourier(ch, scenario.reception, scenario.wave,
-                                           scenario.n_harmonics,
-                                           scenario.solver.time_grid)
-            else:
-                trace = simulate_fdm(ch, scenario.reception, scenario.wave,
-                                     scenario.solver)
-            write_trace_csv(trace, out / f"trace_{arm}_{route}.csv")
-            timings[f"{arm}_{route}"] = _timing_entry(trace, scenario.threshold)
+    for name in reversed(names):
+        arm, route = name.split("_")
+        ch = scenario.channel if arm == "channel" else reception_only
+        if route == "fourier":
+            trace = synthesize_fourier(ch, scenario.reception, scenario.wave,
+                                       scenario.n_harmonics,
+                                       scenario.solver.time_grid)
+        else:
+            trace = simulate_fdm(ch, scenario.reception, scenario.wave,
+                                 scenario.solver)
+        write_trace_csv(trace, out / f"trace_{name}.csv")
+        timings[name] = _timing_entry(trace, scenario.threshold)
 
     _write_json(out / "simulate.json", {
         "metadata": _metadata(scenario.parameters),
         "routes": list(routes),
-        "files": [f"trace_{arm}_{route}.csv"
-                  for route in routes for arm in ("reception", "channel")],
-        "activation": timings,
+        "files": [f"trace_{name}.csv" for name in names],
+        "activation": {name: timings[name] for name in names},
     })
 
 
@@ -358,33 +361,53 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @contextmanager
+def _out_errors(out: str):
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"--out {out}: {exc.strerror or exc}") from None
+
+
+@contextmanager
 def _staging(out: str):
-    """A fresh directory in out's parent, so that each move is a rename,
-    whose files replace their namesakes in out if the block returns.  A
-    block that raises leaves the filesystem as it found it."""
+    """A fresh directory on out's filesystem whose files reach out only if
+    the block returns.  A new out is staged beside itself and renamed into
+    place whole.  An existing one keeps its other files: the staged ones
+    replace their namesakes from a hidden directory inside it.  The name
+    is unique, so a stray from a killed run is never published."""
     target = Path(out).resolve()
     lineage = (target, *target.parents)
     found = next(path for path in lineage if path.exists())
     if not found.is_dir():
         raise ConfigError(f"--out {out}: {found} is not a directory")
-    made = lineage[1:lineage.index(found)]     # deepest first
-    target.parent.mkdir(parents=True, exist_ok=True)
-    # Unique, so a stray from a killed run is never published.
-    stage = target.with_name(
-        f".{target.name}.staging-{os.getpid()}-{os.urandom(4).hex()}")
-    stage.mkdir()
+    fresh = found != target
+    tag = f"staging-{os.getpid()}-{os.urandom(4).hex()}"
+    stage = (target.with_name(f".{target.name}.{tag}") if fresh
+             else target / f".mcchannel-{tag}")
     try:
+        with _out_errors(out):
+            stage.mkdir(parents=True)
         yield stage
-        target.mkdir(exist_ok=True)
-        for path in stage.iterdir():
-            path.replace(target / path.name)
-        made = ()                               # they now hold out
+        with _out_errors(out):
+            staged = [] if fresh else list(stage.iterdir())
+            in_way = [path.name for path in staged
+                      if (target / path.name).is_dir()]
+            if in_way:     # refused before any file moves
+                raise ConfigError(f"--out {out}: {in_way[0]} is a directory")
+            for path in staged:
+                path.replace(target / path.name)
+            if fresh:
+                stage.rename(target)
     finally:
-        for path in stage.iterdir():            # what a failed run staged
-            path.unlink()
-        stage.rmdir()
-        for path in made:
-            path.rmdir()
+        # Best effort, so as not to hide the error on its way out.  After
+        # a rename stage is gone, and each parent made for out holds it.
+        with suppress(OSError):
+            for path in stage.iterdir():
+                path.unlink()
+            stage.rmdir()
+        for path in lineage[1:lineage.index(found)]:    # deepest first
+            with suppress(OSError):
+                path.rmdir()
 
 
 def main(argv=None) -> int:

@@ -23,7 +23,6 @@ from typing import Any, Iterable
 
 import yaml
 
-from .design import _SEARCH_RANGE
 from .distortion import _lam
 from .systems import (
     DiffusionChannel,
@@ -352,10 +351,4 @@ def load_table(path) -> TableConfig:
             raise ConfigError(f"{path_i}: lam = sqrt(x_r^2 k_r / (2 mu)) is "
                               f"beyond the float range")
         rows.append(SpeciesRow(name=name, mu_lo=mu_lo, mu_hi=mu_hi, x_r=x_r))
-    # The search scans band tops up to this, in reception-corner units.
-    top = _SEARCH_RANGE[1] * settings["decade_width"] / reception.k_r
-    if any(row.x_r is not None for row in rows) and not math.isfinite(top):
-        raise ConfigError(f"{origin}.reception.k_r: the clean-band search "
-                          f"reaches omega2/k_r = {_SEARCH_RANGE[1]:g} * "
-                          f"decade_width / k_r, beyond the float range")
     return TableConfig(reception=reception, species=tuple(rows), **settings)

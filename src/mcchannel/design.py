@@ -221,6 +221,10 @@ def highest_clean_band(mu, x_r, rs: ReceptionSystem,
              f"mu and x_r must be scalars or 1-D arrays, got shape {mu.shape}")
     DiffusionChannel(mu=mu, x_r=x_r)  # validates every row
     mu, x_r = np.atleast_1d(mu, x_r)
+    lo, hi = _SEARCH_RANGE
+    _require(mu.size == 0 or _finite(hi * float(decade_width) / rs.k_r),
+             f"reception k_r={rs.k_r:g} puts the clean-band search's top "
+             f"band edge, {hi:g} * decade_width / k_r, beyond the float range")
 
     def qualifies(omega1, mu, x_r):
         """The predicate at band starts omega1 for channels (mu, x_r)."""
@@ -235,7 +239,6 @@ def highest_clean_band(mu, x_r, rs: ReceptionSystem,
     # window, whose width is set by polynomial-order crossings.  The scan
     # points come from float pow, whose result does not depend on which
     # SIMD kernel numpy dispatches to; w1 is reported in full.
-    lo, hi = _SEARCH_RANGE
     n_scan = int(round(math.log10(hi / lo) * 16)) + 1
     step = (hi / lo) ** (1.0 / (n_scan - 1))
     scan = np.array([lo * step ** i for i in range(n_scan)])

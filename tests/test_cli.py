@@ -18,6 +18,7 @@ from numpy.testing import assert_allclose
 
 import mcchannel.cli as cli
 import mcchannel.config as config
+import mcchannel.timedomain as timedomain
 from mcchannel import (
     DiffusionChannel,
     FrequencyBand,
@@ -673,11 +674,6 @@ def _edited(text: str, edits: dict) -> dict:
      "scenario.sweep.points: must be in [2, 4096], got 1"),
     ("scenario", {"sweep.points": 5000},
      "scenario.sweep.points: must be in [2, 4096], got 5000"),
-    # the clean-band search's top band edge beyond the float range
-    ("survey", {"reception.k_r": 1e-300, "species": [
-        {"name": "tiny", "mu": 1e-300, "x_r": 1e-5}]},
-     "{origin}.reception.k_r: the clean-band search reaches omega2/k_r = "
-     "1e+08 * decade_width / k_r, beyond the float range"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_config_error_messages(tmp_path, kind, edits, message):
@@ -691,6 +687,23 @@ def test_config_error_messages(tmp_path, kind, edits, message):
             load_table(path)
         message = message.format(origin=path)
     assert str(err.value) == message
+
+
+@pytest.mark.filterwarnings("error")
+def test_tiny_k_r_survey_exits_two(tmp_path, capsys):
+    # The clean-band search's top band edge, 1e8 * decade_width / k_r,
+    # overflows: one line naming the file and k_r, and no numpy warning.
+    cfg = tmp_path / "survey.yaml"
+    cfg.write_text(yaml.safe_dump(_edited(SPECIES, {
+        "reception.k_r": 1e-300,
+        "species": [{"name": "tiny", "mu": 1e-300, "x_r": 1e-5}]})))
+    out = tmp_path / "out"
+    assert cli.main(["table", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        f"configuration error: {cfg}: reception k_r=1e-300 puts the "
+        "clean-band search's top band edge, 1e+08 * decade_width / k_r, "
+        "beyond the float range\n")
 
 
 def test_missing_and_unparsable_files_exit_two(tmp_path):
@@ -819,12 +832,20 @@ def test_design_needs_no_diffusion_index(tmp_path):
     assert all(math.isfinite(result[key]) for key in ("x_q", "x_r_delay"))
 
 
-def test_offgrid_receiver_exits_two(scenario_path, tmp_path, capsys):
+def test_offgrid_receiver_exits_two(scenario_path, tmp_path, monkeypatch,
+                                    capsys):
     # The FDM grid is checked only for the routes that use it.
     text = SCENARIO.replace("  n_periods: 3\n", "  n_periods: 3\n  dx: 3.0\n")
     cfg = scenario_path.with_name("offgrid.yaml")
     cfg.write_text(text)
     out = tmp_path / "out"
+
+    # Refused before any solve, the Fourier route's included.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the FDM grid was checked")
+
+    monkeypatch.setattr(cli, "synthesize_fourier", no_solve)
+    monkeypatch.setattr(timedomain, "_causal_response", no_solve)
     for route in ("fdm", "both"):
         assert cli.main(["simulate", "--config", str(cfg), "--out", str(out),
                          "--route", route]) == 2
@@ -832,6 +853,7 @@ def test_offgrid_receiver_exits_two(scenario_path, tmp_path, capsys):
         assert capsys.readouterr().err == (
             f"configuration error: {cfg}: x_r=14 is not on the spatial grid "
             "(dx=3); snap error exceeds 0.1%\n")
+    monkeypatch.undo()
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(out),
                      "--route", "fourier"]) == 0
 
@@ -1001,6 +1023,75 @@ def test_existing_out_keeps_its_files(scenario_path, tmp_path, monkeypatch):
     assert sorted(tmp_path.iterdir()) == [out, scenario_path]
     assert (out / "keep.txt").read_bytes() == b"kept\n"
     assert "result" in json.loads((out / "design.json").read_text())
+
+
+def test_existing_out_is_staged_inside_it(scenario_path, tmp_path,
+                                          monkeypatch):
+    # An existing --out needs no write access to its parent, nor a parent
+    # on its filesystem: the command stages in a hidden directory inside
+    # it, gone once the files are published.
+    parent = tmp_path / "parent"
+    out = parent / "out"
+    out.mkdir(parents=True)
+    staged = []
+    write_json = cli._write_json
+
+    def recorded(path, payload):
+        staged.append(path)
+        write_json(path, payload)
+
+    monkeypatch.setattr(cli, "_write_json", recorded)
+    parent.chmod(0o555)
+    try:
+        assert cli.main(["design", "--config", str(scenario_path),
+                         "--out", str(out)]) == 0
+    finally:
+        parent.chmod(0o755)
+    (path,) = staged
+    assert path.parent.parent == out.resolve()
+    assert path.parent.name.startswith(".")
+    assert [p.name for p in parent.iterdir()] == ["out"]
+    assert [p.name for p in out.iterdir()] == ["design.json"]
+
+
+def test_unwritable_out_exits_two(scenario_path, tmp_path, monkeypatch,
+                                  capsys):
+    # A staging directory that cannot be made is a configuration error
+    # naming --out, before the configuration is read.
+    def denied(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    def no_load(path):
+        raise AssertionError("loaded the configuration")
+
+    monkeypatch.setattr(Path, "mkdir", denied)
+    monkeypatch.setattr(cli, "load_scenario", no_load)
+    for out in (tmp_path / "new", tmp_path):
+        before = sorted(tmp_path.iterdir())
+        assert cli.main(["design", "--config", str(scenario_path),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: --out {out}: Permission denied\n")
+        assert sorted(tmp_path.iterdir()) == before
+
+
+def test_publish_refuses_a_directory_in_the_way(scenario_path, tmp_path,
+                                                capsys):
+    # analyze writes report.json and curves.csv.  A directory named
+    # curves.csv in an existing --out is found before any file moves, so
+    # the stale report.json stays as it was.
+    out = tmp_path / "out"
+    (out / "curves.csv").mkdir(parents=True)
+    (out / "curves.csv" / "inner.txt").write_text("inner\n")
+    (out / "report.json").write_text("stale\n")
+    assert cli.main(["analyze", "--config", str(scenario_path),
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: --out {out}: curves.csv is a directory\n")
+    assert sorted(p.name for p in out.iterdir()) == ["curves.csv",
+                                                      "report.json"]
+    assert (out / "report.json").read_text() == "stale\n"
+    assert [p.name for p in (out / "curves.csv").iterdir()] == ["inner.txt"]
 
 
 @pytest.mark.filterwarnings("error")

@@ -229,6 +229,19 @@ def test_clean_band_rejects_settings_it_cannot_honour(bounded_search, setting,
         highest_clean_band(83.0, 10.0, RS, **{setting: value})
 
 
+@pytest.mark.filterwarnings("error")
+def test_clean_band_refuses_a_search_beyond_the_float_range(bounded_search):
+    # The top band edge in corner units, 1e8 * decade_width / k_r, is
+    # checked before the scan: no predicate call, no numpy warning.
+    tiny = ReceptionSystem(k_f=1e-3, k_r=1e-300, r=4.0)
+    with pytest.raises(ParameterError, match="k_r=1e-300"):
+        highest_clean_band(1e-300, 1e-5, tiny)
+    with pytest.raises(ParameterError, match="k_r=0.004"):
+        highest_clean_band(83.0, 10.0, RS, decade_width=1e301)
+    # No row, no search: the same reception stage is no error.
+    assert highest_clean_band(np.array([]), np.array([]), tiny).status.size == 0
+
+
 def _scalar_scan_reference(mu, x_r, rs, decade_width=10.0, q_fraction=0.1,
                            r_fraction=0.1):
     """The clean-band search with one scalar predicate call per scan point.
