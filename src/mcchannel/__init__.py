@@ -43,7 +43,6 @@ from .distortion import (
 )
 from .design import (
     DesignResult,
-    DesignSpec,
     distance_bound,
     highest_clean_band,
 )
@@ -84,7 +83,7 @@ __all__ = [
     "reception_amplitude_distortion_normalized", "reception_delay_distortion",
     "reception_delay_distortion_normalized",
     # design
-    "DesignResult", "DesignSpec", "distance_bound", "highest_clean_band",
+    "DesignResult", "distance_bound", "highest_clean_band",
     # timedomain
     "ActivationTiming", "SimulationTrace", "SolverConfig", "SquareWaveInput",
     "TimeGrid", "activation_time", "default_solver_config", "simulate_fdm",

@@ -42,7 +42,6 @@ from .config import (
     load_table,
 )
 from .design import (
-    DesignSpec,
     distance_bound,
     highest_clean_band,
 )
@@ -158,8 +157,7 @@ def cmd_design(args, out: Path) -> None:
     q_h = float(reception_amplitude_distortion(rs, band))
     r_h = float(reception_delay_distortion(rs, band))
     q0, r0 = _resolved_budgets(scenario, q_h, r_h, args.config)
-    spec = DesignSpec(q0=q0, r0=r0, band=band, mu=scenario.channel.mu, rs=rs)
-    result = distance_bound(spec)
+    result = distance_bound(q0, r0, band, scenario.channel.mu, rs)
     _write_json(out / "design.json", {
         "metadata": _metadata(scenario.parameters),
         "budgets": {"q0": q0, "r0": r0},
@@ -275,15 +273,6 @@ def cmd_simulate(args, out: Path) -> None:
 
 def cmd_table(args, out: Path) -> None:
     table = load_table(args.config)
-    parameters = {
-        "reception": {"k_f": table.reception.k_f, "k_r": table.reception.k_r,
-                      "r": table.reception.r},
-        "decade_width": table.decade_width,
-        "q_fraction": table.q_fraction,
-        "r_fraction": table.r_fraction,
-        "species": [{"name": row.name, "mu_lo": row.mu_lo, "mu_hi": row.mu_hi,
-                     "x_r": row.x_r} for row in table.species],
-    }
     # One search for every row that has a distance; the rows without one
     # keep the no-distance status.
     banded = [row for row in table.species if row.x_r is not None]
@@ -307,7 +296,7 @@ def cmd_table(args, out: Path) -> None:
         rows_out.append(entry)
 
     with open(out / "table.csv", "w", newline="") as fh:
-        _csv_header(fh, parameters)
+        _csv_header(fh, table.parameters)
         fh.write("name,mu_lo_um2_per_s,mu_hi_um2_per_s,x_r_um,"
                  "omega1_rad_per_s,omega2_rad_per_s,status\n")
         for entry in rows_out:
@@ -319,7 +308,7 @@ def cmd_table(args, out: Path) -> None:
             fh.write(",".join(cells) + "\n")
 
     _write_json(out / "table.json", {
-        "metadata": _metadata(parameters),
+        "metadata": _metadata(table.parameters),
         "rows": rows_out,
     })
 

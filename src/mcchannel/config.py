@@ -11,8 +11,9 @@ reader, its default (or _REQUIRED) and its lower bound.  Validation is
 strict: missing or extra keys, non-finite numbers and out-of-range
 values raise ConfigError naming the offending field.  A scenario is
 resolved once, at load: its input wave, harmonic count, discretization
-and the parameter set embedded in every output are fixed there, so
-every parameter error is raised before a command writes anything.
+and the parameter set embedded in every output are fixed there, as is a
+survey's parameter set, so every parameter error is raised before a
+command writes anything.
 """
 
 from __future__ import annotations
@@ -202,6 +203,8 @@ def _load_yaml(path) -> dict:
             doc = yaml.load(fh, Loader=_YAML_LOADER)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except OSError as exc:      # a directory, an unreadable file
+        raise ConfigError(f"{path}: cannot be read ({exc.strerror or exc})")
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML ({exc})")
     except UnicodeDecodeError as exc:
@@ -298,13 +301,17 @@ class SpeciesRow(_Record):
 
 
 class TableConfig(_Record):
-    """Inputs of the clean-band survey table."""
+    """Inputs of the clean-band survey table, validated at load.
+
+    parameters is the same set as plain data, embedded in every output.
+    """
 
     reception: ReceptionSystem
     decade_width: float
     q_fraction: float
     r_fraction: float
     species: tuple[SpeciesRow, ...]
+    parameters: dict
 
 
 def load_table(path) -> TableConfig:
@@ -351,4 +358,7 @@ def load_table(path) -> TableConfig:
             raise ConfigError(f"{path_i}: lam = sqrt(x_r^2 k_r / (2 mu)) is "
                               f"beyond the float range")
         rows.append(SpeciesRow(name=name, mu_lo=mu_lo, mu_hi=mu_hi, x_r=x_r))
-    return TableConfig(reception=reception, species=tuple(rows), **settings)
+    parameters = {"reception": _asdict(reception), **settings,
+                  "species": [_asdict(row) for row in rows]}
+    return TableConfig(reception=reception, species=tuple(rows),
+                       parameters=parameters, **settings)

@@ -39,7 +39,6 @@ from .distortion import (
 )
 
 __all__ = [
-    "DesignSpec",
     "DesignResult",
     "distance_bound",
     "reception_cutoff",
@@ -48,34 +47,8 @@ __all__ = [
 ]
 
 
-class DesignSpec(_Record):
-    """Whole-channel distortion budgets over a band.
-
-    Attributes:
-        q0: amplitude-distortion budget, dB.
-        r0: delay-distortion budget, dimensionless.
-        band: analysis band.
-        mu: diffusion coefficient of the medium, um^2/s.
-        rs: reception stage (fixes the budget share it consumes).
-    """
-
-    q0: float
-    r0: float
-    band: FrequencyBand
-    mu: float
-    rs: ReceptionSystem
-
-    def __post_init__(self) -> None:
-        _require(_finite(self.q0) and self.q0 > 0.0,
-                 f"q0 must be finite and > 0, got {self.q0}")
-        _require(_finite(self.r0) and self.r0 > 0.0,
-                 f"r0 must be finite and > 0, got {self.r0}")
-        _require(_finite(self.mu) and self.mu > 0.0,
-                 f"mu must be finite and > 0, got {self.mu}")
-
-
 class DesignResult(_Record):
-    """Distance bounds meeting a DesignSpec.
+    """Distance bounds meeting whole-channel distortion budgets.
 
     x_q / x_r_delay are the largest distances allowed by the amplitude
     and the delay budget alone; x_r_limit is their minimum, or None when
@@ -95,8 +68,14 @@ class DesignResult(_Record):
                                      f"(x_q={self.x_q}, x_r_delay={self.x_r_delay})")
 
 
-def distance_bound(spec: DesignSpec) -> DesignResult:
+def distance_bound(q0: float, r0: float, band: FrequencyBand, mu: float,
+                   rs: ReceptionSystem) -> DesignResult:
     """Largest receiver distance satisfying both distortion budgets.
+
+    q0 is the amplitude-distortion budget in dB and r0 the dimensionless
+    delay-distortion budget of the whole channel over band; mu is the
+    diffusion coefficient of the medium (um^2/s) and rs the reception
+    stage, which fixes the share of the budgets it consumes.
 
     Each diffusion index is lam times its value at lam = 1 (q_1, r_1 on
     the band at w' = w / k_r), so q_g = q0 - q_h and r_g = r0 - r_h
@@ -110,18 +89,20 @@ def distance_bound(spec: DesignSpec) -> DesignResult:
     positive distance; that returns a structured infeasible result
     rather than raising.
     """
-    band, rs = spec.band, spec.rs
+    _require(_finite(q0) and q0 > 0.0, f"q0 must be finite and > 0, got {q0}")
+    _require(_finite(r0) and r0 > 0.0, f"r0 must be finite and > 0, got {r0}")
+    _require(_finite(mu) and mu > 0.0, f"mu must be finite and > 0, got {mu}")
     q_h = reception_amplitude_distortion(rs, band)
     r_h = reception_delay_distortion(rs, band)
     unit = _in_corner_units(band, rs, 1.0)
-    scale = math.sqrt(2.0 * spec.mu) / math.sqrt(rs.k_r)
+    scale = math.sqrt(2.0 * mu) / math.sqrt(rs.k_r)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        x_q = ((spec.q0 - q_h)
+        x_q = ((q0 - q_h)
                / diffusion_amplitude_distortion_normalized(unit) * scale)
-        x_r_delay = ((spec.r0 - r_h)
+        x_r_delay = ((r0 - r_h)
                      / diffusion_delay_distortion_normalized(unit) * scale)
     # A numpy comparison gives np.bool_, which json cannot write.
-    feasible = bool(spec.q0 > q_h and spec.r0 > r_h)
+    feasible = bool(q0 > q_h and r0 > r_h)
     limit = min(x_q, x_r_delay) if feasible else None
     return DesignResult(x_q=x_q, x_r_delay=x_r_delay, x_r_limit=limit,
                         feasible=feasible)

@@ -45,7 +45,6 @@ __all__ = [
     "reception_delay_distortion",
     "NormalizedBand",
     "normalize",
-    "denormalize_distance",
     "diffusion_amplitude_distortion_normalized",
     "diffusion_delay_distortion_normalized",
     "reception_amplitude_distortion_normalized",
@@ -116,14 +115,6 @@ def _in_corner_units(band: FrequencyBand, rs: ReceptionSystem,
                     lam) -> NormalizedBand:
     """The band at w' = w / k_r, with the given diffusion scale lam."""
     return NormalizedBand(band.omega1 / rs.k_r, band.omega2 / rs.k_r, lam)
-
-
-def denormalize_distance(lam: float, mu: float, k_r: float) -> float:
-    """Recover the physical distance x_r (um) from lam given mu and k_r."""
-    _require(_finite(lam) and lam >= 0.0, f"lam must be >= 0, got {lam}")
-    _require(_finite(mu) and mu > 0.0, f"mu must be > 0, got {mu}")
-    _require(_finite(k_r) and k_r > 0.0, f"k_r must be > 0, got {k_r}")
-    return lam * math.sqrt(2.0 * mu / k_r)
 
 
 def diffusion_amplitude_distortion_normalized(

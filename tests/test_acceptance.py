@@ -27,7 +27,6 @@ from scipy.optimize import brentq
 
 from grid_search import amplitude_distortion, delay_distortion, grid_report
 from mcchannel import (
-    DesignSpec,
     DiffusionChannel,
     FrequencyBand,
     NormalizedBand,
@@ -122,8 +121,7 @@ def test_criterion_01_reception_stage_indices():
 
 def test_criterion_02_distance_bound():
     report = channel_report(CH14, RS, BAND)
-    result = distance_bound(DesignSpec(q0=1.2 * report.q_h, r0=1.2 * report.r_h,
-                                       band=BAND, mu=MU, rs=RS))
+    result = distance_bound(1.2 * report.q_h, 1.2 * report.r_h, BAND, MU, RS)
     _assert_all(2, [
         (f"amplitude-budget distance {result.x_q:.4f} um within 0.1 of 19.4",
          abs(result.x_q - 19.4) <= 0.1),

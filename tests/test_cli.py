@@ -31,7 +31,6 @@ from mcchannel import (
     diffusion_gain_db,
     diffusion_phase_delay,
     distance_bound,
-    DesignSpec,
     load_scenario,
     log_grid,
     reception_gain_db,
@@ -183,8 +182,7 @@ def test_design_with_factor_budgets(scenario_path, tmp_path):
     report = channel_report(CH, RS, BAND)
     assert_allclose(payload["budgets"]["q0"], 1.2 * report.q_h, rtol=1e-12)
     assert_allclose(payload["budgets"]["r0"], 1.2 * report.r_h, rtol=1e-12)
-    want = distance_bound(DesignSpec(q0=1.2 * report.q_h, r0=1.2 * report.r_h,
-                                     band=BAND, mu=83.0, rs=RS))
+    want = distance_bound(1.2 * report.q_h, 1.2 * report.r_h, BAND, 83.0, RS)
     assert payload["result"]["feasible"] is True
     assert_allclose(payload["result"]["x_q"], want.x_q, rtol=1e-12)
     assert_allclose(payload["result"]["x_r_limit"], want.x_r_limit, rtol=1e-12)
@@ -446,6 +444,17 @@ def test_table_outputs(species_path, tmp_path):
     assert [r["name"] for r in payload["rows"]] == ["autoinducer", "ion"]
     assert payload["rows"][1]["omega1"] is None
 
+    # The survey's parameter set as resolved at load, in field order.
+    echoed = {"reception": {"k_f": 1e-3, "k_r": 4e-3, "r": 4.0},
+              "decade_width": 10.0, "q_fraction": 0.1, "r_fraction": 0.1,
+              "species": [{"name": "autoinducer", "mu_lo": 83.0,
+                           "mu_hi": 83.0, "x_r": 10.0},
+                          {"name": "ion", "mu_lo": 500.0, "mu_hi": 7000.0,
+                           "x_r": None}]}
+    assert (out / "table.csv").read_text().splitlines()[1] == (
+        "# parameters: " + json.dumps(echoed, separators=(",", ":")))
+    assert payload["metadata"]["parameters"] == echoed
+
 
 def test_table_with_every_banded_row_infeasible(tmp_path):
     # Receivers far beyond the ~18 um where the qualifying window closes
@@ -537,6 +546,7 @@ def test_malformed_scenarios_exit_two(tmp_path, capsys, mutation, hint):
     ("    x_r: 10.0\n", "    x_r: .inf\n"),
     ("    x_r: 10.0\n", "    x_r: 1" + "0" * 400 + "\n"),
     ("decade_width: 10.0\n", "decade_width: .nan\n"),
+    ("decade_width: 10.0\n", "decade_width: 1.0\n"),
     ("q_fraction: 0.1\n", "q_fraction: .nan\n"),
     # lam = sqrt(x_r^2 k_r / 2 mu) of a banded row overflows.
     ("    mu: 83.0\n    x_r: 10.0\n", "    mu: 1.0e-300\n    x_r: 1.0e+100\n"),
@@ -544,8 +554,8 @@ def test_malformed_scenarios_exit_two(tmp_path, capsys, mutation, hint):
     # overflows.
     ("  k_r: 4.0e-3\n", "  k_r: 1.0e-300\n"),
 ], ids=["mu-pair-text", "mu-pair-inf", "x_r-inf", "x_r-beyond-float",
-        "decade_width-nan", "q_fraction-nan", "lam-overflows",
-        "k_r-search-overflows"])
+        "decade_width-nan", "decade_width-one", "q_fraction-nan",
+        "lam-overflows", "k_r-search-overflows"])
 @pytest.mark.filterwarnings("error")
 def test_malformed_tables_exit_two(tmp_path, capsys, mutation, bad):
     assert mutation in SPECIES
@@ -706,13 +716,39 @@ def test_tiny_k_r_survey_exits_two(tmp_path, capsys):
         "beyond the float range\n")
 
 
-def test_missing_and_unparsable_files_exit_two(tmp_path):
-    assert cli.main(["analyze", "--config", str(tmp_path / "nope.yaml"),
-                     "--out", str(tmp_path / "out")]) == 2
-    bad = tmp_path / "broken.yaml"
+def test_missing_and_unparsable_files_exit_two(tmp_path, monkeypatch,
+                                               capsys):
+    # A config file that is missing, not YAML, a directory or unreadable
+    # is a configuration error naming it, and leaves no --out.
+    missing, bad, folder, unreadable = (
+        tmp_path / name for name in ("nope.yaml", "broken.yaml", "folder",
+                                     "unreadable.yaml"))
     bad.write_text("channel: [unclosed\n")
-    assert cli.main(["analyze", "--config", str(bad),
-                     "--out", str(tmp_path / "out")]) == 2
+    folder.mkdir()
+    unreadable.write_text(SCENARIO)
+    out = tmp_path / "out"
+
+    def refused(command, cfg) -> str:
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        return capsys.readouterr().err
+
+    def denied(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    for command in ("analyze", "design", "table"):
+        assert refused(command, missing) == (
+            f"configuration error: config file not found: {missing}\n")
+        assert refused(command, bad).startswith(
+            f"configuration error: {bad}: invalid YAML")
+        assert refused(command, folder).startswith(
+            f"configuration error: {folder}: cannot be read (")
+        # root reads a mode-000 file all the same, so the open is refused.
+        monkeypatch.setattr(config, "open", denied, raising=False)
+        assert refused(command, unreadable) == (
+            f"configuration error: {unreadable}: cannot be read "
+            "(Permission denied)\n")
+        monkeypatch.undo()
 
 
 @pytest.mark.skipif(not yaml.__with_libyaml__,
@@ -823,9 +859,8 @@ def test_design_needs_no_diffusion_index(tmp_path):
     r_h = reception_delay_distortion(scenario.reception, scenario.band)
     assert payload["reception_indices"] == {"q_h": q_h, "r_h": r_h}
     assert payload["budgets"] == {"q0": 1.2 * q_h, "r0": 1.2 * r_h}
-    want = distance_bound(DesignSpec(q0=1.2 * q_h, r0=1.2 * r_h,
-                                     band=scenario.band, mu=1.0,
-                                     rs=scenario.reception))
+    want = distance_bound(1.2 * q_h, 1.2 * r_h, scenario.band, 1.0,
+                          scenario.reception)
     result = payload["result"]
     assert result == {"x_q": want.x_q, "x_r_delay": want.x_r_delay,
                       "x_r_limit": want.x_r_limit, "feasible": want.feasible}

@@ -12,7 +12,6 @@ from numpy.testing import assert_allclose
 from mcchannel import design
 
 from mcchannel import (
-    DesignSpec,
     DiffusionChannel,
     FrequencyBand,
     ParameterError,
@@ -43,12 +42,12 @@ CLEAN_W1_SLOW = 0.018454549      # mu=83, x_r=10
 CLEAN_W1_FAST = 18143.808        # mu=500, x_r=2.5e-2
 
 
-def _spec(q0, r0):
-    return DesignSpec(q0=q0, r0=r0, band=BAND, mu=MU, rs=RS)
+def _bound(q0, r0):
+    return distance_bound(q0, r0, BAND, MU, RS)
 
 
 def test_distance_bound_reference_solution():
-    result = distance_bound(_spec(1.2 * Q_H, 1.2 * R_H))
+    result = _bound(1.2 * Q_H, 1.2 * R_H)
     assert result.feasible
     assert_allclose(result.x_q, X_Q, rtol=1e-10)
     assert_allclose(result.x_r_delay, X_R_DELAY, rtol=1e-10)
@@ -60,7 +59,7 @@ def test_distance_bound_reference_solution():
 def test_distance_bound_saturates_budgets():
     # At the returned distances the stage indices exactly consume the
     # slack the budgets leave beyond the reception share.
-    result = distance_bound(_spec(1.2 * Q_H, 1.2 * R_H))
+    result = _bound(1.2 * Q_H, 1.2 * R_H)
     at_q = channel_report(DiffusionChannel(mu=MU, x_r=result.x_q), RS, BAND)
     assert_allclose(at_q.q_g + at_q.q_h, 1.2 * Q_H, rtol=1e-12)
     at_r = channel_report(DiffusionChannel(mu=MU, x_r=result.x_r_delay), RS,
@@ -70,21 +69,20 @@ def test_distance_bound_saturates_budgets():
 
 def test_infeasible_budgets_return_structured_result():
     q_h = reception_amplitude_distortion(RS, BAND)
-    result = distance_bound(_spec(q_h, 1.2 * R_H))  # no amplitude slack at all
+    result = _bound(q_h, 1.2 * R_H)  # no amplitude slack at all
     assert not result.feasible
     assert result.x_r_limit is None
     assert result.x_q == 0.0
-    tight = distance_bound(_spec(1.2 * Q_H, R_H / 2.0))
+    tight = _bound(1.2 * Q_H, R_H / 2.0)
     assert not tight.feasible
     assert tight.x_r_delay < 0.0
     with pytest.raises(ParameterError):
-        _spec(-1.0, 0.01)
+        _bound(-1.0, 0.01)
 
 
 def test_distance_bound_scales_with_sqrt_mu():
-    a = distance_bound(_spec(1.2 * Q_H, 1.2 * R_H))
-    b = distance_bound(DesignSpec(q0=1.2 * Q_H, r0=1.2 * R_H, band=BAND,
-                                  mu=2.0 * MU, rs=RS))
+    a = _bound(1.2 * Q_H, 1.2 * R_H)
+    b = distance_bound(1.2 * Q_H, 1.2 * R_H, BAND, 2.0 * MU, RS)
     assert_allclose(b.x_q, math.sqrt(2.0) * a.x_q, rtol=1e-12)
     assert_allclose(b.x_r_delay, math.sqrt(2.0) * a.x_r_delay, rtol=1e-12)
 

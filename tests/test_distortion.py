@@ -30,7 +30,7 @@ from mcchannel import (
     reception_delay_distortion,
     reception_delay_distortion_normalized,
 )
-from mcchannel.distortion import delay_distortion_maxima, denormalize_distance
+from mcchannel.distortion import delay_distortion_maxima
 
 CH = DiffusionChannel(mu=83.0, x_r=14.0)
 RS = ReceptionSystem(k_f=1e-3, k_r=4e-3, r=4.0)
@@ -150,17 +150,6 @@ def test_diffusion_indices_linear_in_lam():
     unit = NormalizedBand(1.0, 4.0, 1.0)
     assert_allclose(diffusion_amplitude_distortion_normalized(unit), Q_G_UNIT,
                     rtol=1e-12)
-
-
-def test_denormalize_distance_round_trip():
-    lam = normalize(CH, RS, BAND).lam
-    assert_allclose(denormalize_distance(lam, CH.mu, RS.k_r), CH.x_r,
-                    rtol=1e-12)
-    assert denormalize_distance(0.0, CH.mu, RS.k_r) == 0.0
-    with pytest.raises(ParameterError):
-        denormalize_distance(-1.0, CH.mu, RS.k_r)
-    with pytest.raises(ParameterError):
-        denormalize_distance(1.0, 0.0, RS.k_r)
 
 
 @pytest.mark.parametrize("omega2p", sorted(MAXIMA))

@@ -17,7 +17,6 @@ import pytest
 from mpmath import mp, mpf
 
 from mcchannel import (
-    DesignSpec,
     DiffusionChannel,
     FrequencyBand,
     ReceptionSystem,
@@ -93,8 +92,7 @@ def _relative_errors():
             # The budgets as design sets them, from the computed q_h and
             # r_h; the reference inverts the exact indices.
             q0, r0 = factor * report.q_h, factor * report.r_h
-            result = distance_bound(DesignSpec(q0=q0, r0=r0, band=band,
-                                               mu=mu, rs=rs))
+            result = distance_bound(q0, r0, band, mu, rs)
             q_g, r_g, q_h, r_h = exact
             for got, want in ((result.x_q, x_r * (q0 - q_h) / q_g),
                               (result.x_r_delay, x_r * (r0 - r_h) / r_g)):

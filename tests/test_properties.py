@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from mcchannel import design
 from mcchannel import (
     ConfigError,
-    DesignSpec,
     DiffusionChannel,
     FrequencyBand,
     ReceptionSystem,
@@ -161,7 +160,7 @@ def test_design_limit_meets_the_binding_budget(mu, k_r, omega1, width,
     band = FrequencyBand(omega1, omega1 * width)
     q0 = reception_amplitude_distortion(rs, band) * (1.0 + q_room)
     r0 = reception_delay_distortion(rs, band) * (1.0 + r_room)
-    result = distance_bound(DesignSpec(q0=q0, r0=r0, band=band, mu=mu, rs=rs))
+    result = distance_bound(q0, r0, band, mu, rs)
     assert result.feasible
     ch = DiffusionChannel(mu=mu, x_r=result.x_r_limit)
     edges = np.array([band.omega1, band.omega2])

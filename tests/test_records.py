@@ -19,7 +19,7 @@ from mcchannel.config import (
     TableConfig,
     scenario_from_dict,
 )
-from mcchannel.design import CleanBands, DesignResult, DesignSpec
+from mcchannel.design import CleanBands, DesignResult
 from mcchannel.distortion import DistortionReport, NormalizedBand
 from mcchannel.systems import (
     DiffusionChannel,
@@ -66,8 +66,6 @@ CASES = {
                      {"lam": -1.0}),
     DistortionReport: (dict(band=BAND, q_g=1.0, r_g=0.1, q_h=2.0, r_h=0.2),
                        {"band": FrequencyBand(5e-3, 0.2)}, {"q_g": -1.0}),
-    DesignSpec: (dict(q0=1.0, r0=0.1, band=BAND, mu=83.0, rs=RS),
-                 {"mu": 84.0}, {"q0": 0.0}),
     DesignResult: (dict(x_q=1.0, x_r_delay=2.0, x_r_limit=1.0, feasible=True),
                    {"feasible": False}, None),
     CleanBands: (dict(omega1=np.array([1.0]), omega2=np.array([10.0]),
@@ -89,7 +87,8 @@ CASES = {
                  {"x_r": 10.0}, None),
     TableConfig: (dict(reception=RS, decade_width=10.0, q_fraction=0.1,
                        r_fraction=0.1,
-                       species=(SpeciesRow("ion", 500.0, 7000.0, None),)),
+                       species=(SpeciesRow("ion", 500.0, 7000.0, None),),
+                       parameters={"decade_width": 10.0}),
                   {"q_fraction": 0.2}, None),
 }
 

@@ -8,7 +8,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mcchannel import (
-    DesignSpec,
     DiffusionChannel,
     FrequencyBand,
     NormalizedBand,
@@ -27,8 +26,8 @@ from mcchannel import (
     reception_phase_delay,
     reception_response,
 )
-from mcchannel.design import reception_cutoff
-from mcchannel.distortion import delay_distortion_maxima, denormalize_distance
+from mcchannel.design import distance_bound, reception_cutoff
+from mcchannel.distortion import delay_distortion_maxima
 
 CH = DiffusionChannel(mu=83.0, x_r=14.0)
 RS = ReceptionSystem(k_f=1e-3, k_r=4e-3, r=4.0)
@@ -203,17 +202,14 @@ HUGE = 10**400  # a Python int beyond the float range
 
 @pytest.mark.parametrize("build", [
     lambda: ReceptionSystem(k_f=HUGE, k_r=1.0, r=1.0),
-    lambda: DesignSpec(q0=HUGE, r0=1.0, band=FrequencyBand(W1, W2), mu=83.0,
-                       rs=RS),
+    lambda: distance_bound(HUGE, 1.0, FrequencyBand(W1, W2), 83.0, RS),
     lambda: reception_cutoff(RS, HUGE),
     lambda: SquareWaveInput(amplitude=HUGE, fundamental=W1),
     lambda: TimeGrid(t0=0.0, dt=HUGE, n=3),
     lambda: SolverConfig(dx=HUGE, dt=1.0, domain_length=100.0, duration=10.0),
-    lambda: denormalize_distance(HUGE, 83.0, 4e-3),
     lambda: delay_distortion_maxima(HUGE),
-], ids=["ReceptionSystem", "DesignSpec", "reception_cutoff", "SquareWaveInput",
-        "TimeGrid", "SolverConfig", "denormalize_distance",
-        "delay_distortion_maxima"])
+], ids=["ReceptionSystem", "distance_bound", "reception_cutoff",
+        "SquareWaveInput", "TimeGrid", "SolverConfig", "delay_distortion_maxima"])
 def test_scalar_checks_reject_ints_beyond_the_float_range(build):
     # math.isfinite would raise OverflowError converting the int.
     with pytest.raises(ParameterError):
