@@ -13,82 +13,15 @@ finite differences) cross-check the frequency-domain picture.
 Units: micrometers, seconds, micromolar; angular frequencies in rad/s.
 """
 
-from .systems import (
-    DiffusionChannel,
-    FrequencyBand,
-    ParameterError,
-    ReceptionSystem,
-    cascade_gain_db,
-    cascade_phase_delay,
-    cascade_response,
-    diffusion_gain_db,
-    diffusion_phase_delay,
-    diffusion_response,
-    reception_gain_db,
-    reception_phase_delay,
-    reception_response,
-)
-from .distortion import (
-    DistortionReport,
-    NormalizedBand,
-    channel_report,
-    diffusion_amplitude_distortion_normalized,
-    diffusion_delay_distortion_normalized,
-    log_grid,
-    normalize,
-    reception_amplitude_distortion,
-    reception_amplitude_distortion_normalized,
-    reception_delay_distortion,
-    reception_delay_distortion_normalized,
-)
-from .design import (
-    DesignResult,
-    distance_bound,
-    highest_clean_band,
-)
-from .timedomain import (
-    ActivationTiming,
-    SimulationTrace,
-    SolverConfig,
-    SquareWaveInput,
-    TimeGrid,
-    activation_time,
-    default_solver_config,
-    simulate_fdm,
-    synthesize_fourier,
-    write_trace_csv,
-)
-from .config import (
-    ConfigError,
-    Scenario,
-    load_scenario,
-    load_table,
-    scenario_from_dict,
-)
+from .systems import *
+from .distortion import *
+from .design import *
+from .timedomain import *
+from .config import *
+from . import config, design, distortion, systems, timedomain
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # systems
-    "DiffusionChannel", "FrequencyBand", "ParameterError", "ReceptionSystem",
-    "cascade_gain_db", "cascade_phase_delay", "cascade_response",
-    "diffusion_gain_db", "diffusion_phase_delay", "diffusion_response",
-    "reception_gain_db", "reception_phase_delay", "reception_response",
-    # distortion
-    "DistortionReport", "NormalizedBand", "channel_report",
-    "diffusion_amplitude_distortion_normalized",
-    "diffusion_delay_distortion_normalized", "log_grid", "normalize",
-    "reception_amplitude_distortion",
-    "reception_amplitude_distortion_normalized", "reception_delay_distortion",
-    "reception_delay_distortion_normalized",
-    # design
-    "DesignResult", "distance_bound", "highest_clean_band",
-    # timedomain
-    "ActivationTiming", "SimulationTrace", "SolverConfig", "SquareWaveInput",
-    "TimeGrid", "activation_time", "default_solver_config", "simulate_fdm",
-    "synthesize_fourier", "write_trace_csv",
-    # config
-    "ConfigError", "Scenario", "load_scenario", "load_table",
-    "scenario_from_dict",
-]
+# Each module's __all__ is its public API, re-exported here whole.
+__all__ = ["__version__", *systems.__all__, *distortion.__all__,
+           *design.__all__, *timedomain.__all__, *config.__all__]

@@ -13,8 +13,10 @@ writing CSV/JSON results into an output directory:
 
 Exit codes: 0 success (including a structurally infeasible design),
 2 configuration error, 3 numerical failure; a failed run leaves no files.
-Outputs embed the resolved parameter set; reruns are byte-identical
-except for the generated_at timestamp in JSON metadata.
+Outputs embed the resolved parameter set.  With one numpy build and BLAS
+thread count, reruns are byte-identical except for the generated_at
+timestamp in JSON metadata; the thread count can move the last digit of
+an FDM trace, whose impulse response is a BLAS matrix product.
 """
 
 from __future__ import annotations
@@ -67,10 +69,10 @@ from .systems import (
     reception_phase_delay,
 )
 from .timedomain import (
+    SimulationTrace,
     activation_time,
     simulate_fdm,
     synthesize_fourier,
-    write_trace_csv,
 )
 
 
@@ -99,8 +101,60 @@ def _csv_header(fh, parameters: dict) -> None:
              + json.dumps(parameters, separators=(",", ":")) + "\n")
 
 
-# Rows of curves.csv formatted per write: bounds the text held at once.
+# Rows formatted per write: bounds the text held at once.
 _CSV_CHUNK = 4096
+
+# A column whose runs of bit-equal values average at least this many rows
+# is written as text once per run instead of formatted on every row.
+_MIN_RUN = 64
+
+
+def _write_rows(fh, columns) -> None:
+    """Write equal-length float columns as CSV rows of %.9g cells.
+
+    Rows go out _CSV_CHUNK at a time, stacked per chunk, so no second
+    copy of the columns is held.  A column that holds the same value over long runs (the input
+    of a square wave, the received column of the direct route's
+    reception arm) is formatted once per run and put into the chunk's
+    %-template as text, so % formats only the other columns.  Runs are
+    found by comparing the bits of the doubles, so -0.0 and 0.0 start
+    different runs: the file is byte for byte the one that formatting
+    every cell gives.
+    """
+    n = len(columns[0])
+    constant, run_starts = [], [np.empty(0, dtype=np.intp)]
+    for column in columns:
+        bits = column.view(np.int64)
+        changed = bits[1:] != bits[:-1]
+        constant.append((1 + np.count_nonzero(changed)) * _MIN_RUN <= n)
+        if constant[-1]:
+            run_starts.append(np.flatnonzero(changed) + 1)
+    run_starts = np.unique(np.concatenate(run_starts))
+    varying = [c for c, fixed in zip(columns, constant) if not fixed]
+    for lo in range(0, n, _CSV_CHUNK):
+        hi = min(lo + _CSV_CHUNK, n)
+        inner = run_starts[(run_starts > lo) & (run_starts < hi)]
+        edges = [lo, *inner.tolist(), hi]
+        template = "".join(_row_template(columns, a, constant) * (b - a)
+                           for a, b in zip(edges, edges[1:]))
+        block = [c[lo:hi] for c in varying]
+        cells = np.column_stack(block).ravel().tolist() if block else []
+        fh.write(template % tuple(cells))
+
+
+def _row_template(columns, row: int, constant: list) -> str:
+    """One CSV line: the text of row's constant cells, %.9g for the rest."""
+    return ",".join("%.9g" % float(c[row]) if fixed else "%.9g"
+                    for c, fixed in zip(columns, constant)) + "\n"
+
+
+def write_trace_csv(trace: SimulationTrace, path) -> None:
+    """Write the trace as CSV with columns t_s, v_uM, u_xr_uM, c_uM."""
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# route: {trace.route}\n")
+        fh.write("t_s,v_uM,u_xr_uM,c_uM\n")
+        _write_rows(fh, (trace.times, trace.input, trace.received,
+                         trace.complex_conc))
 
 
 def cmd_analyze(args, out: Path) -> None:
@@ -134,10 +188,7 @@ def cmd_analyze(args, out: Path) -> None:
         _csv_header(fh, scenario.parameters)
         fh.write("omega_rad_per_s,gain_g_db,gain_h_db,gain_m_db,"
                  "delay_g_s,delay_h_s,delay_m_s\n")
-        for lo in range(0, points, _CSV_CHUNK):
-            rows = np.column_stack([c[lo:lo + _CSV_CHUNK] for c in columns])
-            fh.write("%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g\n" * len(rows)
-                     % tuple(rows.ravel().tolist()))
+        _write_rows(fh, columns)
 
 
 def _resolved_budgets(scenario: Scenario, q_h: float, r_h: float,
@@ -193,6 +244,9 @@ def cmd_sweep(args, out: Path) -> None:
     sw = scenario.sweep
     points = (sw.points if args.points is None
               else check_points(args.points, "--points", MAX_SWEEP_POINTS))
+    # Every artifact echoes the grid size used, not the file's.
+    parameters = {**scenario.parameters,
+                  "sweep": {**scenario.parameters["sweep"], "points": points}}
     lam = normalize(scenario.channel, scenario.reception, scenario.band).lam
     grid = np.logspace(np.log10(sw.omega_min), np.log10(sw.omega_max), points)
     grid[0], grid[-1] = sw.omega_min, sw.omega_max
@@ -208,7 +262,7 @@ def cmd_sweep(args, out: Path) -> None:
                  for name in surfaces]
         header = "omega1p," + ",".join(_fmt(w2) for w2 in grid) + "\n"
         for fh in files:
-            _csv_header(fh, scenario.parameters)
+            _csv_header(fh, parameters)
             fh.write(header)
         for w1, later, values in _sweep_blocks(grid, lam, surfaces.values()):
             # w1 heads each row; cells with w1 >= w2 stay blank.
@@ -219,7 +273,7 @@ def cmd_sweep(args, out: Path) -> None:
                 fh.write(template % tuple(cells.tolist()))
 
     _write_json(out / "sweep.json", {
-        "metadata": _metadata(scenario.parameters),
+        "metadata": _metadata(parameters),
         "lam": lam,
         "grid": {"omega_min": sw.omega_min, "omega_max": sw.omega_max,
                  "points": points},

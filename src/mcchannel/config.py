@@ -38,10 +38,7 @@ from .timedomain import SolverConfig, SquareWaveInput, default_solver_config
 
 __all__ = [
     "ConfigError",
-    "SweepSettings",
     "Scenario",
-    "SpeciesRow",
-    "TableConfig",
     "scenario_from_dict",
     "load_scenario",
     "load_table",

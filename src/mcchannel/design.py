@@ -41,8 +41,6 @@ from .distortion import (
 __all__ = [
     "DesignResult",
     "distance_bound",
-    "reception_cutoff",
-    "CleanBands",
     "highest_clean_band",
 ]
 

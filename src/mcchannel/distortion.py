@@ -49,7 +49,6 @@ __all__ = [
     "diffusion_delay_distortion_normalized",
     "reception_amplitude_distortion_normalized",
     "reception_delay_distortion_normalized",
-    "delay_distortion_maxima",
     "DistortionReport",
     "channel_report",
 ]

@@ -67,8 +67,11 @@ __all__ = [
     "simulate_fdm",
     "ActivationTiming",
     "activation_time",
-    "write_trace_csv",
 ]
+
+
+# Rounding window of an on-sample edge, in ulps of the phase t / T.
+_EDGE_ULPS = 8
 
 
 class SquareWaveInput(_Record):
@@ -105,8 +108,15 @@ class SquareWaveInput(_Record):
         return self.offset + self.amplitude * self.duty
 
     def value(self, t) -> np.ndarray:
-        """The wave at the times t (s); the rising edge counts as high."""
-        frac = np.mod(np.asarray(t, dtype=float) / self.period, 1.0)
+        """The wave at the times t (s).
+
+        An edge takes the value after it: high at a rising edge, low at a
+        falling one.  t / T carries rounding, so a sample on an edge may
+        land a few ulps before it; a phase within _EDGE_ULPS ulps before
+        an edge counts as on it.
+        """
+        phase = np.asarray(t, dtype=float) / self.period
+        frac = np.mod(phase + _EDGE_ULPS * np.spacing(np.abs(phase)), 1.0)
         return self.offset + self.amplitude * (frac >= 1.0 - self.duty)
 
     @property
@@ -502,49 +512,3 @@ def activation_time(trace: SimulationTrace,
         t_on = float(t[i])
     return ActivationTiming(threshold, float(t_on), window)
 
-
-# Rows formatted per write: bounds the text held in memory at once.
-_TRACE_CHUNK = 4096
-
-# A column whose runs of bit-equal values average at least this many rows
-# is written as text once per run instead of formatted on every row.
-_MIN_RUN = 64
-
-
-def write_trace_csv(trace: SimulationTrace, path) -> None:
-    """Write the trace as CSV with columns t_s, v_uM, u_xr_uM, c_uM.
-
-    Every value is written as %.9g, 4096 rows per write.  A column that
-    holds the same value over long runs of rows (runs of at least 64 rows
-    on average: the input column of a square wave, and the received
-    column of the reception arm of the direct route, which is the input)
-    is formatted once per run in each chunk and put into the chunk's
-    %-template as text, so % formats only the other columns.  Runs are found by
-    comparing the bits of the doubles, so -0.0 and 0.0 start different
-    runs, and each run's text is the %.9g of its value: the file is byte
-    for byte the one that formatting every cell gives.
-    """
-    table = np.column_stack((trace.times, trace.input, trace.received,
-                             trace.complex_conc))
-    n = len(table)
-    bits = table.view(np.int64)
-    changed = bits[1:] != bits[:-1]
-    constant = (1 + changed.sum(axis=0)) * _MIN_RUN <= n
-    run_starts = np.flatnonzero(changed[:, constant].any(axis=1)) + 1
-    varying = table[:, ~constant]
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# route: {trace.route}\n")
-        fh.write("t_s,v_uM,u_xr_uM,c_uM\n")
-        for lo in range(0, n, _TRACE_CHUNK):
-            hi = min(lo + _TRACE_CHUNK, n)
-            inner = run_starts[(run_starts > lo) & (run_starts < hi)]
-            edges = [lo, *inner.tolist(), hi]
-            template = "".join(_row_template(table[a], constant) * (b - a)
-                               for a, b in zip(edges, edges[1:]))
-            fh.write(template % tuple(varying[lo:hi].ravel().tolist()))
-
-
-def _row_template(row: np.ndarray, constant: np.ndarray) -> str:
-    """One CSV line: the text of the constant cells, %.9g for the rest."""
-    return ",".join("%.9g" % x if fixed else "%.9g"
-                    for x, fixed in zip(row.tolist(), constant.tolist())) + "\n"

@@ -263,8 +263,17 @@ def test_sweep_grid_and_ridge(scenario_path, tmp_path):
         for j, cell in enumerate(row[1:]):
             assert (cell == "") == (grid[i] >= cols[j])
 
+    # Every artifact echoes the grid size used, not the file's 9.
+    sweep = json.loads((out / "sweep.json").read_text())
+    assert sweep["grid"]["points"] == 41
+    assert sweep["metadata"]["parameters"]["sweep"]["points"] == 41
+    for name in ("q_g", "r_g", "q_h", "r_h"):
+        echo = (out / f"{name}.csv").read_text().splitlines()[1]
+        assert echo.startswith("# parameters: ")
+        assert json.loads(echo[len("# parameters: "):])["sweep"]["points"] == 41
+
     # Spot value against the closed form, using lam from sweep.json.
-    lam = json.loads((out / "sweep.json").read_text())["lam"]
+    lam = sweep["lam"]
     val = float(body[0][1 + 40])  # w1' = 1e-2 paired with w2' = 1e2
     want = diffusion_delay_distortion_normalized(NormalizedBand(1e-2, 1e2, lam))
     assert_allclose(val, want, rtol=1e-8)

@@ -1,6 +1,7 @@
 """Time-domain routes: wave inputs, Fourier synthesis, the direct solver,
 activation timing, and trace export."""
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -24,8 +25,8 @@ from mcchannel import (
     diffusion_response,
     simulate_fdm,
     synthesize_fourier,
-    write_trace_csv,
 )
+from mcchannel.cli import write_trace_csv
 from mcchannel.timedomain import _mode_sum
 
 MU = 83.0
@@ -420,6 +421,43 @@ def test_mode_sum_matches_per_element_powers(n):
 
 
 # ---------------------------------------------------------------------------
+# time scaling
+# ---------------------------------------------------------------------------
+
+def _time_scaled_traces(s, duty):
+    """Both routes on the baseline with time stretched by s: mu, k_f, k_r,
+    w1 and w2 divided by s, so the default grid's dt is multiplied by s."""
+    ch = DiffusionChannel(mu=MU / s, x_r=CH.x_r)
+    rs = ReceptionSystem(k_f=RS.k_f / s, k_r=RS.k_r / s, r=RS.r)
+    wave = SquareWaveInput(amplitude=WAVE.amplitude, fundamental=W1 / s,
+                           duty=duty)
+    cfg = default_solver_config(ch, wave, n_periods=3, omega_max=0.4 / s)
+    return (synthesize_fourier(ch, rs, wave, 800, cfg.time_grid),
+            simulate_fdm(ch, rs, wave, cfg))
+
+
+@functools.lru_cache(maxsize=4)
+def _unscaled_traces(duty):
+    return _time_scaled_traces(1.0, duty)
+
+
+@pytest.mark.parametrize("duty", [0.5, 0.3, 0.25, 0.1])
+@pytest.mark.parametrize("s", [1e-3, 0.37, 2.9, 3.7, 5.1, 7.3])
+def test_time_scaling_leaves_traces_in_sample_units(s, duty):
+    # The grid's T/dt = 12,800 puts every edge on a sample, where t/T is a
+    # few ulps off the edge for some s.  Bounds fixed before running:
+    # 1e-12 x amplitude for each trace, 1e-9 relative for the latency.
+    for ref, got in zip(_unscaled_traces(duty), _time_scaled_traces(s, duty)):
+        assert np.array_equal(got.input, ref.input), ref.route
+        for name in ("received", "complex_conc"):
+            assert_allclose(getattr(got, name), getattr(ref, name), rtol=0,
+                            atol=1e-12 * WAVE.amplitude, err_msg=ref.route)
+        before, after = activation_time(ref, 0.09), activation_time(got, 0.09)
+        assert before.activated and after.activated
+        assert_allclose(after.latency, s * before.latency, rtol=1e-9)
+
+
+# ---------------------------------------------------------------------------
 # traces and activation
 # ---------------------------------------------------------------------------
 
@@ -548,6 +586,17 @@ def test_trace_csv_equals_cell_by_cell_formatting(tmp_path, n):
     c = np.random.default_rng(n).standard_normal(n) * 1e-3
     trace = SimulationTrace(grid=TimeGrid(0.0, 0.25, n), input=v,
                             received=received, complex_conc=c, route="fdm",
+                            wave=WAVE)
+    _assert_writes_like_reference(trace, tmp_path)
+
+
+def test_trace_csv_with_no_varying_column(tmp_path):
+    # Instants 1 s apart near 1e20 s round to one value, so every column
+    # is one run and the template holds no %.
+    n = 300
+    trace = SimulationTrace(grid=TimeGrid(1e20, 1.0, n), input=np.zeros(n),
+                            received=np.full(n, 0.1),
+                            complex_conc=np.full(n, -0.0), route="fdm",
                             wave=WAVE)
     _assert_writes_like_reference(trace, tmp_path)
 
