@@ -40,6 +40,7 @@ from .config import (
     Scenario,
     _parameter_errors,
     check_points,
+    check_solve_sizes,
     load_scenario,
     load_table,
 )
@@ -60,7 +61,6 @@ from .distortion import (
     reception_delay_distortion_normalized,
 )
 from .systems import (
-    DiffusionChannel,
     cascade_gain_db,
     cascade_phase_delay,
     diffusion_gain_db,
@@ -285,43 +285,35 @@ def _timing_entry(trace, threshold: float | None) -> dict | None:
     if threshold is None:
         return None
     timing = activation_time(trace, threshold)
-    return {
-        "threshold": timing.threshold,
-        "t_on": timing.t_on,
-        "latency": timing.latency,
-        "pulse_window": list(timing.pulse_window),
-        "activated": timing.activated,
-    }
+    return {"threshold": timing.threshold, "t_on": timing.t_on,
+            "latency": timing.latency, "pulse_window": list(timing.pulse_window),
+            "activated": timing.activated}
 
 
 def cmd_simulate(args, out: Path) -> None:
     scenario = load_scenario(args.config)
     routes = ("fourier", "fdm") if args.route == "both" else (args.route,)
-    names = [f"{arm}_{route}" for route in routes
-             for arm in ("reception", "channel")]
-    reception_only = DiffusionChannel(mu=scenario.channel.mu, x_r=0.0)
+    check_solve_sizes(scenario, routes, args.config)
+    ch, rs, wave = scenario.channel, scenario.reception, scenario.wave
+    timings = dict.fromkeys(f"{arm}_{route}" for route in routes
+                            for arm in ("reception", "channel"))
 
-    # Last name first: the FDM channel arm, the only one whose grid can be
-    # refused, runs before any other solve.
-    timings: dict = {}
-    for name in reversed(names):
-        arm, route = name.split("_")
-        ch = scenario.channel if arm == "channel" else reception_only
-        if route == "fourier":
-            trace = synthesize_fourier(ch, scenario.reception, scenario.wave,
-                                       scenario.n_harmonics,
-                                       scenario.solver.time_grid)
-        else:
-            trace = simulate_fdm(ch, scenario.reception, scenario.wave,
-                                 scenario.solver)
-        write_trace_csv(trace, out / f"trace_{name}.csv")
-        timings[name] = _timing_entry(trace, scenario.threshold)
+    # FDM first: its grid, which can be refused, is checked before any solve.
+    for route in reversed(routes):
+        arms = (synthesize_fourier(ch, rs, wave, scenario.n_harmonics,
+                                   scenario.solver.time_grid)
+                if route == "fourier" else
+                simulate_fdm(ch, rs, wave, scenario.solver))
+        for arm, trace in zip(("reception", "channel"), arms):
+            write_trace_csv(trace, out / f"trace_{arm}_{route}.csv")
+            timings[f"{arm}_{route}"] = _timing_entry(trace, scenario.threshold)
+        del arms, trace     # before the next route's solve
 
     _write_json(out / "simulate.json", {
         "metadata": _metadata(scenario.parameters),
         "routes": list(routes),
-        "files": [f"trace_{name}.csv" for name in names],
-        "activation": {name: timings[name] for name in names},
+        "files": [f"trace_{name}.csv" for name in timings],
+        "activation": timings,
     })
 
 

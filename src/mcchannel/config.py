@@ -54,6 +54,7 @@ MAX_SWEEP_POINTS = 4096
 # analyze holds seven float columns of this many rows, 56 MB, and writes
 # them as a CSV of about 80 MB.
 MAX_CURVE_POINTS = 10**6
+MAX_SOLVE_SIZE = 2**22      # see check_solve_sizes
 
 
 def check_points(points: int, where: str, maximum: int) -> int:
@@ -250,13 +251,8 @@ def scenario_from_dict(doc: dict, origin: str = "scenario") -> Scenario:
             amplitude=sim["amplitude"], duty=sim["duty"], offset=sim["offset"],
             fundamental=(band.omega1 if sim["fundamental"] is None
                          else sim["fundamental"]))
-        n_harmonics = sim["n_harmonics"]
-        if n_harmonics is None:     # all n with n w1 <= w2
-            ratio = band.omega2 / wave.fundamental
-            if math.isinf(ratio):
-                raise ParameterError(f"harmonic count omega2/fundamental = "
-                                     f"{band.omega2:g}/{wave.fundamental:g} overflows")
-            n_harmonics = math.floor(ratio)
+        n_harmonics = (wave.harmonics_within(band.omega2)
+                       if sim["n_harmonics"] is None else sim["n_harmonics"])
         solver = _replace(
             default_solver_config(channel, wave, n_periods=sim["n_periods"],
                                   omega_max=band.omega2),
@@ -277,6 +273,22 @@ def scenario_from_dict(doc: dict, origin: str = "scenario") -> Scenario:
                     n_harmonics=n_harmonics, threshold=sim["threshold"],
                     solver=solver, sweep=sweep, parameters=parameters,
                     **thresholds)
+
+
+def check_solve_sizes(scenario: Scenario, routes, origin: str) -> None:
+    """Refuse, naming its key, a route's solve size above MAX_SOLVE_SIZE =
+    2**22: Fourier harmonics or time samples, FDM FFT points or mode-sum
+    factors (A + B) m, both bounded above.  At the budget: 64-830 MiB."""
+    solver, steps = scenario.solver, scenario.solver.time_grid.n - 1
+    factors = (2 * math.isqrt(steps) + 2) * solver.domain_length / solver.dx
+    sizes = {"fourier": [("n_harmonics", scenario.n_harmonics, "harmonics"),
+                         ("n_periods", steps + 1, "time samples")],
+             "fdm": [("n_periods", 4 * steps, "FFT points"),
+                     ("dx", factors, "mode-sum factors")]}
+    for key, size, what in (item for route in routes for item in sizes[route]):
+        if size > MAX_SOLVE_SIZE:
+            raise ConfigError(f"{origin}.simulation.{key}: {size:.3g} {what} "
+                              f"exceed the budget of {MAX_SOLVE_SIZE:,}")
 
 
 def load_scenario(path) -> Scenario:

@@ -169,8 +169,7 @@ class DiffusionChannel(_Record):
 
     Attributes:
         mu: diffusion coefficient, um^2/s.
-        x_r: transmitter-to-receiver distance, um.  x_r = 0 collapses the
-            stage to an identity (useful as the reception-only reference).
+        x_r: transmitter-to-receiver distance, um; 0 makes an identity.
 
     mu and x_r may also be arrays that broadcast together: a family of
     channels, as the clean-band search normalizes in one call.

@@ -17,13 +17,9 @@ square-wave release at the transmitter:
   unconditionally stable, second order in both steps), and the bound
   receptor concentration follows the linearized binding ODE
   c' = k_f r u(x_r, t) - k_r c integrated with the trapezoidal rule.
-  This is a transient from rest.  The scheme is not stepped: it is
-  diagonal in the discrete sine basis of the interior grid, so the
-  receiver trace is a causal convolution of the boundary forcing with
-  an impulse response summed over the sine modes, and the binding step
-  is a second causal convolution with a geometric kernel.  Both
-  convolutions go through the FFT (see simulate_fdm); numpy is the only
-  numerical dependency.
+  This is a transient from rest.  The scheme is not stepped but
+  regrouped into two causal convolutions through the FFT (see
+  simulate_fdm); numpy is the only numerical dependency.
 
 Square-wave convention: each period opens low and closes high; the
 rising edge of period k sits at (k + 1 - duty) * T.  A simulation from
@@ -32,8 +28,9 @@ initial medium, and the first full pulse window is free of start-up
 artifacts from a mid-edge start.  The direct route returns exact zeros
 in that stretch.
 
-Both routes sample one TimeGrid (t0, dt, n), in the CLI the solver
-configuration's time_grid, so their traces share a time column.
+Each route returns (reception, channel) arms, without and with the
+diffusion stage, all sampling one TimeGrid (t0, dt, n), in the CLI the
+solver configuration's time_grid, so the traces share a time column.
 Agreement between the two routes over a late period (after transients
 decay, the direct route approaches the steady-periodic solution) is the
 main end-to-end check on both.  Every trace must be finite:
@@ -55,6 +52,7 @@ from .systems import (
     _require,
     cascade_response,
     diffusion_response,
+    reception_response,
 )
 
 __all__ = [
@@ -119,6 +117,14 @@ class SquareWaveInput(_Record):
         frac = np.mod(phase + _EDGE_ULPS * np.spacing(np.abs(phase)), 1.0)
         return self.offset + self.amplitude * (frac >= 1.0 - self.duty)
 
+    def harmonics_within(self, omega: float) -> int:
+        """The count of harmonics n w1 <= omega, to within _EDGE_ULPS ulps."""
+        ratio = omega / self.fundamental
+        ratio += _EDGE_ULPS * math.ulp(ratio)
+        _require(_finite(ratio), f"harmonic count omega/fundamental = "
+                 f"{omega:g}/{self.fundamental:g} overflows")
+        return math.floor(ratio)
+
     @property
     def pulse_window(self) -> tuple[float, float]:
         """The first high interval [(1 - duty) T, T]."""
@@ -152,7 +158,8 @@ class TimeGrid(_Record):
 class SimulationTrace(_Record):
     """Sampled input and response concentrations on a uniform time grid.
 
-    received is the concentration after the diffusion stage at x_r;
+    received is the concentration at the receptors: the input itself in
+    a reception arm, after the diffusion stage at x_r in a channel arm;
     complex_conc is the bound-receptor (ligand-receptor complex)
     concentration after the reception stage.  route records which solver
     produced the trace ('fourier' or 'fdm').  All four series must be
@@ -201,8 +208,8 @@ _QUIET_OVERFLOW = np.errstate(over="ignore", invalid="ignore")
 @_QUIET_OVERFLOW
 def synthesize_fourier(ch: DiffusionChannel, rs: ReceptionSystem,
                        wave: SquareWaveInput, n_harmonics: int,
-                       t_grid: TimeGrid) -> SimulationTrace:
-    """Steady-periodic response via truncated Fourier synthesis.
+                       t_grid: TimeGrid) -> tuple[SimulationTrace, ...]:
+    """Steady-periodic (reception, channel) arms via Fourier synthesis.
 
     The wave's pulse (width duty * T, centered at t_c = (1 - duty/2) T)
     expands as
@@ -216,13 +223,13 @@ def synthesize_fourier(ch: DiffusionChannel, rs: ReceptionSystem,
     exact square wave, not its truncation.
 
     Evaluation: with complex amplitudes C_n = coeff_n |G_n|
-    exp(i (phi_n - w_n t_c)), each stage's series is Re sum_n C_n
-    exp(i w_n t_k).  On the uniform grid t_k = t_0 + k dt, write
-    k = a B + b with B = isqrt(K) for K samples; then exp(i w_n t_k) =
-    exp(i w_n t_{aB}) exp(i w_n b dt), and the sum is an (A x N) by
-    (N x B) complex matrix product whose two factors need 2 sqrt(K) N
-    exponentials instead of K N cosines.  Harmonics are taken in blocks
-    of _HARMONIC_BLOCK to keep the temporaries small.
+    exp(i (phi_n - w_n t_c)), each series is Re sum_n C_n exp(i w_n t_k).
+    On the uniform grid t_k = t_0 + k dt, write k = a B + b with B =
+    isqrt(K) for K samples; then exp(i w_n t_k) = exp(i w_n t_{aB})
+    exp(i w_n b dt), and an arm's two series are a (2A x N) by (N x B)
+    complex matrix product whose factors need 2 sqrt(K) N exponentials
+    instead of K N cosines.  Both arms share the exponentials of each
+    block of _HARMONIC_BLOCK harmonics.
 
     Accuracy: both this product and a per-harmonic cosine loop carry the
     rounding of phases up to w_N t_K.  On the baseline scenario (800
@@ -234,37 +241,37 @@ def synthesize_fourier(ch: DiffusionChannel, rs: ReceptionSystem,
     t = t_grid.times
     n_samples = len(t_grid)
 
-    # DC components: the diffusion stage has unit DC gain.
-    received = np.full_like(t, wave.mean)
-    complex_conc = np.full_like(t, wave.mean * rs.dc_gain)
+    # Per arm, (received, complex_conc): DC (unit diffusion gain) + harmonics.
+    dc = np.array([wave.mean, wave.mean * rs.dc_gain])[:, None]
+    series = np.broadcast_to(dc, (2, 2, n_samples))
     if n_harmonics > 0 and n_samples > 0:
         n = np.arange(1, n_harmonics + 1)
         wn = n * wave.fundamental
         coeff = 2.0 * wave.amplitude * np.sin(n * math.pi * wave.duty) / (n * math.pi)
-        g_mag, g_phase = diffusion_response(ch, wn)
-        m_mag, m_phase = cascade_response(ch, rs, wn)
         t_c = (1.0 - 0.5 * wave.duty) * wave.period
-        amps = np.stack((coeff * g_mag * np.exp(1j * (g_phase - wn * t_c)),
-                         coeff * m_mag * np.exp(1j * (m_phase - wn * t_c))))
+        responses = ((1.0, 0.0), reception_response(rs, wn),
+                     diffusion_response(ch, wn), cascade_response(ch, rs, wn))
+        amps = np.array([coeff * mag * np.exp(1j * (phase - wn * t_c))
+                         for mag, phase in responses]).reshape(2, 2, -1)
 
         cols = math.isqrt(n_samples)
         rows = -(-n_samples // cols)
         row_starts = t[::cols]
         col_offsets = np.arange(cols) * t_grid.dt
-        sums = np.zeros((2 * rows, cols), dtype=complex)
+        sums = np.zeros((2, 2 * rows, cols))
         for lo in range(0, n_harmonics, _HARMONIC_BLOCK):
             w = wn[lo:lo + _HARMONIC_BLOCK]
-            left = amps[:, None, lo:lo + _HARMONIC_BLOCK] * np.exp(
-                1j * np.multiply.outer(row_starts, w))
+            row_phases = np.exp(1j * np.multiply.outer(row_starts, w))
             right = np.exp(1j * np.multiply.outer(w, col_offsets))
-            sums += left.reshape(2 * rows, w.size) @ right
-        series = sums.real.reshape(2, rows * cols)[:, :n_samples]
-        received += series[0]
-        complex_conc += series[1]
+            for arm_amps, arm_sums in zip(amps, sums):
+                left = arm_amps[:, None, lo:lo + _HARMONIC_BLOCK] * row_phases
+                arm_sums += (left.reshape(2 * rows, w.size) @ right).real
+        series = series + sums.reshape(2, 2, rows * cols)[:, :, :n_samples]
 
-    return SimulationTrace(grid=t_grid, input=wave.value(t), received=received,
-                           complex_conc=complex_conc, route="fourier",
-                           wave=wave)
+    v = wave.value(t)
+    return tuple(SimulationTrace(grid=t_grid, input=v, received=u,
+                                 complex_conc=c, route="fourier", wave=wave)
+                 for u, c in series)
 
 
 class SolverConfig(_Record):
@@ -307,9 +314,9 @@ def default_solver_config(ch: DiffusionChannel, wave: SquareWaveInput,
                           n_periods: int, omega_max: float) -> SolverConfig:
     """Derive a discretization from the scenario.
 
-    The domain extends to max(10 x_r, 5 delta(w1)) with delta(w) =
-    sqrt(2 mu / w) the penetration depth, deep enough that the truncated
-    far boundary perturbs the solution at x_r by well under 1%.  Steps
+    The domain extends to L = max(10 x_r, 5 delta(w1)) with delta(w) =
+    sqrt(2 mu / w) the penetration depth; its far boundary leaves a DC
+    gain of 1 - x_r / L at x_r (0.90 when L = 10 x_r), not 1.  Steps
     resolve the penetration depth and period of omega_max, and dx is
     rounded so that x_r lands exactly on a grid node.
     """
@@ -373,8 +380,8 @@ def _mode_sum(g: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
 @_QUIET_OVERFLOW
 def simulate_fdm(ch: DiffusionChannel, rs: ReceptionSystem,
                  wave: SquareWaveInput,
-                 cfg: SolverConfig) -> SimulationTrace:
-    """Transient response from rest via Crank-Nicolson finite differences.
+                 cfg: SolverConfig) -> tuple[SimulationTrace, ...]:
+    """Transient (reception, channel) arms from rest via Crank-Nicolson.
 
     Second-order central differences in space on [0, L]; the receiver
     distance must sit on a grid node to within 0.1% of x_r.  The scheme
@@ -392,34 +399,27 @@ def simulate_fdm(ch: DiffusionChannel, rs: ReceptionSystem,
         H[p] = sum_k w_k g_k^p,
         w_k = (2 / (m + 1)) sin(theta_k) sin(node theta_k) h / (1 + s_k).
 
-    H is built like the Fourier sum: with p = a B + b and B =
-    isqrt(n_steps), it is one (A x m)(m x B) real matrix product of
-    (g_k^B)^a and w_k g_k^b (see _mode_sum).  Both factors are running
-    products down a and b, from one g^B row and the g row, with no
-    per-element pow; each element then carries at most a + b + 1
-    roundings.  Against per-element powers, H differs by at most 9.4e-15
-    of sum_k |w_k g_k^p| on the baseline scenario (A + B = 392), and the
-    baseline traces by 5.6e-16 x amplitude.
+    H is one blocked matrix product of running products (see _mode_sum),
+    so each element carries at most a + b + 1 roundings.  Against
+    per-element powers, H differs by at most 9.4e-15 of sum_k |w_k g_k^p|
+    on the baseline scenario (A + B = 392), and the baseline traces by
+    5.6e-16 x amplitude.
 
     The trapezoidal binding step c_{n+1} = alpha c_n + beta (u_n +
     u_{n+1}), alpha = (1 - k_r dt/2) / (1 + k_r dt/2) and beta =
     (k_f r dt/2) / (1 + k_r dt/2), is the second causal convolution,
-    with kernel beta alpha^p; the receiver at the
-    transmitter (x_r = 0) needs only this one.  Both convolutions go
-    through the FFT (see _causal_response), so there is no time-step
-    loop.  Each starts at the first nonzero sample of its forcing, so
-    the quiet stretch before the first rising edge is exactly 0.0.
+    with kernel beta alpha^p: all that the reception arm, or a receiver
+    at the transmitter (x_r = 0), needs.  Both convolutions go through
+    the FFT (see _causal_response), so there is no time-step loop.  Each
+    starts at the first nonzero sample of its forcing, so the quiet
+    stretch before the first rising edge is exactly 0.0.
 
     The result is the Crank-Nicolson solution regrouped, not stepped:
-    against a step-by-step tridiagonal solve, the largest difference
-    over 40 random channels (mu 10-1000, x_r 2-40, square and sine
-    input) and the baseline scenario was 2.2e-13 x amplitude (6.8e-14
-    on the baseline), which moves the baseline trace files by at most
-    1e-11 uM, one unit in the 9th digit.  With the running products, 40
-    further random channels (1,600-6,400 steps) gave at most 4.2e-14 and
-    the baseline 4.0e-14 x amplitude against the stepped solve.  A
-    non-finite result (say, an amplitude so large that v_n + v_{n+1}
-    overflows) is rejected by SimulationTrace with FloatingPointError.
+    against a step-by-step tridiagonal solve, 40 random channels of
+    1,600-6,400 steps differ by at most 4.2e-14 x amplitude, the
+    baseline by 4.0e-14.  A non-finite result (say, an amplitude so large
+    that v_n + v_{n+1} overflows) is rejected by SimulationTrace with
+    FloatingPointError.
     """
     dx, dt = cfg.dx, cfg.dt
     n_cells = int(round(cfg.domain_length / dx))
@@ -429,35 +429,33 @@ def simulate_fdm(ch: DiffusionChannel, rs: ReceptionSystem,
              f"x_r={ch.x_r:g} must lie inside the domain "
              f"(length {cfg.domain_length:g})")
     node = int(round(ch.x_r / dx))
-    if ch.x_r > 0.0:
-        _require(abs(node * dx - ch.x_r) <= 1e-3 * ch.x_r,
-                 f"x_r={ch.x_r:g} is not on the spatial grid (dx={dx:g}); "
-                 "snap error exceeds 0.1%")
+    _require(abs(node * dx - ch.x_r) <= 1e-3 * ch.x_r,
+             f"x_r={ch.x_r:g} is not on the spatial grid (dx={dx:g}); "
+             "snap error exceeds 0.1%")
     grid = cfg.time_grid
     n_steps = len(grid) - 1
     v = wave.value(grid.times)
-
-    if node == 0:
-        # Receiver at the transmitter: the diffusion stage is an identity
-        # and only the binding ODE remains.
-        u_xr = v.copy()
-    else:
-        h = 0.5 * ch.mu * dt / (dx * dx)
-        m = n_cells - 1  # interior unknowns; nodes 0 and n_cells are Dirichlet
-        theta = np.arange(1, m + 1) * (math.pi / (m + 1))
-        s = 4.0 * h * np.sin(0.5 * theta) ** 2
-        g = (1.0 - s) / (1.0 + s)
-        w = (2.0 / (m + 1)) * np.sin(theta) * np.sin(node * theta) * h / (1.0 + s)
-        u_xr = _causal_response(_mode_sum(g, w, n_steps), v[:-1] + v[1:])
-
     decay = 1.0 + 0.5 * rs.k_r * dt
     alpha = (1.0 - 0.5 * rs.k_r * dt) / decay
     beta = 0.5 * rs.k_f * rs.r * dt / decay
-    c = _causal_response(beta * alpha ** np.arange(n_steps),
-                         u_xr[:-1] + u_xr[1:])
+    binding = beta * alpha ** np.arange(n_steps)
 
-    return SimulationTrace(grid=grid, input=v, received=u_xr,
-                           complex_conc=c, route="fdm", wave=wave)
+    def arm(u_xr):
+        c = _causal_response(binding, u_xr[:-1] + u_xr[1:])
+        return SimulationTrace(grid=grid, input=v, received=u_xr,
+                               complex_conc=c, route="fdm", wave=wave)
+
+    reception = arm(v)
+    if node == 0:    # receiver at the transmitter: no diffusion stage
+        return reception, reception
+    h = 0.5 * ch.mu * dt / (dx * dx)
+    m = n_cells - 1  # interior unknowns; nodes 0 and n_cells are Dirichlet
+    theta = np.arange(1, m + 1) * (math.pi / (m + 1))
+    s = 4.0 * h * np.sin(0.5 * theta) ** 2
+    g = (1.0 - s) / (1.0 + s)
+    w = (2.0 / (m + 1)) * np.sin(theta) * np.sin(node * theta) * h / (1.0 + s)
+    return reception, arm(_causal_response(_mode_sum(g, w, n_steps),
+                                           v[:-1] + v[1:]))
 
 
 class ActivationTiming(_Record):
@@ -493,22 +491,21 @@ def activation_time(trace: SimulationTrace,
     _require(isinstance(trace.wave, SquareWaveInput),
              "activation timing is defined for square-wave (pulsed) input")
     window = trace.wave.pulse_window
-    _require(window[1] <= trace.times[-1] + trace.dt * 0.5,
-             f"pulse 0 window {window} not covered by the trace")
     t, c = trace.times, trace.complex_conc
+    _require(len(t) > 0 and window[1] <= t[-1] + trace.dt * 0.5,
+             f"pulse 0 window {window} not covered by the trace")
     inside = (t >= window[0]) & (t <= window[1])
     idx = np.flatnonzero(inside & (c >= threshold))
     if idx.size == 0:
         return ActivationTiming(threshold, None, window)
     i = int(idx[0])
-    if i > 0 and c[i - 1] >= threshold:
-        # already at/above threshold when the window opens
-        t_on = window[0]
-    elif i > 0 and c[i] > c[i - 1]:
+    if i == 0 or c[i - 1] >= threshold:
+        # at/above threshold where the window opens, or where the grid
+        # does when it starts inside the window (i == 0)
+        t_on = max(window[0], t[0])
+    else:
         # interpolate the crossing between the straddling samples
         t_on = t[i - 1] + (threshold - c[i - 1]) / (c[i] - c[i - 1]) * trace.dt
         t_on = max(float(t_on), window[0])
-    else:
-        t_on = float(t[i])
     return ActivationTiming(threshold, float(t_on), window)
 

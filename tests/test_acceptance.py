@@ -57,7 +57,6 @@ BAND = FrequencyBand(5e-4, 0.4)
 MU = 83.0
 CH14 = DiffusionChannel(mu=MU, x_r=14.0)
 CH100 = DiffusionChannel(mu=MU, x_r=100.0)
-CH0 = DiffusionChannel(mu=MU, x_r=0.0)
 WAVE = SquareWaveInput(amplitude=0.1, fundamental=BAND.omega1, duty=0.5)
 THRESHOLD = 0.09
 
@@ -100,11 +99,10 @@ def traces():
     cfg14 = default_solver_config(CH14, WAVE, n_periods=3, omega_max=BAND.omega2)
     cfg100 = default_solver_config(CH100, WAVE, n_periods=3,
                                    omega_max=BAND.omega2)
-    fdm14 = simulate_fdm(CH14, RS, WAVE, cfg14)
-    fdm100 = simulate_fdm(CH100, RS, WAVE, cfg100)
-    reception = simulate_fdm(CH0, RS, WAVE, cfg14)
+    reception, fdm14 = simulate_fdm(CH14, RS, WAVE, cfg14)
+    fdm100 = simulate_fdm(CH100, RS, WAVE, cfg100)[1]
     n_harmonics = int(math.floor(BAND.omega2 / WAVE.fundamental))
-    fourier14 = synthesize_fourier(CH14, RS, WAVE, n_harmonics, fdm14.grid)
+    fourier14 = synthesize_fourier(CH14, RS, WAVE, n_harmonics, fdm14.grid)[1]
     return {"fdm14": fdm14, "fdm100": fdm100, "reception": reception,
             "fourier14": fourier14}
 
@@ -289,7 +287,7 @@ def test_criterion_09_solver_matches_analytic_response():
         length = dx * round(max(10.0 * CH14.x_r, 5.0 * delta) / dx)
         cfg = SolverConfig(dx=dx, dt=T / 128.0, domain_length=length,
                            duration=8.0 * T)
-        trace = simulate_fdm(CH14, RS, _Sine(w), cfg)
+        trace = simulate_fdm(CH14, RS, _Sine(w), cfg)[1]
         mask = trace.times >= 7.0 * T - 1e-9
         t, u = trace.times[mask], trace.received[mask]
         basis = np.column_stack([np.sin(w * t), np.cos(w * t),

@@ -902,6 +902,62 @@ def test_offgrid_receiver_exits_two(scenario_path, tmp_path, monkeypatch,
                      "--route", "fourier"]) == 0
 
 
+BIG = "1" + "0" * 30
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("edit, route, key", [
+    (f"n_harmonics: {BIG}", "fourier", "n_harmonics"),
+    (f"n_harmonics: {BIG}", "both", "n_harmonics"),
+    (f"n_periods: {BIG}", "fourier", "n_periods"),
+    (f"n_periods: {BIG}", "fdm", "n_periods"),
+    # Just over the budget of 2**22: harmonics; at 320 steps a period,
+    # 4,194,561 samples, and 4 x 1,048,640 steps bounding the FFT points;
+    # about 911,000 modes.
+    (f"n_harmonics: {2**22 + 1}", "fourier", "n_harmonics"),
+    ("n_periods: 13108", "fourier", "n_periods"),
+    ("n_periods: 3277", "fdm", "n_periods"),
+    ("dx: 1.0e-3", "fdm", "dx"),
+], ids=["harmonics-1e30-fourier", "harmonics-1e30-both", "periods-1e30-fourier",
+        "periods-1e30-fdm", "harmonics-over-fourier", "samples-over-fourier",
+        "fft-over-fdm", "factors-over-fdm"])
+def test_oversized_solves_exit_two_before_allocating(tmp_path, capsys,
+                                                     monkeypatch, edit, route,
+                                                     key):
+    text = SCENARIO.replace("  n_periods: 3\n", f"  n_periods: 3\n  {edit}\n")
+    if edit.startswith("n_periods"):
+        text = text.replace("  n_periods: 3\n", "")
+    cfg = tmp_path / "big.yaml"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated before the size check")
+
+    with monkeypatch.context() as patched:
+        for name in ("arange", "empty", "zeros", "full", "ones"):
+            patched.setattr(np, name, no_allocation)
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out),
+                         "--route", route]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"configuration error: {cfg}.simulation.{key}: ")
+    assert not out.exists()
+    if key == "n_harmonics":    # the budget is per route
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out),
+                         "--route", "fdm"]) == 0
+
+
+def test_solve_size_budget_is_inclusive():
+    # One below the just-over cases above: exactly 2**22 harmonics,
+    # 4,194,241 samples, and 1,048,320 steps.
+    doc = yaml.safe_load(SCENARIO)
+    doc["simulation"]["n_harmonics"] = config.MAX_SOLVE_SIZE
+    doc["simulation"]["n_periods"] = 13107
+    config.check_solve_sizes(scenario_from_dict(doc), ["fourier"], "s")
+    doc["simulation"]["n_periods"] = 3276
+    config.check_solve_sizes(scenario_from_dict(doc), ["fdm"], "s")
+
+
 def test_sweep_rejects_bad_point_count(scenario_path, tmp_path, monkeypatch,
                                       capsys):
     def no_grid(*args, **kwargs):

@@ -173,6 +173,7 @@ def test_cascade_combines_stage_responses():
     (FrequencyBand, dict(omega1=0.0, omega2=1.0)),
     (FrequencyBand, dict(omega1=0.4, omega2=5e-4)),
     (FrequencyBand, dict(omega1=1.0, omega2=1.0)),
+    (NormalizedBand, dict(omega1p=0.0, omega2p=1.0, lam=1.0)),
 ])
 def test_invalid_parameters_raise(ctor, kwargs):
     with pytest.raises(ParameterError):

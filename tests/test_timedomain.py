@@ -13,6 +13,7 @@ from scipy.sparse.linalg import splu
 
 from mcchannel import (
     DiffusionChannel,
+    FrequencyBand,
     ParameterError,
     ReceptionSystem,
     SimulationTrace,
@@ -23,6 +24,10 @@ from mcchannel import (
     cascade_response,
     default_solver_config,
     diffusion_response,
+    distance_bound,
+    reception_amplitude_distortion,
+    reception_delay_distortion,
+    scenario_from_dict,
     simulate_fdm,
     synthesize_fourier,
 )
@@ -62,13 +67,18 @@ def coarse_cfg():
 
 
 @pytest.fixture(scope="module")
-def trace_x14(coarse_cfg):
+def fdm_arms(coarse_cfg):
     return simulate_fdm(CH, RS, WAVE, coarse_cfg)
 
 
 @pytest.fixture(scope="module")
-def trace_reception(coarse_cfg):
-    return simulate_fdm(CH0, RS, WAVE, coarse_cfg)
+def trace_x14(fdm_arms):
+    return fdm_arms[1]
+
+
+@pytest.fixture(scope="module")
+def trace_reception(fdm_arms):
+    return fdm_arms[0]
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +137,7 @@ def test_time_grid_instants():
 def test_solver_time_grid_covers_the_duration():
     cfg = SolverConfig(dx=1.0, dt=0.3, domain_length=10.0, duration=10.0)
     assert cfg.time_grid == TimeGrid(0.0, 0.3, 34)   # 10 / 0.3 rounds to 33
-    trace = simulate_fdm(CH0, RS, WAVE, cfg)
+    trace = simulate_fdm(CH0, RS, WAVE, cfg)[1]
     assert trace.grid == cfg.time_grid
     assert trace.dt == 0.3
     # Every route needs 3 instants: a grid of 2 steps is the shortest.
@@ -142,17 +152,17 @@ def test_solver_time_grid_covers_the_duration():
 
 def test_fourier_dc_term_only():
     grid = TimeGrid(0.0, WAVE.period / 50.0, 101)
-    trace = synthesize_fourier(CH, RS, WAVE, 0, grid)
-    assert np.all(trace.received == WAVE.mean)
-    assert np.all(trace.complex_conc == WAVE.mean * RS.dc_gain)
-    assert trace.route == "fourier"
+    for trace in synthesize_fourier(CH, RS, WAVE, 0, grid):
+        assert np.all(trace.received == WAVE.mean)
+        assert np.all(trace.complex_conc == WAVE.mean * RS.dc_gain)
+        assert trace.route == "fourier"
 
 
 def test_fourier_reports_exact_square_input():
     grid = TimeGrid(0.0, WAVE.period / 128.0, 257)
-    trace = synthesize_fourier(CH, RS, WAVE, 40, grid)
-    assert trace.grid == grid
-    assert np.array_equal(trace.input, WAVE.value(grid.times))
+    for trace in synthesize_fourier(CH, RS, WAVE, 40, grid):
+        assert trace.grid == grid
+        assert np.array_equal(trace.input, WAVE.value(grid.times))
 
 
 def test_fourier_even_harmonics_vanish_at_half_duty():
@@ -161,26 +171,27 @@ def test_fourier_even_harmonics_vanish_at_half_duty():
     grid = TimeGrid(0.0, WAVE.period / 96.0, 97)
     one = synthesize_fourier(CH, RS, WAVE, 1, grid)
     two = synthesize_fourier(CH, RS, WAVE, 2, grid)
-    assert_allclose(two.complex_conc, one.complex_conc, rtol=0, atol=1e-16)
-    assert_allclose(two.received, one.received, rtol=0, atol=1e-16)
+    for a, b in zip(one, two):
+        assert_allclose(b.complex_conc, a.complex_conc, rtol=0, atol=1e-16)
+        assert_allclose(b.received, a.received, rtol=0, atol=1e-16)
 
 
 def test_fourier_overshoot_is_gibbs_sized():
-    # Through an identity diffusion stage the received series is the
-    # truncated square-wave expansion; its overshoot must sit near the
-    # classic ~9% of the step, not at some grid artifact.
+    # Without the diffusion stage the received series is the truncated
+    # square-wave expansion; its overshoot must sit near the classic ~9%
+    # of the step, not at some grid artifact.
     grid = TimeGrid(0.0, WAVE.period / 2048.0, 4097)
-    trace = synthesize_fourier(CH0, RS, WAVE, 101, grid)
+    trace = synthesize_fourier(CH, RS, WAVE, 101, grid)[0]
     assert 0.105 < float(np.max(trace.received)) < 0.110
     assert -0.010 < float(np.min(trace.received)) < -0.005
 
 
 def test_fourier_truncation_error_shrinks():
     grid = TimeGrid(0.0, WAVE.period / 1024.0, 2049)
-    reference = synthesize_fourier(CH, RS, WAVE, 1600, grid).complex_conc
+    reference = synthesize_fourier(CH, RS, WAVE, 1600, grid)[1].complex_conc
     errs = []
     for n in (25, 100, 400):
-        approx = synthesize_fourier(CH, RS, WAVE, n, grid).complex_conc
+        approx = synthesize_fourier(CH, RS, WAVE, n, grid)[1].complex_conc
         errs.append(float(np.linalg.norm(approx - reference)))
     assert errs[0] > errs[1] > errs[2]
 
@@ -191,8 +202,9 @@ def test_fourier_scaling_is_exact_for_power_of_two():
     double = synthesize_fourier(
         CH, RS, SquareWaveInput(amplitude=0.2, fundamental=W1, duty=0.5), 64,
         grid)
-    assert np.array_equal(2.0 * base.complex_conc, double.complex_conc)
-    assert np.array_equal(2.0 * base.received, double.received)
+    for a, b in zip(base, double):
+        assert np.array_equal(2.0 * a.complex_conc, b.complex_conc)
+        assert np.array_equal(2.0 * a.received, b.received)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +229,7 @@ def test_fdm_step_response_accuracy_and_refinement():
     errs = []
     for h in (2.0, 1.0, 0.5):
         cfg = SolverConfig(dx=h, dt=h, domain_length=500.0, duration=300.0)
-        trace = simulate_fdm(CH, RS, wave, cfg)
+        trace = simulate_fdm(CH, RS, wave, cfg)[1]
         errs.append(abs(trace.received[int(round(300.0 / h))] - exact))
     assert errs[0] < 6e-4
     assert 1.7 < errs[0] / errs[1] < 2.4
@@ -226,8 +238,9 @@ def test_fdm_step_response_accuracy_and_refinement():
 
 def test_fdm_zero_distance_skips_the_pde():
     cfg = SolverConfig(dx=1.0, dt=2.0, domain_length=100.0, duration=400.0)
-    trace = simulate_fdm(CH0, RS, WAVE, cfg)
-    assert np.array_equal(trace.received, trace.input)
+    for trace in (*simulate_fdm(CH0, RS, WAVE, cfg),
+                  simulate_fdm(CH, RS, WAVE, cfg)[0]):
+        assert np.array_equal(trace.received, trace.input)
 
 
 def test_fdm_binding_ode_accuracy():
@@ -237,7 +250,7 @@ def test_fdm_binding_ode_accuracy():
     # smears over one step; far from the edge the error collapses.
     cfg = SolverConfig(dx=1.0, dt=2.0, domain_length=100.0,
                        duration=WAVE.period)
-    trace = simulate_fdm(CH0, RS, WAVE, cfg)
+    trace = simulate_fdm(CH, RS, WAVE, cfg)[0]
     start = WAVE.period / 2.0
     mask = trace.times >= start
     s = trace.times[mask] - start
@@ -254,8 +267,9 @@ def test_fdm_scaling_is_exact_for_power_of_two(coarse_cfg):
     base = simulate_fdm(CH, RS, WAVE, small)
     double = simulate_fdm(
         CH, RS, SquareWaveInput(amplitude=0.2, fundamental=W1, duty=0.5), small)
-    assert np.array_equal(2.0 * base.complex_conc, double.complex_conc)
-    assert np.array_equal(2.0 * base.received, double.received)
+    for a, b in zip(base, double):
+        assert np.array_equal(2.0 * a.complex_conc, b.complex_conc)
+        assert np.array_equal(2.0 * a.received, b.received)
 
 
 def test_fdm_trace_stays_physical(trace_x14):
@@ -278,7 +292,7 @@ def test_fdm_is_exactly_zero_before_the_first_edge(coarse_cfg, ch, duty):
     # convolutions start at the first nonzero forcing sample, so these
     # samples are exact zeros, not rounding noise of either sign.
     wave = SquareWaveInput(amplitude=0.1, fundamental=W1, duty=duty)
-    trace = simulate_fdm(ch, RS, wave, coarse_cfg)
+    trace = simulate_fdm(ch, RS, wave, coarse_cfg)[1]
     quiet = trace.times < wave.pulse_window[0]
     assert np.count_nonzero(quiet) > 100
     assert np.all(trace.input[quiet] == 0.0)
@@ -381,7 +395,7 @@ def test_fourier_matches_per_harmonic_reference(ratio, n_harmonics, duty,
     wave = SquareWaveInput(amplitude=0.1, fundamental=W1, duty=duty)
     grid = TimeGrid(t0_periods * wave.period, wave.period / (16.0 * ratio),
                     n_samples)
-    trace = synthesize_fourier(CH, RS, wave, n_harmonics, grid)
+    trace = synthesize_fourier(CH, RS, wave, n_harmonics, grid)[1]
     received, complex_conc = _fourier_reference(CH, RS, wave, n_harmonics,
                                                 grid.times)
     tol = KERNEL_TOL * wave.amplitude
@@ -394,7 +408,7 @@ def test_fourier_matches_per_harmonic_reference(ratio, n_harmonics, duty,
 ], ids=["square", "sine"])
 def test_fdm_matches_sparse_lu_reference(wave):
     cfg = default_solver_config(CH, WAVE, n_periods=2, omega_max=0.05)
-    trace = simulate_fdm(CH, RS, wave, cfg)
+    trace = simulate_fdm(CH, RS, wave, cfg)[1]
     received, complex_conc = _fdm_reference(CH, RS, wave, cfg)
     tol = KERNEL_TOL * wave.amplitude
     assert float(np.max(np.abs(trace.received - received))) <= tol
@@ -424,21 +438,22 @@ def test_mode_sum_matches_per_element_powers(n):
 # time scaling
 # ---------------------------------------------------------------------------
 
-def _time_scaled_traces(s, duty):
-    """Both routes on the baseline with time stretched by s: mu, k_f, k_r,
-    w1 and w2 divided by s, so the default grid's dt is multiplied by s."""
-    ch = DiffusionChannel(mu=MU / s, x_r=CH.x_r)
+def _scaled_traces(s, duty, a=1.0):
+    """Both routes' channel arms on the baseline with time stretched by s
+    and space by a: mu, k_f, k_r, w1 and w2 divided by s, so the default
+    grid's dt is multiplied by s, and x_r times a, mu times a^2."""
+    ch = DiffusionChannel(mu=MU * a * a / s, x_r=CH.x_r * a)
     rs = ReceptionSystem(k_f=RS.k_f / s, k_r=RS.k_r / s, r=RS.r)
     wave = SquareWaveInput(amplitude=WAVE.amplitude, fundamental=W1 / s,
                            duty=duty)
     cfg = default_solver_config(ch, wave, n_periods=3, omega_max=0.4 / s)
-    return (synthesize_fourier(ch, rs, wave, 800, cfg.time_grid),
-            simulate_fdm(ch, rs, wave, cfg))
+    return (synthesize_fourier(ch, rs, wave, 800, cfg.time_grid)[1],
+            simulate_fdm(ch, rs, wave, cfg)[1])
 
 
 @functools.lru_cache(maxsize=4)
 def _unscaled_traces(duty):
-    return _time_scaled_traces(1.0, duty)
+    return _scaled_traces(1.0, duty)
 
 
 @pytest.mark.parametrize("duty", [0.5, 0.3, 0.25, 0.1])
@@ -447,7 +462,7 @@ def test_time_scaling_leaves_traces_in_sample_units(s, duty):
     # The grid's T/dt = 12,800 puts every edge on a sample, where t/T is a
     # few ulps off the edge for some s.  Bounds fixed before running:
     # 1e-12 x amplitude for each trace, 1e-9 relative for the latency.
-    for ref, got in zip(_unscaled_traces(duty), _time_scaled_traces(s, duty)):
+    for ref, got in zip(_unscaled_traces(duty), _scaled_traces(s, duty)):
         assert np.array_equal(got.input, ref.input), ref.route
         for name in ("received", "complex_conc"):
             assert_allclose(getattr(got, name), getattr(ref, name), rtol=0,
@@ -455,6 +470,58 @@ def test_time_scaling_leaves_traces_in_sample_units(s, duty):
         before, after = activation_time(ref, 0.09), activation_time(got, 0.09)
         assert before.activated and after.activated
         assert_allclose(after.latency, s * before.latency, rtol=1e-9)
+
+
+@pytest.mark.parametrize("s", [1e-3, 0.37, 2.9, 3.7, 5.1, 7.3])
+def test_time_scaling_keeps_the_default_harmonic_count(s):
+    # At s = 2.9, omega2 / omega1 = 800 reads 799.9999999999999.
+    scenario = scenario_from_dict({
+        "channel": {"mu": MU / s, "x_r": CH.x_r},
+        "reception": {"k_f": RS.k_f / s, "k_r": RS.k_r / s, "r": RS.r},
+        "band": {"omega1": W1 / s, "omega2": 0.4 / s}})
+    assert scenario.n_harmonics == 800
+
+
+@pytest.mark.parametrize("a", [1e-3, 0.37, 2.9, 3.7, 1e3])
+def test_space_scaling_leaves_traces_and_scales_design_distances(a):
+    # x_r times a and mu times a^2 keep x_r^2 / mu.  Bounds fixed before
+    # running: 1e-12 x amplitude for each trace, 1e-12 relative for the
+    # distances.
+    for ref, got in zip(_unscaled_traces(0.5), _scaled_traces(1.0, 0.5, a)):
+        assert np.array_equal(got.input, ref.input), ref.route
+        for name in ("received", "complex_conc"):
+            assert_allclose(getattr(got, name), getattr(ref, name), rtol=0,
+                            atol=1e-12 * WAVE.amplitude, err_msg=ref.route)
+    band = FrequencyBand(W1, 0.4)
+    q0 = 1.2 * reception_amplitude_distortion(RS, band)
+    r0 = 1.2 * reception_delay_distortion(RS, band)
+    ref, got = (distance_bound(q0, r0, band, MU * scale * scale, RS)
+                for scale in (1.0, a))
+    for name in ("x_q", "x_r_delay", "x_r_limit"):
+        assert_allclose(getattr(got, name), a * getattr(ref, name), rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the two arms
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("route", ["fourier", "fdm"])
+@pytest.mark.parametrize("ratio", [800.0, 510.3])
+def test_reception_arm_is_the_channel_arm_at_zero_distance(route, ratio):
+    # The reception arm is the route without the diffusion stage: bit for
+    # bit the channel arm of a receiver at the transmitter.
+    cfg = default_solver_config(CH, WAVE, n_periods=3, omega_max=ratio * W1)
+
+    def solve(ch):
+        if route == "fourier":
+            return synthesize_fourier(ch, RS, WAVE, math.floor(ratio),
+                                      cfg.time_grid)
+        return simulate_fdm(ch, RS, WAVE, cfg)
+
+    reception, zero = solve(CH)[0], solve(CH0)[1]
+    for name in ("times", "input", "received", "complex_conc"):
+        assert (getattr(reception, name).tobytes()
+                == getattr(zero, name).tobytes()), name
 
 
 # ---------------------------------------------------------------------------
@@ -512,22 +579,34 @@ def test_activation_unreached_threshold(trace_x14):
 def test_activation_window_must_be_covered(trace_x14):
     # Pulse 0's window ends at T; this grid ends one step short of it.
     short = synthesize_fourier(CH, RS, WAVE, 8,
-                               TimeGrid(0.0, WAVE.period / 64.0, 64))
+                               TimeGrid(0.0, WAVE.period / 64.0, 64))[1]
     with pytest.raises(ParameterError, match="not covered"):
         activation_time(short, 0.09)
     covered = synthesize_fourier(CH, RS, WAVE, 8,
-                                 TimeGrid(0.0, WAVE.period / 64.0, 65))
+                                 TimeGrid(0.0, WAVE.period / 64.0, 65))[1]
     assert activation_time(covered, 0.0).t_on == WAVE.pulse_window[0]
+    empty = synthesize_fourier(CH, RS, WAVE, 8, TimeGrid(0.0, 1.0, 0))[1]
+    with pytest.raises(ParameterError, match="not covered"):
+        activation_time(empty, 0.0)
     with pytest.raises(ParameterError):
         activation_time(trace_x14, -0.1)
     with pytest.raises(ParameterError):
         activation_time(trace_x14, 10**400)   # beyond the float range
 
 
+def test_activation_on_a_grid_that_starts_inside_the_window():
+    # The first sample already at the threshold is the crossing itself.
+    grid = TimeGrid(0.75 * WAVE.period, WAVE.period / 64.0, 17)
+    trace = synthesize_fourier(CH, RS, WAVE, 8, grid)[1]
+    timing = activation_time(trace, float(trace.complex_conc[0]))
+    assert timing.t_on == grid.t0
+    assert timing.latency == grid.t0 - WAVE.pulse_window[0]
+
+
 def test_activation_needs_a_pulsed_input():
     tone = Sine(amplitude=1.0, fundamental=0.02)
     cfg = SolverConfig(dx=1.0, dt=10.0, domain_length=100.0, duration=630.0)
-    trace = simulate_fdm(CH0, RS, tone, cfg)
+    trace = simulate_fdm(CH0, RS, tone, cfg)[0]
     with pytest.raises(ParameterError):
         activation_time(trace, 0.5)
 
@@ -607,5 +686,6 @@ def test_trace_csv_of_simulated_traces_equals_cell_by_cell_formatting(
     # and received); the channel arm one; a sine input none.
     sine = Sine(amplitude=0.1, fundamental=W1, offset=0.05)
     cfg = default_solver_config(CH, WAVE, n_periods=1, omega_max=0.05)
-    for trace in (trace_reception, trace_x14, simulate_fdm(CH, RS, sine, cfg)):
+    for trace in (trace_reception, trace_x14,
+                  simulate_fdm(CH, RS, sine, cfg)[1]):
         _assert_writes_like_reference(trace, tmp_path)
