@@ -13,10 +13,9 @@ writing CSV/JSON results into an output directory:
 
 Exit codes: 0 success (including a structurally infeasible design),
 2 configuration error, 3 numerical failure; a failed run leaves no files.
-Outputs embed the resolved parameter set.  With one numpy build and BLAS
-thread count, reruns are byte-identical except for the generated_at
-timestamp in JSON metadata; the thread count can move the last digit of
-an FDM trace, whose impulse response is a BLAS matrix product.
+Outputs embed the resolved parameter set.  With one numpy build, reruns
+are byte-identical except for the generated_at timestamp in JSON
+metadata, whatever the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -61,6 +60,7 @@ from .distortion import (
     reception_delay_distortion_normalized,
 )
 from .systems import (
+    FrequencyBand,
     cascade_gain_db,
     cascade_phase_delay,
     diffusion_gain_db,
@@ -248,8 +248,7 @@ def cmd_sweep(args, out: Path) -> None:
     parameters = {**scenario.parameters,
                   "sweep": {**scenario.parameters["sweep"], "points": points}}
     lam = normalize(scenario.channel, scenario.reception, scenario.band).lam
-    grid = np.logspace(np.log10(sw.omega_min), np.log10(sw.omega_max), points)
-    grid[0], grid[-1] = sw.omega_min, sw.omega_max
+    grid = log_grid(FrequencyBand(sw.omega_min, sw.omega_max), points)
 
     surfaces = {
         "q_g": diffusion_amplitude_distortion_normalized,

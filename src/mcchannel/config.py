@@ -277,18 +277,21 @@ def scenario_from_dict(doc: dict, origin: str = "scenario") -> Scenario:
 
 def check_solve_sizes(scenario: Scenario, routes, origin: str) -> None:
     """Refuse, naming its key, a route's solve size above MAX_SOLVE_SIZE =
-    2**22: Fourier harmonics or time samples, FDM FFT points or mode-sum
-    factors (A + B) m, both bounded above.  At the budget: 64-830 MiB."""
+    2**22 (Fourier harmonics or time samples, FDM FFT points; a job at the
+    budget peaks at 185-830 MiB), and an FDM mesh ratio mu dt / (2 dx^2)
+    that is 0 or beyond the float range."""
     solver, steps = scenario.solver, scenario.solver.time_grid.n - 1
-    factors = (2 * math.isqrt(steps) + 2) * solver.domain_length / solver.dx
     sizes = {"fourier": [("n_harmonics", scenario.n_harmonics, "harmonics"),
                          ("n_periods", steps + 1, "time samples")],
-             "fdm": [("n_periods", 4 * steps, "FFT points"),
-                     ("dx", factors, "mode-sum factors")]}
+             "fdm": [("n_periods", 4 * steps, "FFT points")]}
     for key, size, what in (item for route in routes for item in sizes[route]):
         if size > MAX_SOLVE_SIZE:
             raise ConfigError(f"{origin}.simulation.{key}: {size:.3g} {what} "
                               f"exceed the budget of {MAX_SOLVE_SIZE:,}")
+    h = solver.mesh_ratio(scenario.channel.mu)
+    if "fdm" in routes and not 0.0 < h < math.inf:
+        raise ConfigError(f"{origin}.simulation.dx: mesh ratio mu dt / (2 dx^2) "
+                          f"= {h:g} is 0 or beyond the float range")
 
 
 def load_scenario(path) -> Scenario:

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -84,6 +85,7 @@ species:
 RS = ReceptionSystem(k_f=1e-3, k_r=4e-3, r=4.0)
 CH = DiffusionChannel(mu=83.0, x_r=14.0)
 BAND = FrequencyBand(5e-3, 1e-1)
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 @pytest.fixture()
@@ -301,7 +303,9 @@ _SCALAR_SURFACES = {
 
 
 def _scalar_sweep_rows(omega_min, omega_max, points, lam, fn):
-    grid = np.logspace(np.log10(omega_min), np.log10(omega_max), points)
+    # The grid of log_grid: exponents from math.log10, not np.log10,
+    # which differs in the last bit for some arguments (3.0 + 3 ulps).
+    grid = np.logspace(math.log10(omega_min), math.log10(omega_max), points)
     grid[0], grid[-1] = omega_min, omega_max
     grid = grid.tolist()
     rows = ["omega1p," + ",".join(f"{w2:.9g}" for w2 in grid)]
@@ -764,7 +768,6 @@ def test_missing_and_unparsable_files_exit_two(tmp_path, monkeypatch,
                     reason="PyYAML was built without libyaml")
 def test_yaml_loaders_agree():
     assert config._YAML_LOADER is yaml.CSafeLoader
-    root = Path(__file__).resolve().parent.parent / "scenarios"
     rng = random.Random(11)
     rows = []
     for i in range(300):
@@ -777,8 +780,8 @@ def test_yaml_loaders_agree():
         else:
             rows.append(f"  - name: s{i}\n    mu: {mu:.6e}\n    x_r: {x_r:.4g}\n")
     survey = SPECIES + "".join(rows)
-    texts = [(root / "baseline.yaml").read_text(),
-             (root / "species.yaml").read_text(), SCENARIO, survey]
+    texts = [(SCENARIOS / "baseline.yaml").read_text(),
+             (SCENARIOS / "species.yaml").read_text(), SCENARIO, survey]
     for text in texts:
         c_doc = yaml.load(text, Loader=yaml.CSafeLoader)
         assert c_doc == yaml.load(text, Loader=yaml.SafeLoader)
@@ -912,15 +915,15 @@ BIG = "1" + "0" * 30
     (f"n_periods: {BIG}", "fourier", "n_periods"),
     (f"n_periods: {BIG}", "fdm", "n_periods"),
     # Just over the budget of 2**22: harmonics; at 320 steps a period,
-    # 4,194,561 samples, and 4 x 1,048,640 steps bounding the FFT points;
-    # about 911,000 modes.
+    # 4,194,561 samples, and 4 x 1,048,640 steps bounding the FFT points.
     (f"n_harmonics: {2**22 + 1}", "fourier", "n_harmonics"),
     ("n_periods: 13108", "fourier", "n_periods"),
     ("n_periods: 3277", "fdm", "n_periods"),
-    ("dx: 1.0e-3", "fdm", "dx"),
+    # dx^2 underflows: the mesh ratio mu dt / (2 dx^2) is inf.
+    ("dx: 1.0e-170", "fdm", "dx"),
 ], ids=["harmonics-1e30-fourier", "harmonics-1e30-both", "periods-1e30-fourier",
         "periods-1e30-fdm", "harmonics-over-fourier", "samples-over-fourier",
-        "fft-over-fdm", "factors-over-fdm"])
+        "fft-over-fdm", "mesh-ratio-inf-fdm"])
 def test_oversized_solves_exit_two_before_allocating(tmp_path, capsys,
                                                      monkeypatch, edit, route,
                                                      key):
@@ -945,6 +948,27 @@ def test_oversized_solves_exit_two_before_allocating(tmp_path, capsys,
     if key == "n_harmonics":    # the budget is per route
         assert cli.main(["simulate", "--config", str(cfg), "--out", str(out),
                          "--route", "fdm"]) == 0
+
+
+def test_fine_mesh_runs_at_the_cost_of_its_steps(tmp_path):
+    # The FDM receiver kernel's work grows with the step count, not the
+    # cell count: on the baseline, dx = 1e-3 (2.9 million cells) solves,
+    # and its channel latency stays within 0.01 s of the default mesh's
+    # (dx = 2.8, 707.38 s).
+    latency = []
+    for name, edit in (("fine", "  n_periods: 3\n  dx: 1.0e-3\n"),
+                       ("default", "  n_periods: 3\n")):
+        cfg = tmp_path / f"{name}.yaml"
+        cfg.write_text((SCENARIOS / "baseline.yaml").read_text().replace(
+            "  n_periods: 3\n", edit))
+        out = tmp_path / name
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out),
+                         "--route", "fdm"]) == 0
+        payload = json.loads((out / "simulate.json").read_text())
+        assert payload["metadata"]["parameters"]["simulation"]["dx"] == (
+            1e-3 if name == "fine" else pytest.approx(2.8))
+        latency.append(payload["activation"]["channel_fdm"]["latency"])
+    assert latency[0] == pytest.approx(latency[1], abs=0.01)
 
 
 def test_solve_size_budget_is_inclusive():
@@ -1219,14 +1243,47 @@ def test_out_on_a_file_exits_two(scenario_path, species_path, tmp_path,
     assert sorted(tmp_path.iterdir()) == before
 
 
+def _fresh_env(**extra: str) -> dict:
+    """The environment of a fresh interpreter with src importable."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+
+
 def _probe(code: str) -> str:
     """What a fresh interpreter running code prints, with src importable."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
-    done = subprocess.run([sys.executable, "-c", code], env=env,
+    done = subprocess.run([sys.executable, "-c", code], env=_fresh_env(),
                           capture_output=True, text=True, check=True)
     return done.stdout.strip()
+
+
+def _artifacts(out: Path) -> dict:
+    """Every file under out, by relative name, with generated_at masked."""
+    return {str(path.relative_to(out)): re.sub(
+                rb'"generated_at": "[^"]*"', b'"generated_at": ""',
+                path.read_bytes())
+            for path in sorted(out.rglob("*")) if path.is_file()}
+
+
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # Every command on the shipped scenarios, each in a fresh process
+    # under one and under two BLAS threads, writes the same bytes.
+    jobs = [(command, SCENARIOS / "baseline.yaml")
+            for command in ("analyze", "design", "sweep", "simulate")]
+    jobs.append(("table", SCENARIOS / "species.yaml"))
+    runs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        for command, cfg in jobs:
+            subprocess.run([sys.executable, "-m", "mcchannel.cli", command,
+                            "--config", str(cfg), "--out", str(out / command)],
+                           env=_fresh_env(OPENBLAS_NUM_THREADS=threads),
+                           check=True)
+        runs[threads] = _artifacts(out)
+    assert len(runs["1"]) == 15
+    assert runs["1"].keys() == runs["2"].keys()
+    assert [name for name in runs["1"]
+            if runs["1"][name] != runs["2"][name]] == []
 
 
 def test_cli_import_leaves_scipy_out():
@@ -1275,12 +1332,11 @@ def test_unknown_command_rejected():
 
 
 def test_shipped_scenarios_parse():
-    root = Path(__file__).resolve().parent.parent / "scenarios"
-    scenario = load_scenario(root / "baseline.yaml")
+    scenario = load_scenario(SCENARIOS / "baseline.yaml")
     assert scenario.channel.x_r == 14.0
     assert scenario.band.omega2 == 0.4
     assert scenario.q_factor == 1.2
-    table = load_table(root / "species.yaml")
+    table = load_table(SCENARIOS / "species.yaml")
     assert [row.name for row in table.species] == [
         "autoinducer", "neurotransmitter", "ion", "dna"]
     assert table.species[2].mu_hi == 7000.0

@@ -76,8 +76,18 @@ def test_infeasible_budgets_return_structured_result():
     tight = _bound(1.2 * Q_H, R_H / 2.0)
     assert not tight.feasible
     assert tight.x_r_delay < 0.0
-    with pytest.raises(ParameterError):
-        _bound(-1.0, 0.01)
+
+
+@pytest.mark.parametrize("q0, r0, mu, message", [
+    (-1.0, 0.01, MU, "q0 must be"),
+    (40.0, 0.0, MU, "r0 must be"),       # would give an infeasible result
+    (40.0, math.nan, MU, "r0 must be"),  # would give a nan distance
+    (40.0, 0.03, 0.0, "mu must be"),     # would give zero distances
+    (40.0, 0.03, math.inf, "mu must be"),
+])
+def test_distance_bound_rejects_bad_inputs(q0, r0, mu, message):
+    with pytest.raises(ParameterError, match=message):
+        distance_bound(q0, r0, BAND, mu, RS)
 
 
 def test_distance_bound_scales_with_sqrt_mu():

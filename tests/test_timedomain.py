@@ -3,6 +3,7 @@ activation timing, and trace export."""
 
 import functools
 import math
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -25,6 +26,7 @@ from mcchannel import (
     default_solver_config,
     diffusion_response,
     distance_bound,
+    load_scenario,
     reception_amplitude_distortion,
     reception_delay_distortion,
     scenario_from_dict,
@@ -32,7 +34,7 @@ from mcchannel import (
     synthesize_fourier,
 )
 from mcchannel.cli import write_trace_csv
-from mcchannel.timedomain import _mode_sum
+from mcchannel.timedomain import _KERNEL_EPS, _receiver_kernel
 
 MU = 83.0
 RS = ReceptionSystem(k_f=1e-3, k_r=4e-3, r=4.0)
@@ -40,6 +42,7 @@ CH = DiffusionChannel(mu=MU, x_r=14.0)
 CH0 = DiffusionChannel(mu=MU, x_r=0.0)
 W1 = 5e-4
 WAVE = SquareWaveInput(amplitude=0.1, fundamental=W1, duty=0.5)
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 # First-crossing latencies after the rising edge for threshold 0.09 uM
 # (90% of the 0.1 uM plateau), computed from the analytic step response:
@@ -156,6 +159,12 @@ def test_fourier_dc_term_only():
         assert np.all(trace.received == WAVE.mean)
         assert np.all(trace.complex_conc == WAVE.mean * RS.dc_gain)
         assert trace.route == "fourier"
+
+
+def test_fourier_rejects_a_negative_harmonic_count():
+    # Without the check, -1 harmonics would give the DC-only traces.
+    with pytest.raises(ParameterError, match="n_harmonics must be >= 0"):
+        synthesize_fourier(CH, RS, WAVE, -1, TimeGrid(0.0, 1.0, 3))
 
 
 def test_fourier_reports_exact_square_input():
@@ -415,23 +424,46 @@ def test_fdm_matches_sparse_lu_reference(wave):
     assert float(np.max(np.abs(trace.complex_conc - complex_conc))) <= tol
 
 
-@pytest.mark.parametrize("n", [1, 2, 997, 1024])
-def test_mode_sum_matches_per_element_powers(n):
-    # A mesh ratio h = 6 puts s_k = 4 h sin^2(theta_k / 2) above 1 for most
-    # modes, so most g_k are negative.  Each running product carries at
-    # most ~2 sqrt(n) roundings, so the bound on |H - reference|, fixed
-    # before running, is 1e-12 of the sum of |w_k g_k^p|.
-    m, h, node = 40, 6.0, 7
+def _sine_mode_kernel(h, n_cells, node, n):
+    """H[p] = sum_k w_k g_k^p for p < n: the receiver's impulse response
+    as a sum over the scheme's discrete sine modes.  Each term is formed
+    from two powers, g_k^p = g_k^a g_k^b with p = a + b and b < 1024."""
+    m = n_cells - 1
     theta = np.arange(1, m + 1) * (math.pi / (m + 1))
     s = 4.0 * h * np.sin(0.5 * theta) ** 2
     g = (1.0 - s) / (1.0 + s)
     w = (2.0 / (m + 1)) * np.sin(theta) * np.sin(node * theta) * h / (1.0 + s)
-    assert (g < 0).sum() > m // 2
-    terms = w * np.power.outer(g, np.arange(n)).T
-    kernel = _mode_sum(g, w, n)
+    powers = np.power.outer(g, np.arange(1024))
+    return np.concatenate([
+        ((w * g ** a)[:, None] * powers[:, :n - a]).sum(axis=0)
+        for a in range(0, n, 1024)])
+
+
+def _baseline_mesh():
+    scenario = load_scenario(SCENARIOS / "baseline.yaml")
+    cfg = scenario.solver
+    return (cfg.mesh_ratio(scenario.channel.mu),
+            round(cfg.domain_length / cfg.dx),
+            round(scenario.channel.x_r / cfg.dx), len(cfg.time_grid) - 1)
+
+
+@pytest.mark.parametrize("h, n_cells, node, n", [
+    # h = 6 puts s_k = 4 h sin^2(theta_k / 2) above 1 for most modes, so
+    # most g_k are negative and H oscillates.
+    (6.0, 41, 7, 1), (6.0, 41, 7, 2), (6.0, 41, 7, 997), (6.0, 41, 7, 1024),
+    (50.0, 5, 3, 1024),     # a coarse mesh: every g_k near -1
+    _baseline_mesh(),       # h = 5.2, 1,029 cells, node 5, 38,400 steps
+], ids=["h6-1", "h6-2", "h6-997", "h6-1024", "coarse", "baseline"])
+def test_receiver_kernel_matches_sine_modes(h, n_cells, node, n):
+    # The inversion aliases at most eps max_p |H| into each coefficient
+    # and multiplies its rounding by r^-p <= eps^-1/2 = 1e5, so the bound,
+    # set from that error model, is 2 eps in units of max_p |H| (taken
+    # over at least 1,024 coefficients, past the peak of each series).
+    reference = _sine_mode_kernel(h, n_cells, node, max(n, 1024))
+    kernel = _receiver_kernel(h, node, n_cells, n)
     assert kernel.shape == (n,)
-    assert np.all(np.abs(kernel - terms.sum(axis=1))
-                  <= 1e-12 * np.abs(terms).sum(axis=1))
+    bound = 2.0 * _KERNEL_EPS * float(np.max(np.abs(reference)))
+    assert float(np.max(np.abs(kernel - reference[:n]))) <= bound
 
 
 # ---------------------------------------------------------------------------
