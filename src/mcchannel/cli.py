@@ -4,7 +4,7 @@ Five batch subcommands, each reading one YAML scenario/survey file and
 writing CSV/JSON results into an output directory:
 
 * analyze   distortion report plus gain/phase-delay curves for the
-            diffusion stage, the reception stage, and their cascade
+            diffusion stage, the reception stage, and their sum
 * design    distance bound meeting the configured distortion budgets
 * sweep     normalized-index maps on an (omega1', omega2') log grid
 * simulate  time-domain traces (frequency and/or direct route) with
@@ -61,8 +61,6 @@ from .distortion import (
 )
 from .systems import (
     FrequencyBand,
-    cascade_gain_db,
-    cascade_phase_delay,
     diffusion_gain_db,
     diffusion_phase_delay,
     reception_gain_db,
@@ -164,14 +162,15 @@ def cmd_analyze(args, out: Path) -> None:
     report = channel_report(ch, rs, band)
     nb = normalize(ch, rs, band)
     grid = log_grid(band, points)
-    # x_r^2 w / (2 mu) can overflow where lam and w' do not.
+    # x_r^2 w / (2 mu) can overflow where lam and w' do not.  The
+    # channel's columns are the stage sums (see systems).
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        columns = (
-            grid, diffusion_gain_db(ch, grid), reception_gain_db(rs, grid),
-            cascade_gain_db(ch, rs, grid),
-            diffusion_phase_delay(ch, grid), reception_phase_delay(rs, grid),
-            cascade_phase_delay(ch, rs, grid),
-        )
+        gain_g = diffusion_gain_db(ch, grid)
+        gain_h = reception_gain_db(rs, grid)
+        delay_g = diffusion_phase_delay(ch, grid)
+        delay_h = reception_phase_delay(rs, grid)
+        columns = (grid, gain_g, gain_h, gain_g + gain_h,
+                   delay_g, delay_h, delay_g + delay_h)
     if not all(np.isfinite(column).all() for column in columns):
         raise FloatingPointError("the response curves leave the float range "
                                  "on the band")

@@ -18,6 +18,11 @@ The link is a cascade of two linear time-invariant stages:
   whose output is the bound-receptor concentration.  k_f * r has units
   of 1/s, so H is dimensionless (uM in, uM out).
 
+The whole channel is the product G(s) H(s): magnitudes multiply and
+unwrapped phases add, so its dB gain and phase delay are the sums of the
+stages'.  Callers compose it from the two stages; it has no function of
+its own.
+
 Units throughout: micrometers, seconds, micromolar; angular frequency in
 rad/s.  Gains are reported in dB, delays as phase delay -angle/w in s.
 """
@@ -40,9 +45,6 @@ __all__ = [
     "reception_response",
     "reception_gain_db",
     "reception_phase_delay",
-    "cascade_response",
-    "cascade_gain_db",
-    "cascade_phase_delay",
 ]
 
 LOG10_E = math.log10(math.e)
@@ -299,24 +301,3 @@ def reception_phase_delay(rs: ReceptionSystem, omega):
     return np.where(w > 0.0,
                     np.arctan2(w, rs.k_r) / np.where(w > 0.0, w, 1.0),
                     1.0 / rs.k_r)
-
-
-def cascade_response(ch: DiffusionChannel, rs: ReceptionSystem, omega):
-    """Evaluate the full-channel response G(jw) H(jw) as (magnitude, phase).
-
-    Magnitudes multiply and unwrapped phases add, so dB gains and phase
-    delays of the stages are additive.
-    """
-    g_mag, g_phase = diffusion_response(ch, omega)
-    h_mag, h_phase = reception_response(rs, omega)
-    return g_mag * h_mag, g_phase + h_phase
-
-
-def cascade_gain_db(ch: DiffusionChannel, rs: ReceptionSystem, omega):
-    """Full-channel gain in dB (sum of the stage gains)."""
-    return diffusion_gain_db(ch, omega) + reception_gain_db(rs, omega)
-
-
-def cascade_phase_delay(ch: DiffusionChannel, rs: ReceptionSystem, omega):
-    """Full-channel phase delay in s (sum of the stage phase delays)."""
-    return diffusion_phase_delay(ch, omega) + reception_phase_delay(rs, omega)

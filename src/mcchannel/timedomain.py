@@ -50,7 +50,6 @@ from .systems import (
     _finite,
     _Record,
     _require,
-    cascade_response,
     diffusion_response,
     reception_response,
 )
@@ -249,8 +248,10 @@ def synthesize_fourier(ch: DiffusionChannel, rs: ReceptionSystem,
         wn = n * wave.fundamental
         coeff = 2.0 * wave.amplitude * np.sin(n * math.pi * wave.duty) / (n * math.pi)
         t_c = (1.0 - 0.5 * wave.duty) * wave.period
-        responses = ((1.0, 0.0), reception_response(rs, wn),
-                     diffusion_response(ch, wn), cascade_response(ch, rs, wn))
+        h_mag, h_phase = reception_response(rs, wn)
+        g_mag, g_phase = diffusion_response(ch, wn)
+        responses = ((1.0, 0.0), (h_mag, h_phase), (g_mag, g_phase),
+                     (g_mag * h_mag, g_phase + h_phase))
         amps = np.array([coeff * mag * np.exp(1j * (phase - wn * t_c))
                          for mag, phase in responses]).reshape(2, 2, -1)
 
@@ -381,8 +382,10 @@ def simulate_fdm(ch: DiffusionChannel, rs: ReceptionSystem,
     """Transient (reception, channel) arms from rest via Crank-Nicolson.
 
     Second-order central differences in space on [0, L]; the receiver
-    distance must sit on a grid node to within 0.1% of x_r.  The scheme
-    is unconditionally stable, so cfg trades accuracy, not stability.
+    distance must sit on an interior grid node (node < N = L / dx) to
+    within 0.1% of x_r, and the mesh ratio h below must be positive and
+    finite.  The scheme is unconditionally stable, so cfg trades
+    accuracy, not stability.
 
     Each step solves (I - h D2) u_{n+1} = (I + h D2) u_n + h (v_n +
     v_{n+1}) e_1 on the interior nodes, h = mu dt / (2 dx^2), D2 the
@@ -424,16 +427,17 @@ def simulate_fdm(ch: DiffusionChannel, rs: ReceptionSystem,
     FloatingPointError.
     """
     dx, dt = cfg.dx, cfg.dt
+    h = cfg.mesh_ratio(ch.mu)
+    _require(0.0 < h < math.inf, f"mesh ratio mu dt / (2 dx^2) = {h:g} is 0 "
+             f"or beyond the float range (dx={dx:g})")
     n_cells = int(round(cfg.domain_length / dx))
-    _require(n_cells >= 4, f"domain_length/dx = {cfg.domain_length / dx:.3g} "
-             "gives fewer than 4 cells")
-    _require(ch.x_r < cfg.domain_length,
-             f"x_r={ch.x_r:g} must lie inside the domain "
-             f"(length {cfg.domain_length:g})")
     node = int(round(ch.x_r / dx))
     _require(abs(node * dx - ch.x_r) <= 1e-3 * ch.x_r,
              f"x_r={ch.x_r:g} is not on the spatial grid (dx={dx:g}); "
              "snap error exceeds 0.1%")
+    _require(node < n_cells, f"x_r={ch.x_r:g} is on node {node} of a "
+             f"{n_cells}-cell mesh, not an interior node (domain_length="
+             f"{cfg.domain_length:g}, dx={dx:g})")
     grid = cfg.time_grid
     n_steps = len(grid) - 1
     v = wave.value(grid.times)
@@ -450,7 +454,7 @@ def simulate_fdm(ch: DiffusionChannel, rs: ReceptionSystem,
     reception = arm(v)
     if node == 0:    # receiver at the transmitter: no diffusion stage
         return reception, reception
-    kernel = _receiver_kernel(cfg.mesh_ratio(ch.mu), node, n_cells, n_steps)
+    kernel = _receiver_kernel(h, node, n_cells, n_steps)
     return reception, arm(_causal_response(kernel, v[:-1] + v[1:]))
 
 

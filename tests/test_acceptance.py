@@ -34,18 +34,20 @@ from mcchannel import (
     SolverConfig,
     SquareWaveInput,
     activation_time,
-    cascade_gain_db,
-    cascade_phase_delay,
     channel_report,
     default_solver_config,
     diffusion_amplitude_distortion_normalized,
     diffusion_delay_distortion_normalized,
+    diffusion_gain_db,
+    diffusion_phase_delay,
     diffusion_response,
     distance_bound,
     highest_clean_band,
     normalize,
     reception_amplitude_distortion_normalized,
     reception_delay_distortion_normalized,
+    reception_gain_db,
+    reception_phase_delay,
     simulate_fdm,
     synthesize_fourier,
 )
@@ -219,8 +221,12 @@ def test_criterion_06_cascade_indices_decompose():
     worst = 0.0
     for ch, rs, band in cases:
         report = channel_report(ch, rs, band)
-        q_m = amplitude_distortion(lambda w: cascade_gain_db(ch, rs, w), band)
-        r_m = delay_distortion(lambda w: cascade_phase_delay(ch, rs, w), band)
+        # the whole channel G H, in dB and s the sums of its stages
+        q_m = amplitude_distortion(
+            lambda w: diffusion_gain_db(ch, w) + reception_gain_db(rs, w), band)
+        r_m = delay_distortion(
+            lambda w: diffusion_phase_delay(ch, w) + reception_phase_delay(rs, w),
+            band)
         worst = max(worst,
                     abs(q_m - (report.q_g + report.q_h)) / max(q_m, 1e-12),
                     abs(r_m - (report.r_g + report.r_h)) / max(r_m, 1e-12))

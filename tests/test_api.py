@@ -1,7 +1,9 @@
 """The public API is declared once: each module's __all__, re-exported whole
 by the package."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -29,3 +31,28 @@ def test_package_exports_exactly_the_module_lists():
 def test_module_only_names_stay_importable_by_module_path(module, name):
     assert hasattr(importlib.import_module(f"mcchannel.{module}"), name)
     assert name not in mcchannel.__all__
+
+
+def _loads(node, inside=frozenset()):
+    """The names node loads as a Name or an attribute, each counted only
+    outside the function or class definition of the same name."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        inside = inside | {node.name}
+    name = None
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        name = node.id
+    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        name = node.attr
+    found = {name} - inside - {None}
+    for child in ast.iter_child_nodes(node):
+        found |= _loads(child, inside)
+    return found
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    # A call, an annotation or an attribute access counts; an import
+    # (an alias, not a load) or the name's own definition does not.
+    loaded = set()
+    for path in Path(mcchannel.__file__).parent.glob("*.py"):
+        loaded |= _loads(ast.parse(path.read_text(), str(path)))
+    assert sorted(set(mcchannel.__all__) - {"__version__"} - loaded) == []

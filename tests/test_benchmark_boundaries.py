@@ -18,9 +18,14 @@ import pytest
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 # Entries known not to resolve: design.py calls only the normal-form
-# diffusion indices, so the design.index_evals metric reads 0.
+# diffusion indices, so the design.index_evals metric reads 0; and the
+# whole channel has no function of its own, since analyze and the
+# Fourier route compose it from the two stages.
 DEAD = {("mcchannel.design", "diffusion_amplitude_distortion"),
-        ("mcchannel.design", "diffusion_delay_distortion")}
+        ("mcchannel.design", "diffusion_delay_distortion"),
+        ("mcchannel.cli", "cascade_gain_db"),
+        ("mcchannel.cli", "cascade_phase_delay"),
+        ("mcchannel.timedomain", "cascade_response")}
 
 # The argument names each tally reads from the call it wraps.
 TALLY_ARGUMENTS = {

@@ -25,8 +25,6 @@ from mcchannel import (
     FrequencyBand,
     NormalizedBand,
     ReceptionSystem,
-    cascade_gain_db,
-    cascade_phase_delay,
     channel_report,
     diffusion_delay_distortion_normalized,
     diffusion_gain_db,
@@ -143,7 +141,7 @@ def test_analyze_outputs(scenario_path, tmp_path):
     assert_allclose(float(first[0]), BAND.omega1, rtol=1e-8)
     assert_allclose(float(last[0]), BAND.omega2, rtol=1e-8)
     for row in (first, last):
-        # stage columns add up to the cascade columns
+        # stage columns add up to the channel columns
         assert abs(float(row[1]) + float(row[2]) - float(row[3])) < 1e-6
         assert abs(float(row[4]) + float(row[5]) - float(row[6])) < 1e-6
 
@@ -156,10 +154,12 @@ def test_curves_match_per_cell_formatting(scenario_path, tmp_path):
     assert cli.main(["analyze", "--config", str(scenario_path),
                      "--out", str(out), "--points", str(points)]) == 0
     grid = log_grid(BAND, points)
-    columns = [c.tolist() for c in (
-        grid, diffusion_gain_db(CH, grid), reception_gain_db(RS, grid),
-        cascade_gain_db(CH, RS, grid), diffusion_phase_delay(CH, grid),
-        reception_phase_delay(RS, grid), cascade_phase_delay(CH, RS, grid))]
+    gain_g, gain_h = diffusion_gain_db(CH, grid), reception_gain_db(RS, grid)
+    delay_g = diffusion_phase_delay(CH, grid)
+    delay_h = reception_phase_delay(RS, grid)
+    # The channel's columns are the stage sums, bit for bit.
+    columns = [c.tolist() for c in (grid, gain_g, gain_h, gain_g + gain_h,
+                                    delay_g, delay_h, delay_g + delay_h)]
     want = [",".join("%.9g" % cell for cell in row) for row in zip(*columns)]
     assert _data_rows(out / "curves.csv")[1:] == want
 
@@ -697,6 +697,9 @@ def _edited(text: str, edits: dict) -> dict:
      "scenario.sweep.points: must be in [2, 4096], got 1"),
     ("scenario", {"sweep.points": 5000},
      "scenario.sweep.points: must be in [2, 4096], got 5000"),
+    # omega_min equal to omega_max: an empty sweep range
+    ("scenario", {"sweep.omega_min": 100.0},
+     "scenario.sweep: need 0 < omega_min < omega_max, got [100.0, 100.0]"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_config_error_messages(tmp_path, kind, edits, message):
@@ -903,6 +906,37 @@ def test_offgrid_receiver_exits_two(scenario_path, tmp_path, monkeypatch,
     monkeypatch.undo()
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(out),
                      "--route", "fourier"]) == 0
+
+
+def test_receiver_on_the_far_boundary_exits_two(tmp_path, capsys):
+    # x_r = 12 rounds to node 4 of a round(13 / 3) = 4-cell mesh: the
+    # Dirichlet boundary, where the solution is 0 at every step.
+    cfg = tmp_path / "far.yaml"
+    cfg.write_text(SCENARIO.replace("x_r: 14.0", "x_r: 12.0").replace(
+        "  n_periods: 3\n",
+        "  n_periods: 3\n  dx: 3.0\n  domain_length: 13.0\n"))
+    out = tmp_path / "out"
+    for route in ("fdm", "both"):
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out),
+                         "--route", route]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            f"configuration error: {cfg}: x_r=12 is on node 4 of a 4-cell "
+            "mesh, not an interior node (domain_length=13, dx=3)\n")
+
+
+def test_zero_distance_simulates_the_reception_arm_twice(tmp_path):
+    # A receiver at the transmitter has no diffusion stage: on each route
+    # the channel arm is the reception arm, file for file.
+    cfg = tmp_path / "zero.yaml"
+    cfg.write_text(SCENARIO.replace("x_r: 14.0", "x_r: 0.0"))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    activation = json.loads((out / "simulate.json").read_text())["activation"]
+    for route in ("fourier", "fdm"):
+        assert ((out / f"trace_channel_{route}.csv").read_bytes()
+                == (out / f"trace_reception_{route}.csv").read_bytes()), route
+        assert activation[f"channel_{route}"] == activation[f"reception_{route}"]
 
 
 BIG = "1" + "0" * 30

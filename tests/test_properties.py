@@ -16,20 +16,32 @@ from mcchannel import (
     DiffusionChannel,
     FrequencyBand,
     ReceptionSystem,
-    cascade_gain_db,
-    cascade_phase_delay,
     channel_report,
     diffusion_amplitude_distortion_normalized,
+    diffusion_gain_db,
+    diffusion_phase_delay,
     distance_bound,
     highest_clean_band,
     normalize,
     reception_amplitude_distortion,
     reception_amplitude_distortion_normalized,
     reception_delay_distortion,
+    reception_gain_db,
+    reception_phase_delay,
     scenario_from_dict,
 )
 
 RS = ReceptionSystem(k_f=1e-3, k_r=4e-3, r=4.0)
+
+
+def _channel_gain_db(ch, rs, omega):
+    """Gain of the whole channel G H in dB: the sum of the stage gains."""
+    return diffusion_gain_db(ch, omega) + reception_gain_db(rs, omega)
+
+
+def _channel_phase_delay(ch, rs, omega):
+    """Phase delay of G H in s: the sum of the stage phase delays."""
+    return diffusion_phase_delay(ch, omega) + reception_phase_delay(rs, omega)
 
 
 def _log_uniform(lo, hi):
@@ -94,7 +106,7 @@ def test_clean_band_batch_equals_one_row_calls(rows, width, q_fraction,
 def test_cascade_amplitude_distortion_is_the_sum_on_arrays(mu, x_r, starts,
                                                             ratios):
     # q_m = q_g + q_h, with q_g and q_h from one array call of the
-    # normal-form closed forms over many bands and q_m from the cascade
+    # normal-form closed forms over many bands and q_m from the channel
     # gain, which falls monotonically, so q_m = gain(w1) - gain(w2).
     ch = DiffusionChannel(mu=mu, x_r=x_r)
     w1 = np.array(starts)
@@ -103,7 +115,7 @@ def test_cascade_amplitude_distortion_is_the_sum_on_arrays(mu, x_r, starts,
     q_g = diffusion_amplitude_distortion_normalized(nb)
     q_h = reception_amplitude_distortion_normalized(nb)
     assert q_g.shape == q_h.shape == w1.shape
-    gain1, gain2 = cascade_gain_db(ch, RS, w1), cascade_gain_db(ch, RS, w2)
+    gain1, gain2 = _channel_gain_db(ch, RS, w1), _channel_gain_db(ch, RS, w2)
     q_m = gain1 - gain2
     # Each gain is a difference of dB terms of at most ~200 dB here, so
     # it carries an absolute rounding error of order 1e-14 dB.
@@ -164,8 +176,8 @@ def test_design_limit_meets_the_binding_budget(mu, k_r, omega1, width,
     assert result.feasible
     ch = DiffusionChannel(mu=mu, x_r=result.x_r_limit)
     edges = np.array([band.omega1, band.omega2])
-    gain = cascade_gain_db(ch, rs, edges)
-    delay = cascade_phase_delay(ch, rs, edges)
+    gain = _channel_gain_db(ch, rs, edges)
+    delay = _channel_phase_delay(ch, rs, edges)
     # Gain and phase delay of both stages fall monotonically in w, so the
     # spreads are the differences between the band edges.
     period = 2.0 * math.pi / band.omega1

@@ -1,4 +1,5 @@
-"""Frequency-response layer: values, monotonicity, cascade algebra, domains."""
+"""Frequency-response layer: values, monotonicity, the channel composed from
+its stages, domains."""
 
 import math
 import sys
@@ -16,9 +17,6 @@ from mcchannel import (
     SolverConfig,
     SquareWaveInput,
     TimeGrid,
-    cascade_gain_db,
-    cascade_phase_delay,
-    cascade_response,
     diffusion_gain_db,
     diffusion_phase_delay,
     diffusion_response,
@@ -75,7 +73,6 @@ def test_array_evaluation_matches_scalar():
     curves = [
         lambda w: diffusion_response(CH, w),
         lambda w: reception_response(RS, w),
-        lambda w: cascade_response(CH, RS, w),
         lambda w: diffusion_gain_db(CH, w),
         lambda w: diffusion_phase_delay(CH, w),
         lambda w: reception_gain_db(RS, w),
@@ -142,24 +139,25 @@ def test_reception_half_power_at_corner():
 
 
 def test_cascade_combines_stage_responses():
-    m_mag, m_phase = cascade_response(CH, RS, W1)
-    assert_allclose(m_mag, MAG_M_W1, rtol=1e-12)
+    # G H has no function of its own: magnitudes multiply and unwrapped
+    # phases add, so the channel's dB gain and phase delay are the sums
+    # of the stages'.
     g_mag, g_phase = diffusion_response(CH, W1)
     h_mag, h_phase = reception_response(RS, W1)
-    assert m_mag == g_mag * h_mag
-    assert m_phase == g_phase + h_phase
-    # and in complex arithmetic
-    assert abs(m_mag * np.exp(1j * m_phase)
+    assert_allclose(g_mag * h_mag, MAG_M_W1, rtol=1e-12)
+    # the polar composition is the complex product
+    assert abs(g_mag * h_mag * np.exp(1j * (g_phase + h_phase))
                - g_mag * np.exp(1j * g_phase) * h_mag * np.exp(1j * h_phase)
                ) < 1e-15
 
     grid = np.logspace(-4, 0, 32)
-    assert_allclose(cascade_gain_db(CH, RS, grid),
-                    diffusion_gain_db(CH, grid) + reception_gain_db(RS, grid),
-                    rtol=0, atol=0)
-    assert_allclose(cascade_phase_delay(CH, RS, grid),
-                    diffusion_phase_delay(CH, grid)
-                    + reception_phase_delay(RS, grid), rtol=0, atol=0)
+    g_mag, g_phase = diffusion_response(CH, grid)
+    h_mag, h_phase = reception_response(RS, grid)
+    assert_allclose(diffusion_gain_db(CH, grid) + reception_gain_db(RS, grid),
+                    20.0 * np.log10(g_mag * h_mag), rtol=0, atol=1e-12)
+    assert_allclose(diffusion_phase_delay(CH, grid)
+                    + reception_phase_delay(RS, grid),
+                    -(g_phase + h_phase) / grid, rtol=1e-12)
 
 
 @pytest.mark.parametrize("ctor, kwargs", [

@@ -22,13 +22,13 @@ from mcchannel import (
     SquareWaveInput,
     TimeGrid,
     activation_time,
-    cascade_response,
     default_solver_config,
     diffusion_response,
     distance_bound,
     load_scenario,
     reception_amplitude_distortion,
     reception_delay_distortion,
+    reception_response,
     scenario_from_dict,
     simulate_fdm,
     synthesize_fourier,
@@ -323,16 +323,47 @@ def test_fdm_rejects_bad_discretizations():
         simulate_fdm(CH, RS, WAVE, SolverConfig(dx=1.0, dt=2.0,
                                                 domain_length=10.0,
                                                 duration=100.0))
-    with pytest.raises(ParameterError):  # fewer than 4 cells
+    with pytest.raises(ParameterError):  # x_r rounds to node 0: off the grid
         simulate_fdm(CH, RS, WAVE, SolverConfig(dx=100.0, dt=2.0,
                                                 domain_length=300.0,
                                                 duration=100.0))
+    # x_r = 12 on node 4 of a round(13 / 3) = 4-cell mesh: the Dirichlet
+    # boundary, whose trace would be 0 throughout.
+    with pytest.raises(ParameterError, match="not an interior node"):
+        simulate_fdm(DiffusionChannel(mu=MU, x_r=12.0), RS, WAVE,
+                     SolverConfig(dx=3.0, dt=2.0, domain_length=13.0,
+                                  duration=100.0))
     with pytest.raises(ParameterError):  # fewer than 2 time steps
         SolverConfig(dx=1.0, dt=200.0, domain_length=300.0, duration=100.0)
     with pytest.raises(ParameterError):
         SolverConfig(dx=0.0, dt=1.0, domain_length=10.0, duration=10.0)
-    with pytest.raises(ParameterError):
+    # n_periods = 0 would also make duration 0; the message names the cause.
+    with pytest.raises(ParameterError, match="n_periods"):
         default_solver_config(CH, WAVE, n_periods=0, omega_max=0.4)
+
+
+@pytest.mark.parametrize("dx", [1e-170, 1e170], ids=["inf", "zero"])
+def test_fdm_rejects_a_mesh_ratio_beyond_the_float_range(dx, monkeypatch):
+    # dx^2 under- or overflows, so h = mu dt / (2 dx^2) is inf or 0; the
+    # kernel would be nan.  Refused, naming dx, before any allocation.
+    cfg = SolverConfig(dx=dx, dt=20.0, domain_length=300.0, duration=8000.0)
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated before the mesh-ratio check")
+
+    for name in ("arange", "empty", "zeros", "full", "ones"):
+        monkeypatch.setattr(np, name, no_allocation)
+    with pytest.raises(ParameterError, match=r"mesh ratio .*\(dx=1e[+-]170\)"):
+        simulate_fdm(CH, RS, WAVE, cfg)
+
+
+def test_zero_amplitude_gives_zero_traces(coarse_cfg):
+    wave = SquareWaveInput(amplitude=0.0, fundamental=W1)
+    for arms in (synthesize_fourier(CH, RS, wave, 800, coarse_cfg.time_grid),
+                 simulate_fdm(CH, RS, wave, coarse_cfg)):
+        for trace in arms:
+            for name in ("input", "received", "complex_conc"):
+                assert not np.any(getattr(trace, name)), (trace.route, name)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +385,8 @@ def _fourier_reference(ch, rs, wave, n_harmonics, t):
         coeff = 2.0 * wave.amplitude * math.sin(n * math.pi * wave.duty) / (n * math.pi)
         wn = n * wave.fundamental
         g_mag, g_phase = diffusion_response(ch, wn)
-        m_mag, m_phase = cascade_response(ch, rs, wn)
+        h_mag, h_phase = reception_response(rs, wn)
+        m_mag, m_phase = g_mag * h_mag, g_phase + h_phase   # G H
         arg = wn * (t - t_c)
         received += coeff * g_mag * np.cos(arg + g_phase)
         complex_conc += coeff * m_mag * np.cos(arg + m_phase)
@@ -452,8 +484,11 @@ def _baseline_mesh():
     # most g_k are negative and H oscillates.
     (6.0, 41, 7, 1), (6.0, 41, 7, 2), (6.0, 41, 7, 997), (6.0, 41, 7, 1024),
     (50.0, 5, 3, 1024),     # a coarse mesh: every g_k near -1
+    (6.0, 2, 1, 1024),      # the smallest mesh with an interior node
+    (0.3, 3, 2, 1024),      # the node next to the far boundary
     _baseline_mesh(),       # h = 5.2, 1,029 cells, node 5, 38,400 steps
-], ids=["h6-1", "h6-2", "h6-997", "h6-1024", "coarse", "baseline"])
+], ids=["h6-1", "h6-2", "h6-997", "h6-1024", "coarse", "two-cells",
+        "three-cells", "baseline"])
 def test_receiver_kernel_matches_sine_modes(h, n_cells, node, n):
     # The inversion aliases at most eps max_p |H| into each coefficient
     # and multiplies its rounding by r^-p <= eps^-1/2 = 1e5, so the bound,
