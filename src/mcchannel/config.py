@@ -10,10 +10,10 @@ Each section is read through one field table, which gives every key its
 reader, its default (or _REQUIRED) and its lower bound.  Validation is
 strict: missing or extra keys, non-finite numbers and out-of-range
 values raise ConfigError naming the offending field.  A scenario is
-resolved once, at load: its input wave, harmonic count, discretization
-and the parameter set embedded in every output are fixed there, as is a
-survey's parameter set, so every parameter error is raised before a
-command writes anything.
+resolved once, at load: its design budgets, input wave, harmonic count,
+discretization and the parameter set embedded in every output are fixed
+there, as is a survey's parameter set, so every parameter error is raised
+before a command writes anything.
 """
 
 from __future__ import annotations
@@ -24,7 +24,11 @@ from typing import Any, Iterable
 
 import yaml
 
-from .distortion import _lam
+from .distortion import (
+    _lam,
+    reception_amplitude_distortion,
+    reception_delay_distortion,
+)
 from .systems import (
     DiffusionChannel,
     FrequencyBand,
@@ -54,7 +58,7 @@ MAX_SWEEP_POINTS = 4096
 # analyze holds seven float columns of this many rows, 56 MB, and writes
 # them as a CSV of about 80 MB.
 MAX_CURVE_POINTS = 10**6
-MAX_SOLVE_SIZE = 2**22      # see check_solve_sizes
+MAX_SOLVE_SIZE, MAX_SOLVE_WORK = 2**22, 2**32    # see check_solve_sizes
 
 
 def check_points(points: int, where: str, maximum: int) -> int:
@@ -172,7 +176,8 @@ class Scenario(_Record):
 
     wave, n_harmonics and solver carry every time-domain default filled
     in from the band and the channel; parameters is the same resolved set
-    as plain data, embedded in every output.
+    as plain data, embedded in every output; q0 and r0 the design budgets
+    (a relative section's factors times the reception share), or None.
     """
 
     channel: DiffusionChannel
@@ -186,8 +191,6 @@ class Scenario(_Record):
     parameters: dict
     q0: float | None = None
     r0: float | None = None
-    q_factor: float | None = None
-    r_factor: float | None = None
 
 
 # libyaml's parser reads the 1000-row surveys several times faster than
@@ -225,6 +228,7 @@ def scenario_from_dict(doc: dict, origin: str = "scenario") -> Scenario:
         band = FrequencyBand(**_fields(doc["band"], f"{origin}.band", _BAND))
 
         thresholds: dict = {}
+        budgets: dict = {}
         if "thresholds" in doc:
             path = f"{origin}.thresholds"
             node = _mapping(doc["thresholds"], path)
@@ -237,6 +241,11 @@ def scenario_from_dict(doc: dict, origin: str = "scenario") -> Scenario:
             if not (absolute or relative):
                 raise ConfigError(f"{path}: empty thresholds section")
             thresholds = _fields(node, path, _ABSOLUTE if absolute else _RELATIVE)
+            budgets = thresholds if absolute else {
+                "q0": thresholds["q_factor"]
+                * float(reception_amplitude_distortion(reception, band)),
+                "r0": thresholds["r_factor"]
+                * float(reception_delay_distortion(reception, band))}
 
         sim = _fields(doc.get("simulation", {}), f"{origin}.simulation",
                       _SIMULATION)
@@ -272,22 +281,26 @@ def scenario_from_dict(doc: dict, origin: str = "scenario") -> Scenario:
     return Scenario(channel=channel, reception=reception, band=band, wave=wave,
                     n_harmonics=n_harmonics, threshold=sim["threshold"],
                     solver=solver, sweep=sweep, parameters=parameters,
-                    **thresholds)
+                    **budgets)
 
 
 def check_solve_sizes(scenario: Scenario, routes, origin: str) -> None:
-    """Refuse, naming its key, a route's solve size above MAX_SOLVE_SIZE =
-    2**22 (Fourier harmonics or time samples, FDM FFT points; a job at the
-    budget peaks at 185-830 MiB), and an FDM mesh ratio mu dt / (2 dx^2)
+    """Refuse, naming its key, a route's solve size above MAX_SOLVE_SIZE
+    (Fourier harmonics or time samples, FDM FFT points: a job at it peaks
+    at 185-830 MiB), Fourier harmonics x samples above MAX_SOLVE_WORK
+    (about 5 s at 1.1 ns each), and an FDM mesh ratio mu dt / (2 dx^2)
     that is 0 or beyond the float range."""
     solver, steps = scenario.solver, scenario.solver.time_grid.n - 1
-    sizes = {"fourier": [("n_harmonics", scenario.n_harmonics, "harmonics"),
-                         ("n_periods", steps + 1, "time samples")],
-             "fdm": [("n_periods", 4 * steps, "FFT points")]}
-    for key, size, what in (item for route in routes for item in sizes[route]):
-        if size > MAX_SOLVE_SIZE:
+    n = scenario.n_harmonics
+    sizes = {"fourier": [("n_harmonics", n, "harmonics", MAX_SOLVE_SIZE),
+                         ("n_periods", steps + 1, "time samples", MAX_SOLVE_SIZE),
+                         ("n_harmonics", n * (steps + 1), "harmonic-samples",
+                          MAX_SOLVE_WORK)],
+             "fdm": [("n_periods", 4 * steps, "FFT points", MAX_SOLVE_SIZE)]}
+    for key, size, what, budget in sum(map(sizes.get, routes), []):
+        if size > budget:
             raise ConfigError(f"{origin}.simulation.{key}: {size:.3g} {what} "
-                              f"exceed the budget of {MAX_SOLVE_SIZE:,}")
+                              f"exceed the budget of {budget:,}")
     h = solver.mesh_ratio(scenario.channel.mu)
     if "fdm" in routes and not 0.0 < h < math.inf:
         raise ConfigError(f"{origin}.simulation.dx: mesh ratio mu dt / (2 dx^2) "

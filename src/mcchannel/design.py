@@ -50,14 +50,16 @@ class DesignResult(_Record):
 
     x_q / x_r_delay are the largest distances allowed by the amplitude
     and the delay budget alone; x_r_limit is their minimum, or None when
-    the reception stage already exceeds a budget (feasible = False).
-    A distance that is not finite raises FloatingPointError.
+    the reception share q_h / r_h already exceeds a budget (feasible =
+    False).  A distance that is not finite raises FloatingPointError.
     """
 
     x_q: float
     x_r_delay: float
     x_r_limit: float | None
     feasible: bool
+    q_h: float
+    r_h: float
 
     def __post_init__(self) -> None:
         # design.json would hold Infinity or NaN, which are not JSON.
@@ -103,7 +105,7 @@ def distance_bound(q0: float, r0: float, band: FrequencyBand, mu: float,
     feasible = bool(q0 > q_h and r0 > r_h)
     limit = min(x_q, x_r_delay) if feasible else None
     return DesignResult(x_q=x_q, x_r_delay=x_r_delay, x_r_limit=limit,
-                        feasible=feasible)
+                        feasible=feasible, q_h=float(q_h), r_h=float(r_h))
 
 
 def reception_cutoff(rs: ReceptionSystem, attenuation: float) -> float:
@@ -172,8 +174,8 @@ def highest_clean_band(mu, x_r, rs: ReceptionSystem,
     and the other settings are shared.  All rows are searched at once.
     The coarse scan is one predicate call per block of _SCAN_ROW_BLOCK
     rows, so its temporaries do not grow with the number of rows, and
-    the bisection steps every row still bracketing in lockstep, one call
-    per step, until each row's own bracket is within the tolerance.
+    the bisection steps every bracketing row in lockstep, one call per
+    step: each starts one scan step wide, so 11 steps reach _REL_TOL.
     Every float operation is the same elementwise for every row (scan
     points and bracket ends from float pow, midpoints sqrt(good * bad),
     lam as in normalize), so each row's band equals, bit for bit, that
@@ -234,15 +236,12 @@ def highest_clean_band(mu, x_r, rs: ReceptionSystem,
     omega1 = np.where(saturated, hi, np.nan)
     rows = np.flatnonzero((top >= 0) & ~saturated)
     good, bad = scan[top[rows]], scan[top[rows] + 1]
-    while True:
-        wide = bad / good > 1.0 + _REL_TOL
-        omega1[rows[~wide]] = good[~wide]
-        rows, good, bad = rows[wide], good[wide], bad[wide]
-        if rows.size == 0:
-            break
+    for _ in range(math.ceil(math.log2(math.log(step)
+                                       / math.log1p(_REL_TOL)))):
         mid = np.sqrt(good * bad)
         ok = qualifies(mid, mu[rows], x_r[rows])
         good, bad = np.where(ok, mid, good), np.where(ok, bad, mid)
+    omega1[rows] = good
 
     status = np.where(saturated, "saturated",
                       np.where(top < 0, "infeasible", "ok"))

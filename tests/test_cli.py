@@ -700,6 +700,11 @@ def _edited(text: str, edits: dict) -> dict:
     # omega_min equal to omega_max: an empty sweep range
     ("scenario", {"sweep.omega_min": 100.0},
      "scenario.sweep: need 0 < omega_min < omega_max, got [100.0, 100.0]"),
+    # the open lower bounds at their edge
+    ("scenario", {"sweep.omega_min": 0.0},
+     "scenario.sweep: need 0 < omega_min < omega_max, got [0.0, 100.0]"),
+    ("survey", {"species.1.mu": 0.0},
+     "{origin}.species[1].mu: need 0 < lo <= hi, got [0.0, 0.0]"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_config_error_messages(tmp_path, kind, edits, message):
@@ -713,6 +718,19 @@ def test_config_error_messages(tmp_path, kind, edits, message):
             load_table(path)
         message = message.format(origin=path)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("edits", [
+    {"simulation.n_periods": 1},
+    {"simulation.n_harmonics": 0},
+    {"simulation.fundamental": 1.0e-1},     # band.omega2
+], ids=["n_periods-1", "n_harmonics-0", "fundamental-omega2"])
+def test_closed_bounds_admit_their_edge(edits):
+    # Integer bounds and fundamental <= omega2 are inclusive: the edge
+    # value loads and is resolved as given.
+    scenario = scenario_from_dict(_edited(SCENARIO, edits))
+    (dotted, value), = edits.items()
+    assert scenario.parameters["simulation"][dotted.split(".")[1]] == value
 
 
 @pytest.mark.filterwarnings("error")
@@ -851,7 +869,9 @@ def _scenario_with(tmp_path, edits: dict) -> Path:
 @pytest.mark.parametrize("command, case", [
     ("analyze", BAND_BEYOND_RANGE), ("design", BAND_BEYOND_RANGE),
     ("analyze", LAM_BEYOND_RANGE), ("sweep", LAM_BEYOND_RANGE),
-], ids=["analyze-band", "design-band", "analyze-lam", "sweep-lam"])
+    ("simulate", BAND_BEYOND_RANGE),
+], ids=["analyze-band", "design-band", "analyze-lam", "sweep-lam",
+        "simulate-band"])
 @pytest.mark.filterwarnings("error")
 def test_errors_after_load_name_the_file(tmp_path, capsys, command, case):
     edits, message = case
@@ -860,6 +880,26 @@ def test_errors_after_load_name_the_file(tmp_path, capsys, command, case):
     assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"configuration error: {cfg}: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_relative_budgets_are_resolved_at_load(tmp_path):
+    # q_factor and r_factor scale the reception share when the file is
+    # loaded, so a band whose share leaves the float range refuses every
+    # command; with absolute budgets or none the same band loads.
+    edits, message = BAND_BEYOND_RANGE
+    cfg = _scenario_with(tmp_path, edits)
+    with pytest.raises(config.ConfigError) as err:
+        load_scenario(cfg)
+    assert str(err.value) == f"{cfg}: {message}"
+    doc = yaml.safe_load(cfg.read_text())
+    doc["thresholds"] = {"q0": 30.0, "r0": 0.2}
+    absolute = scenario_from_dict(doc)
+    assert (absolute.q0, absolute.r0) == (30.0, 0.2)
+    del doc["thresholds"]
+    assert scenario_from_dict(doc).q0 is None
+    assert load_scenario(_scenario_with(tmp_path, {})).r0 == 1.2 * float(
+        reception_delay_distortion(RS, BAND))
 
 
 def test_design_needs_no_diffusion_index(tmp_path):
@@ -940,6 +980,8 @@ def test_zero_distance_simulates_the_reception_arm_twice(tmp_path):
 
 
 BIG = "1" + "0" * 30
+# A time step that puts 2,048 samples on SCENARIO's three periods.
+WORK_DT = 3 * 2.0 * math.pi / 5.0e-3 / 2047
 
 
 @pytest.mark.filterwarnings("error")
@@ -955,9 +997,15 @@ BIG = "1" + "0" * 30
     ("n_periods: 3277", "fdm", "n_periods"),
     # dx^2 underflows: the mesh ratio mu dt / (2 dx^2) is inf.
     ("dx: 1.0e-170", "fdm", "dx"),
+    # mu dt / (2 dx^2) underflows: the mesh ratio is 0.
+    ("dx: 1.0e+170", "fdm", "dx"),
+    # Each size within budget, but 2**21 + 1 harmonics on 2,048 samples
+    # are 2,048 harmonic-samples over the work budget of 2**32.
+    (f"n_harmonics: {2**21 + 1}\n  dt: {WORK_DT!r}", "fourier", "n_harmonics"),
 ], ids=["harmonics-1e30-fourier", "harmonics-1e30-both", "periods-1e30-fourier",
         "periods-1e30-fdm", "harmonics-over-fourier", "samples-over-fourier",
-        "fft-over-fdm", "mesh-ratio-inf-fdm"])
+        "fft-over-fdm", "mesh-ratio-inf-fdm", "mesh-ratio-zero-fdm",
+        "work-over-fourier"])
 def test_oversized_solves_exit_two_before_allocating(tmp_path, capsys,
                                                      monkeypatch, edit, route,
                                                      key):
@@ -1006,14 +1054,21 @@ def test_fine_mesh_runs_at_the_cost_of_its_steps(tmp_path):
 
 
 def test_solve_size_budget_is_inclusive():
-    # One below the just-over cases above: exactly 2**22 harmonics,
-    # 4,194,241 samples, and 1,048,320 steps.
+    # One below the just-over cases above: exactly 2**22 harmonics (on
+    # 961 samples), 4,194,241 samples (of 1,024 harmonics), 1,048,320
+    # steps, and 2**32 harmonic-samples.
     doc = yaml.safe_load(SCENARIO)
     doc["simulation"]["n_harmonics"] = config.MAX_SOLVE_SIZE
+    config.check_solve_sizes(scenario_from_dict(doc), ["fourier"], "s")
+    doc["simulation"]["n_harmonics"] = 1024
     doc["simulation"]["n_periods"] = 13107
     config.check_solve_sizes(scenario_from_dict(doc), ["fourier"], "s")
     doc["simulation"]["n_periods"] = 3276
     config.check_solve_sizes(scenario_from_dict(doc), ["fdm"], "s")
+    doc["simulation"].update(n_harmonics=2**21, n_periods=3, dt=WORK_DT)
+    scenario = scenario_from_dict(doc)
+    assert 2**21 * len(scenario.solver.time_grid) == config.MAX_SOLVE_WORK
+    config.check_solve_sizes(scenario, ["fourier"], "s")
 
 
 def test_sweep_rejects_bad_point_count(scenario_path, tmp_path, monkeypatch,
@@ -1369,7 +1424,8 @@ def test_shipped_scenarios_parse():
     scenario = load_scenario(SCENARIOS / "baseline.yaml")
     assert scenario.channel.x_r == 14.0
     assert scenario.band.omega2 == 0.4
-    assert scenario.q_factor == 1.2
+    assert scenario.q0 == 1.2 * float(reception_amplitude_distortion(
+        scenario.reception, scenario.band))
     table = load_table(SCENARIOS / "species.yaml")
     assert [row.name for row in table.species] == [
         "autoinducer", "neurotransmitter", "ion", "dna"]

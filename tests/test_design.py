@@ -80,6 +80,7 @@ def test_infeasible_budgets_return_structured_result():
 
 @pytest.mark.parametrize("q0, r0, mu, message", [
     (-1.0, 0.01, MU, "q0 must be"),
+    (0.0, 0.01, MU, "q0 must be"),
     (40.0, 0.0, MU, "r0 must be"),       # would give an infeasible result
     (40.0, math.nan, MU, "r0 must be"),  # would give a nan distance
     (40.0, 0.03, 0.0, "mu must be"),     # would give zero distances
@@ -88,6 +89,17 @@ def test_infeasible_budgets_return_structured_result():
 def test_distance_bound_rejects_bad_inputs(q0, r0, mu, message):
     with pytest.raises(ParameterError, match=message):
         distance_bound(q0, r0, BAND, mu, RS)
+
+
+def test_budgets_at_the_reception_share_are_infeasible():
+    # Each budget must exceed the share it pays first; equal leaves a
+    # distance of 0, which no receiver sits at.
+    share = _bound(1.0, 1.0)
+    assert (share.q_h, share.r_h) == (Q_H, R_H)
+    for q0, r0 in ((Q_H, 2.0 * R_H), (2.0 * Q_H, R_H)):
+        result = _bound(q0, r0)
+        assert not result.feasible and result.x_r_limit is None
+        assert min(result.x_q, result.x_r_delay) == 0.0
 
 
 def test_distance_bound_scales_with_sqrt_mu():
@@ -194,6 +206,28 @@ def test_clean_band_parameter_validation():
         highest_clean_band(10**400, 10.0, RS)
     with pytest.raises(ParameterError):
         highest_clean_band(83.0, [10.0, 10**400], RS)
+
+
+@pytest.mark.parametrize("setting, value", [
+    ("decade_width", 1.0), ("q_fraction", 0.0), ("r_fraction", 0.0)])
+def test_clean_band_settings_are_refused_at_their_bound(setting, value):
+    # Refused by name: a decade width of 1 would otherwise fail later, as
+    # an empty band, and a fraction of 0 would mark every row infeasible.
+    with pytest.raises(ParameterError, match=setting):
+        highest_clean_band(83.0, 10.0, RS, **{setting: value})
+
+
+def test_clean_band_whose_window_tops_out_at_the_first_scan_point():
+    # Time stretched by 1 / s moves the band start to s * w1 with lam
+    # unchanged.  At 1.05e-8 only the lowest scan point, 1e-8, of the
+    # search qualifies, and the bisection still starts from it.
+    w1 = float(highest_clean_band(83.0, 10.0, RS).omega1[0])
+    s = 1.05e-8 / w1
+    rs = ReceptionSystem(k_f=RS.k_f * s, k_r=RS.k_r * s, r=RS.r)
+    found = highest_clean_band(83.0 * s, 10.0, rs)
+    assert found.status.tolist() == ["ok"]
+    assert 1e-8 < found.omega1[0] < 1e-8 * 10 ** (1 / 16)
+    assert found.omega1[0] == pytest.approx(1.05e-8, rel=2e-4)
 
 
 @pytest.fixture

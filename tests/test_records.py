@@ -66,7 +66,8 @@ CASES = {
                      {"lam": -1.0}),
     DistortionReport: (dict(band=BAND, q_g=1.0, r_g=0.1, q_h=2.0, r_h=0.2),
                        {"band": FrequencyBand(5e-3, 0.2)}, {"q_g": -1.0}),
-    DesignResult: (dict(x_q=1.0, x_r_delay=2.0, x_r_limit=1.0, feasible=True),
+    DesignResult: (dict(x_q=1.0, x_r_delay=2.0, x_r_limit=1.0, feasible=True,
+                        q_h=0.5, r_h=0.05),
                    {"feasible": False}, None),
     CleanBands: (dict(omega1=np.array([1.0]), omega2=np.array([10.0]),
                       status=np.array(["ok"])),

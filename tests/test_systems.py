@@ -24,6 +24,7 @@ from mcchannel import (
     reception_phase_delay,
     reception_response,
 )
+from mcchannel import systems
 from mcchannel.design import distance_bound, reception_cutoff
 from mcchannel.distortion import delay_distortion_maxima
 
@@ -172,6 +173,8 @@ def test_cascade_combines_stage_responses():
     (FrequencyBand, dict(omega1=0.4, omega2=5e-4)),
     (FrequencyBand, dict(omega1=1.0, omega2=1.0)),
     (NormalizedBand, dict(omega1p=0.0, omega2p=1.0, lam=1.0)),
+    (NormalizedBand, dict(omega1p=1.0, omega2p=1.0, lam=1.0)),
+    (delay_distortion_maxima, dict(omega2p=0.0)),
 ])
 def test_invalid_parameters_raise(ctor, kwargs):
     with pytest.raises(ParameterError):
@@ -219,6 +222,14 @@ def test_bands_accept_the_largest_float():
     top = sys.float_info.max
     assert FrequencyBand(1.0, top).omega2 == top
     assert NormalizedBand(1.0, top, top).lam == top
+
+
+def test_channel_accepts_the_largest_float():
+    # The finiteness checks are closed at FLOAT_MAX, like the bands'.
+    top = sys.float_info.max
+    assert systems._finite(top) and systems._finite(-top)
+    channel = DiffusionChannel(mu=top, x_r=top)
+    assert (channel.mu, channel.x_r) == (top, top)
 
 
 def test_invalid_frequencies_raise():

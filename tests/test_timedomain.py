@@ -11,6 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.sparse import csc_matrix, diags
 from scipy.sparse.linalg import splu
+from scipy.special import erfc
 
 from mcchannel import (
     DiffusionChannel,
@@ -243,6 +244,42 @@ def test_fdm_step_response_accuracy_and_refinement():
     assert errs[0] < 6e-4
     assert 1.7 < errs[0] / errs[1] < 2.4
     assert 1.7 < errs[1] / errs[2] < 2.4
+
+
+def _exact_received(ch, wave, n_periods, t):
+    """u(x_r, t) on the half-line: the sum over the square wave's edges
+    t_e of +-A erfc(x_r / (2 sqrt(mu (t - t_e)))) (Carslaw & Jaeger,
+    Conduction of Heat in Solids, 1959, section 2.5).  No mesh, no
+    truncation.  Returns the trace and the edge instants."""
+    edges = [((k + 1.0 - wave.duty) * wave.period, 1.0) for k in range(n_periods)]
+    edges += [((k + 1.0) * wave.period, -1.0) for k in range(n_periods)]
+    u = np.zeros_like(t)
+    for t_e, sign in edges:
+        after = t > t_e
+        u[after] += sign * wave.amplitude * erfc(
+            ch.x_r / (2.0 * np.sqrt(ch.mu * (t[after] - t_e))))
+    return u, sorted(t_e for t_e, _ in edges)
+
+
+def test_fdm_channel_arm_against_the_exact_transient():
+    # The baseline's channel arm.  Bounds fixed before running, from a
+    # measured 2.8e-3 relative L2 and 6.6e-4 A beyond 50 steps after an
+    # edge; at an edge the scheme smears the jump (0.114 A there).
+    scenario = load_scenario(SCENARIOS / "baseline.yaml")
+    ch, wave, cfg = scenario.channel, scenario.wave, scenario.solver
+    trace = simulate_fdm(ch, scenario.reception, wave, cfg)[1]
+    exact, edges = _exact_received(
+        ch, wave, scenario.parameters["simulation"]["n_periods"], trace.times)
+    error = trace.received - exact
+    assert np.linalg.norm(error) <= 5e-3 * np.linalg.norm(exact)
+    settled = trace.times >= edges[0] + 50 * cfg.dt
+    for t_e in edges:
+        settled &= ~((trace.times >= t_e) & (trace.times < t_e + 50 * cfg.dt))
+    assert np.count_nonzero(settled) > trace.times.size // 2
+    assert float(np.max(np.abs(error[settled]))) <= 2e-3 * wave.amplitude
+    quiet = trace.times < edges[0]
+    assert np.count_nonzero(quiet) > 100
+    assert np.all(trace.received[quiet] == 0.0) and np.all(exact[quiet] == 0.0)
 
 
 def test_fdm_zero_distance_skips_the_pde():
@@ -668,6 +705,24 @@ def test_activation_on_a_grid_that_starts_inside_the_window():
     timing = activation_time(trace, float(trace.complex_conc[0]))
     assert timing.t_on == grid.t0
     assert timing.latency == grid.t0 - WAVE.pulse_window[0]
+
+
+@pytest.mark.parametrize("t0, c, t_on", [
+    # The window [2, 4] ends half a step past the last sample: covered.
+    (0.5, [0.0, 0.0, 0.2, 0.2], 2.0),
+    # The first sample at the threshold is the window's last one.
+    (0.0, [0.0, 0.0, 0.0, 0.0, 0.1, 0.2], 4.0),
+    # Flat at the threshold across the window start: no 0 / 0 crossing.
+    (0.0, [0.1] * 6, 2.0),
+], ids=["end-half-step-past", "crossing-at-window-end", "flat-at-threshold"])
+@pytest.mark.filterwarnings("error")
+def test_activation_window_edges_are_inclusive(t0, c, t_on):
+    wave = SquareWaveInput(amplitude=0.1, fundamental=math.pi / 2.0)
+    assert wave.pulse_window == (2.0, 4.0)
+    c = np.array(c)
+    trace = SimulationTrace(grid=TimeGrid(t0, 1.0, c.size), input=np.zeros(c.size),
+                            received=c, complex_conc=c, route="fdm", wave=wave)
+    assert activation_time(trace, 0.1).t_on == t_on
 
 
 def test_activation_needs_a_pulsed_input():
