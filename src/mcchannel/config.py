@@ -24,11 +24,8 @@ from typing import Any, Iterable
 
 import yaml
 
-from .distortion import (
-    _lam,
-    reception_amplitude_distortion,
-    reception_delay_distortion,
-)
+from .distortion import (_lam, reception_amplitude_distortion,
+                         reception_delay_distortion)
 from .systems import (
     DiffusionChannel,
     FrequencyBand,
@@ -246,6 +243,10 @@ def scenario_from_dict(doc: dict, origin: str = "scenario") -> Scenario:
                 * float(reception_amplitude_distortion(reception, band)),
                 "r0": thresholds["r_factor"]
                 * float(reception_delay_distortion(reception, band))}
+            for key, budget in budgets.items():     # absolute q0/r0 are > 0
+                if not 0.0 < budget < math.inf:
+                    raise ConfigError(f"{path}.{key[0]}_factor: gives {key} = "
+                                      f"{budget}, must be finite and > 0")
 
         sim = _fields(doc.get("simulation", {}), f"{origin}.simulation",
                       _SIMULATION)
@@ -286,21 +287,20 @@ def scenario_from_dict(doc: dict, origin: str = "scenario") -> Scenario:
 
 def check_solve_sizes(scenario: Scenario, routes, origin: str) -> None:
     """Refuse, naming its key, a route's solve size above MAX_SOLVE_SIZE
-    (Fourier harmonics or time samples, FDM FFT points: a job at it peaks
-    at 185-830 MiB), Fourier harmonics x samples above MAX_SOLVE_WORK
-    (about 5 s at 1.1 ns each), and an FDM mesh ratio mu dt / (2 dx^2)
-    that is 0 or beyond the float range."""
+    (Fourier harmonics or samples, FDM FFT points: a job at it peaks at
+    185-830 MiB), Fourier harmonics x samples above MAX_SOLVE_WORK (about
+    5 s), and an FDM mesh ratio mu dt / (2 dx^2) that is 0 or infinite."""
     solver, steps = scenario.solver, scenario.solver.time_grid.n - 1
-    n = scenario.n_harmonics
-    sizes = {"fourier": [("n_harmonics", n, "harmonics", MAX_SOLVE_SIZE),
-                         ("n_periods", steps + 1, "time samples", MAX_SOLVE_SIZE),
-                         ("n_harmonics", n * (steps + 1), "harmonic-samples",
-                          MAX_SOLVE_WORK)],
+    sizes = {"fourier": [
+        ("n_harmonics", scenario.n_harmonics, "harmonics", MAX_SOLVE_SIZE),
+        ("n_periods", steps + 1, "time samples", MAX_SOLVE_SIZE),
+        ("n_harmonics", scenario.n_harmonics * (steps + 1), "harmonic-samples",
+         MAX_SOLVE_WORK)],
              "fdm": [("n_periods", 4 * steps, "FFT points", MAX_SOLVE_SIZE)]}
-    for key, size, what, budget in sum(map(sizes.get, routes), []):
-        if size > budget:
+    for key, size, what, cap in (item for route in routes for item in sizes[route]):
+        if size > cap:
             raise ConfigError(f"{origin}.simulation.{key}: {size:.3g} {what} "
-                              f"exceed the budget of {budget:,}")
+                              f"exceed the budget of {cap:,}")
     h = solver.mesh_ratio(scenario.channel.mu)
     if "fdm" in routes and not 0.0 < h < math.inf:
         raise ConfigError(f"{origin}.simulation.dx: mesh ratio mu dt / (2 dx^2) "

@@ -705,6 +705,11 @@ def _edited(text: str, edits: dict) -> dict:
      "scenario.sweep: need 0 < omega_min < omega_max, got [0.0, 100.0]"),
     ("survey", {"species.1.mu": 0.0},
      "{origin}.species[1].mu: need 0 < lo <= hi, got [0.0, 0.0]"),
+    # a relative budget, factor x reception share, beyond the float range
+    ("scenario", {"thresholds.q_factor": 1e308},
+     "scenario.thresholds.q_factor: gives q0 = inf, must be finite and > 0"),
+    ("scenario", {"thresholds.r_factor": 5e-324},
+     "scenario.thresholds.r_factor: gives r0 = 0.0, must be finite and > 0"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_config_error_messages(tmp_path, kind, edits, message):

@@ -234,8 +234,8 @@ def test_clean_band_whose_window_tops_out_at_the_first_scan_point():
 def bounded_search(monkeypatch):
     """Fail a clean-band search after 1,000 predicate calls.
 
-    A default search makes about 30; one that makes no progress would
-    otherwise hang the test run.
+    A search makes one call per block of scan rows and 11 bisection
+    calls; one that makes no progress would otherwise hang the test run.
     """
     normalize, calls = design.normalize, [0]
 
@@ -280,7 +280,8 @@ def test_clean_band_refuses_a_search_beyond_the_float_range(bounded_search):
         highest_clean_band(1e-300, 1e-5, tiny)
     with pytest.raises(ParameterError, match="k_r=0.004"):
         highest_clean_band(83.0, 10.0, RS, decade_width=1e301)
-    # No row, no search: the same reception stage is no error.
+    # No row: the same reception stage is no error.  The scan makes no
+    # call and the 11 bisection calls run on empty arrays.
     assert highest_clean_band(np.array([]), np.array([]), tiny).status.size == 0
 
 

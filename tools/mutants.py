@@ -18,13 +18,14 @@ there.
 
 Usage:
     python3 tools/mutants.py [--seed N] [--sample K] [--operators flip,delete]
-                             [--only FILE:LINE ...] [--out survivors.json]
+                             [--out survivors.json]
 
 --sample 0 runs every site.  A mutant costs one tier-1 run, up to about
 20 s (less when -x stops at an early failure), so a sample of 20 takes a
-few minutes and every site about half an hour.  Exit status: 0 when every
-survivor is listed as equivalent, 1 otherwise, 2 when tier-1 fails on the
-unmutated copy.
+few minutes and every site about half an hour.  A run that takes longer
+than TIMEOUT_S counts as killed.  Exit status: 0 when every survivor is
+listed as equivalent, 1 otherwise, 2 when tier-1 fails on the unmutated
+copy.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ EQUIVALENT = Path(__file__).resolve().with_name("mutants_equivalent.json")
 FLIPS = {"<": "<=", "<=": "<", ">": ">=", ">=": ">"}
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
          "--hypothesis-seed=0"]
+TIMEOUT_S = 600     # a hung mutant (a search that never ends) is killed
 
 
 def _offsets(text: str) -> list[int]:
@@ -106,13 +108,13 @@ def _sites(name: str, text: str, operators: set[str]) -> list[dict]:
     return sites
 
 
-def _tier1(copy: Path, timeout: float) -> tuple[str, float]:
+def _tier1(copy: Path) -> tuple[str, float]:
     """Run tier-1 in the copy: ("passed" | "failed" | "timeout", seconds)."""
     env = {**os.environ, "PYTHONPATH": str(copy / "src"),
            "PYTHONDONTWRITEBYTECODE": "1"}
     start = time.perf_counter()
     try:
-        done = subprocess.run(TIER1, cwd=copy, env=env, timeout=timeout,
+        done = subprocess.run(TIER1, cwd=copy, env=env, timeout=TIMEOUT_S,
                               stdout=subprocess.DEVNULL,
                               stderr=subprocess.DEVNULL)
     except subprocess.TimeoutExpired:
@@ -132,10 +134,6 @@ def main(argv=None) -> int:
                         help="sites to run, drawn with --seed; 0: all")
     parser.add_argument("--operators", default="flip,delete",
                         help="comma-separated subset of flip,delete")
-    parser.add_argument("--only", action="append", default=[],
-                        metavar="FILE:LINE", help="run only these sites")
-    parser.add_argument("--timeout", type=float, default=600.0,
-                        help="seconds before a tier-1 run counts as killed")
     parser.add_argument("--out", help="write the JSON report here, not stdout")
     args = parser.parse_args(argv)
 
@@ -144,9 +142,7 @@ def main(argv=None) -> int:
                for path in sorted((ROOT / PACKAGE).glob("*.py"))}
     sites = [site for name, text in sources.items()
              for site in _sites(name, text, operators)]
-    if args.only:
-        sites = [s for s in sites if f"{s['file']}:{s['line']}" in args.only]
-    elif 0 < args.sample < len(sites):
+    if 0 < args.sample < len(sites):
         chosen = random.Random(args.seed).sample(range(len(sites)), args.sample)
         sites = [sites[i] for i in sorted(chosen)]
     equivalent = {_key(entry): entry["reason"]
@@ -161,7 +157,7 @@ def main(argv=None) -> int:
                     "__pycache__", ".hypothesis", ".pytest_cache", ".work"))
             else:
                 shutil.copy2(source, copy / name)
-        outcome, seconds = _tier1(copy, args.timeout)
+        outcome, seconds = _tier1(copy)
         if outcome != "passed":
             print(f"tier-1 {outcome} on the unmutated copy", file=sys.stderr)
             return 2
@@ -170,7 +166,7 @@ def main(argv=None) -> int:
             target, text = copy / PACKAGE / site["file"], sources[site["file"]]
             start, end = site["span"]
             target.write_text(text[:start] + site["new"] + text[end:])
-            outcome, seconds = _tier1(copy, args.timeout)
+            outcome, seconds = _tier1(copy)
             target.write_text(text)
             print(f"[{i}/{len(sites)}] {site['file']}:{site['line']} "
                   f"{site['edit']}: {outcome} ({seconds:.1f} s)", file=sys.stderr)
