@@ -104,37 +104,95 @@ _CSV_CHUNK = 4096
 _MIN_RUN = 64
 
 
-def _write_rows(fh, columns) -> None:
-    """Write equal-length float columns as CSV rows of %.9g cells.
+def _lead_text(column) -> list[str]:
+    """Each cell of column as '%.9g,' text: a leading CSV column, formatted
+    once and passed to _write_rows for every file that starts with it."""
+    text = []
+    for lo in range(0, len(column), _CSV_CHUNK):
+        block = column[lo:lo + _CSV_CHUNK].tolist()
+        text += (("%.9g,\n" * len(block)) % tuple(block)).splitlines()
+    return text
 
-    Rows go out _CSV_CHUNK at a time, stacked per chunk, so no second
-    copy of the columns is held.  A column that holds the same value over long runs (the input
-    of a square wave, the received column of the direct route's
-    reception arm) is formatted once per run and put into the chunk's
-    %-template as text, so % formats only the other columns.  Runs are
-    found by comparing the bits of the doubles, so -0.0 and 0.0 start
-    different runs: the file is byte for byte the one that formatting
-    every cell gives.
+
+def _write_rows(fh, columns, lead=()) -> None:
+    """Write equal-length float columns as CSV rows of %.9g cells, each row
+    after its text in lead, if given (see _lead_text).
+
+    Doubles are compared by their bits, so -0.0 and 0.0 differ, and the
+    file is byte for byte the one that formatting every cell gives.  When
+    every column repeats at a lag m (a tiled periodic trace), only the
+    first m rows are formatted and their text is reused; otherwise rows
+    are formatted _CSV_CHUNK at a time.  Either way at most that period
+    and one chunk of text are held.
     """
     n = len(columns[0])
-    constant, run_starts = [], [np.empty(0, dtype=np.intp)]
-    for column in columns:
-        bits = column.view(np.int64)
-        changed = bits[1:] != bits[:-1]
+    bits = [column.view(np.int64) for column in columns]
+    m = _lag(bits)
+    if m is None:
+        fh.writelines(_row_chunks(columns, bits, lead))
+        return
+    period = []
+    for text in _row_chunks([c[:m] for c in columns], [b[:m] for b in bits]):
+        period += text.splitlines(keepends=True)
+    for lo in range(0, n, _CSV_CHUNK):
+        hi = min(lo + _CSV_CHUNK, n)
+        rows = period[lo % m:lo % m + hi - lo]
+        while len(rows) < hi - lo:
+            rows += period[:hi - lo - len(rows)]
+        fh.write("".join(_after(lead[lo:hi], rows)))
+
+
+def _lag(bits) -> int | None:
+    """The lag m at which every column repeats bit for bit, if the first
+    later row that equals row 0 in every column gives one."""
+    same = np.ones(max(len(bits[0]) - 1, 0), dtype=bool)
+    for column in bits:
+        same &= column[1:] == column[:1]
+    hits = np.flatnonzero(same)
+    if hits.size == 0:
+        return None
+    m = int(hits[0]) + 1
+    return m if all(np.array_equal(column[m:], column[:-m])
+                    for column in bits) else None
+
+
+def _after(lead, rows: list) -> list:
+    """Each of rows after its item of lead; rows alone if lead is empty."""
+    if not lead:
+        return rows
+    pieces = [None] * (2 * len(rows))
+    pieces[::2], pieces[1::2] = lead, rows
+    return pieces
+
+
+def _row_chunks(columns, bits, lead=()):
+    """The text of each chunk of _CSV_CHUNK rows, each row after its lead.
+
+    A column that holds the same value over long runs (the input of a
+    square wave, the received column of the direct route's reception
+    arm) is formatted once per run and put into the chunk's %-template as
+    text, as is the lead, so % formats only the other columns.
+    """
+    n = len(columns[0])
+    starts = np.zeros(max(n - 1, 0), dtype=bool)
+    constant = []
+    for column in bits:
+        changed = column[1:] != column[:-1]
         constant.append((1 + np.count_nonzero(changed)) * _MIN_RUN <= n)
         if constant[-1]:
-            run_starts.append(np.flatnonzero(changed) + 1)
-    run_starts = np.unique(np.concatenate(run_starts))
+            starts |= changed
+    run_starts = np.flatnonzero(starts) + 1
     varying = [c for c, fixed in zip(columns, constant) if not fixed]
     for lo in range(0, n, _CSV_CHUNK):
         hi = min(lo + _CSV_CHUNK, n)
         inner = run_starts[(run_starts > lo) & (run_starts < hi)]
         edges = [lo, *inner.tolist(), hi]
-        template = "".join(_row_template(columns, a, constant) * (b - a)
-                           for a, b in zip(edges, edges[1:]))
+        templates = []
+        for a, b in zip(edges, edges[1:]):
+            templates += [_row_template(columns, a, constant)] * (b - a)
         block = [c[lo:hi] for c in varying]
         cells = np.column_stack(block).ravel().tolist() if block else []
-        fh.write(template % tuple(cells))
+        yield "".join(_after(lead[lo:hi], templates)) % tuple(cells)
 
 
 def _row_template(columns, row: int, constant: list) -> str:
@@ -143,13 +201,16 @@ def _row_template(columns, row: int, constant: list) -> str:
                     for c, fixed in zip(columns, constant)) + "\n"
 
 
-def write_trace_csv(trace: SimulationTrace, path) -> None:
-    """Write the trace as CSV with columns t_s, v_uM, u_xr_uM, c_uM."""
+def write_trace_csv(trace: SimulationTrace, path, time_text=None) -> None:
+    """Write the trace as CSV with columns t_s, v_uM, u_xr_uM, c_uM.
+
+    time_text, if given, is _lead_text(trace.times), formatted once for
+    every trace on the same grid."""
     with open(path, "w", newline="") as fh:
         fh.write(f"# route: {trace.route}\n")
         fh.write("t_s,v_uM,u_xr_uM,c_uM\n")
-        _write_rows(fh, (trace.times, trace.input, trace.received,
-                         trace.complex_conc))
+        _write_rows(fh, (trace.input, trace.received, trace.complex_conc),
+                    time_text or _lead_text(trace.times))
 
 
 def cmd_analyze(args, out: Path) -> None:
@@ -285,13 +346,17 @@ def cmd_simulate(args, out: Path) -> None:
 
     # FDM first: its grid, which can be refused, is checked before any solve,
     # and the job peaks lower (baseline: 40 MiB, 44 with Fourier first).
+    # Every trace samples one grid, whose t_s text is formatted once, after
+    # the first solve.
+    time_text = None
     for route in reversed(routes):
         arms = (synthesize_fourier(ch, rs, wave, scenario.n_harmonics,
                                    scenario.solver.time_grid)
                 if route == "fourier" else
                 simulate_fdm(ch, rs, wave, scenario.solver))
+        time_text = time_text or _lead_text(arms[0].times)
         for arm, trace in zip(("reception", "channel"), arms):
-            write_trace_csv(trace, out / f"trace_{arm}_{route}.csv")
+            write_trace_csv(trace, out / f"trace_{arm}_{route}.csv", time_text)
             timings[f"{arm}_{route}"] = _timing_entry(trace, scenario.threshold)
         del arms, trace     # before the next route's solve
 

@@ -35,7 +35,8 @@ from .systems import (
     _Record,
     _replace,
 )
-from .timedomain import SolverConfig, SquareWaveInput, default_solver_config
+from .timedomain import (SolverConfig, SquareWaveInput, _samples_per_period,
+                         default_solver_config)
 
 __all__ = [
     "ConfigError",
@@ -55,7 +56,7 @@ MAX_SWEEP_POINTS = 4096
 # analyze holds seven float columns of this many rows, 56 MB, and writes
 # them as a CSV of about 80 MB.
 MAX_CURVE_POINTS = 10**6
-MAX_SOLVE_SIZE, MAX_SOLVE_WORK = 2**22, 2**32    # see check_solve_sizes
+MAX_SOLVE_SIZE = 2**22    # see check_solve_sizes
 
 
 def check_points(points: int, where: str, maximum: int) -> int:
@@ -288,19 +289,22 @@ def scenario_from_dict(doc: dict, origin: str = "scenario") -> Scenario:
 def check_solve_sizes(scenario: Scenario, routes, origin: str) -> None:
     """Refuse, naming its key, a route's solve size above MAX_SOLVE_SIZE
     (Fourier harmonics or samples, FDM FFT points: a job at it peaks at
-    185-830 MiB), Fourier harmonics x samples above MAX_SOLVE_WORK (about
-    5 s), and an FDM mesh ratio mu dt / (2 dx^2) that is 0 or infinite."""
+    185-830 MiB), a Fourier dt that does not divide the wave's period into
+    whole samples, and an FDM mesh ratio mu dt / (2 dx^2) that is 0 or
+    infinite."""
     solver, steps = scenario.solver, scenario.solver.time_grid.n - 1
-    sizes = {"fourier": [
-        ("n_harmonics", scenario.n_harmonics, "harmonics", MAX_SOLVE_SIZE),
-        ("n_periods", steps + 1, "time samples", MAX_SOLVE_SIZE),
-        ("n_harmonics", scenario.n_harmonics * (steps + 1), "harmonic-samples",
-         MAX_SOLVE_WORK)],
-             "fdm": [("n_periods", 4 * steps, "FFT points", MAX_SOLVE_SIZE)]}
-    for key, size, what, cap in (item for route in routes for item in sizes[route]):
-        if size > cap:
+    sizes = {"fourier": [("n_harmonics", scenario.n_harmonics, "harmonics"),
+                         ("n_periods", steps + 1, "time samples")],
+             "fdm": [("n_periods", 4 * steps, "FFT points")]}
+    for key, size, what in (item for route in routes for item in sizes[route]):
+        if size > MAX_SOLVE_SIZE:
             raise ConfigError(f"{origin}.simulation.{key}: {size:.3g} {what} "
-                              f"exceed the budget of {cap:,}")
+                              f"exceed the budget of {MAX_SOLVE_SIZE:,}")
+    period = scenario.wave.period
+    if "fourier" in routes and _samples_per_period(period, solver.dt) is None:
+        raise ConfigError(f"{origin}.simulation.dt: {solver.dt:g} does not "
+                          f"divide the period {period:g} into whole samples "
+                          f"(T/dt = {period / solver.dt:.10g})")
     h = solver.mesh_ratio(scenario.channel.mu)
     if "fdm" in routes and not 0.0 < h < math.inf:
         raise ConfigError(f"{origin}.simulation.dx: mesh ratio mu dt / (2 dx^2) "

@@ -462,17 +462,35 @@ def _fdm_reference(ch, rs, wave, cfg):
 
 @pytest.mark.parametrize("ratio, n_harmonics, duty, t0_periods, n_samples", [
     (200.0, 200, 0.5, 0.0, 9601),     # integer w2/w1, three periods from 0
-    (510.3, 510, 0.5, 0.37, 8166),    # non-integer w2/w1, grid starts late
+    # T/dt = 8,164.8 is not an integer: refused, whatever the harmonics.
+    (510.3, 510, 0.5, 0.37, 8166),
     (510.3, 0, 0.5, 0.37, 8166),
     (510.3, 1, 0.5, 0.37, 8166),
     (510.3, 2, 0.5, 0.37, 8166),
+    # Their twins on T/dt = 8,165 (odd), the grid starting late.
+    (510.3125, 510, 0.5, 0.37, 8166),
+    (510.3125, 0, 0.5, 0.37, 8166),
+    (510.3125, 1, 0.5, 0.37, 8166),
+    (510.3125, 2, 0.5, 0.37, 8166),
     (200.0, 200, 0.3, 1.5, 4096),     # sample count a perfect square
+    # Harmonics at n >= m/2 fold onto n mod m: onto the Nyquist bin
+    # (n = 32, 96, 160 of m = 64) and the DC bin (n = 64, 63 and their
+    # multiples), for even and odd m.
+    (4.0, 32, 0.3, 0.0, 200),
+    (4.0, 200, 0.3, 0.37, 200),
+    (3.9375, 40, 0.3, 0.37, 200),
+    (3.9375, 200, 0.5, 1.5, 200),
 ])
 def test_fourier_matches_per_harmonic_reference(ratio, n_harmonics, duty,
                                                 t0_periods, n_samples):
     wave = SquareWaveInput(amplitude=0.1, fundamental=W1, duty=duty)
     grid = TimeGrid(t0_periods * wave.period, wave.period / (16.0 * ratio),
                     n_samples)
+    if 16.0 * ratio != round(16.0 * ratio):
+        with pytest.raises(ParameterError, match=r"^dt=1\.53909 does not "
+                           r"divide the period 12566\.4 into whole samples"):
+            synthesize_fourier(CH, RS, wave, n_harmonics, grid)
+        return
     trace = synthesize_fourier(CH, RS, wave, n_harmonics, grid)[1]
     received, complex_conc = _fourier_reference(CH, RS, wave, n_harmonics,
                                                 grid.times)
@@ -689,7 +707,8 @@ def test_activation_window_must_be_covered(trace_x14):
     covered = synthesize_fourier(CH, RS, WAVE, 8,
                                  TimeGrid(0.0, WAVE.period / 64.0, 65))[1]
     assert activation_time(covered, 0.0).t_on == WAVE.pulse_window[0]
-    empty = synthesize_fourier(CH, RS, WAVE, 8, TimeGrid(0.0, 1.0, 0))[1]
+    empty = synthesize_fourier(CH, RS, WAVE, 8,
+                               TimeGrid(0.0, WAVE.period / 64.0, 0))[1]
     with pytest.raises(ParameterError, match="not covered"):
         activation_time(empty, 0.0)
     with pytest.raises(ParameterError):
@@ -773,8 +792,7 @@ def _assert_writes_like_reference(trace, tmp_path):
             == (tmp_path / "reference.csv").read_bytes())
 
 
-@pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 9000])
-def test_trace_csv_equals_cell_by_cell_formatting(tmp_path, n):
+def _stepped_trace(n):
     rows = np.arange(n)
     # The input steps at rows 3000 and 5000, so one of its runs crosses
     # the chunk boundary at 4096.  The received column cycles through
@@ -785,10 +803,42 @@ def test_trace_csv_equals_cell_by_cell_formatting(tmp_path, n):
     cycle = np.array([-0.0, 0.0, 5e-324, 2.5e-310, -1e-315, 0.0])
     received = cycle[(rows // 100) % cycle.size]
     c = np.random.default_rng(n).standard_normal(n) * 1e-3
-    trace = SimulationTrace(grid=TimeGrid(0.0, 0.25, n), input=v,
-                            received=received, complex_conc=c, route="fdm",
-                            wave=WAVE)
-    _assert_writes_like_reference(trace, tmp_path)
+    return SimulationTrace(grid=TimeGrid(0.0, 0.25, n), input=v,
+                           received=received, complex_conc=c, route="fdm",
+                           wave=WAVE)
+
+
+def _periodic_trace(m, n, t0=0.0, negative_zero=False):
+    """v, u and c repeating bit for bit every m rows, as a tiled Fourier
+    trace does; with negative_zero, the last whole period holds -0.0 in
+    c where the others hold 0.0."""
+    rng = np.random.default_rng(m)
+    period = rng.standard_normal((2, m)) * 1e-3
+    period[:, 3::50] = 0.0
+    u, c = np.tile(period, n // m + 1)[:, :n]
+    if negative_zero:
+        last = (n // m - 1) * m
+        c[last + 3:last + m:50] = -0.0
+    v = np.where(np.arange(n) % m < m // 3, 0.0, 0.1)
+    return SimulationTrace(grid=TimeGrid(t0, 0.25, n), input=v, received=u,
+                           complex_conc=c, route="fourier", wave=WAVE)
+
+
+@pytest.mark.parametrize("trace", [
+    *(pytest.param(functools.partial(_stepped_trace, n), id=str(n))
+      for n in (0, 1, 4095, 4096, 4097, 9000)),
+    # n = 5 m + 1, and m does not divide the chunk of 4096 rows.
+    pytest.param(functools.partial(_periodic_trace, 1000, 5001), id="periodic"),
+    pytest.param(functools.partial(_periodic_trace, 1000, 5001,
+                                   negative_zero=True),
+                 id="periodic-but-a-negative-zero"),
+    pytest.param(functools.partial(_periodic_trace, 6000, 5001),
+                 id="period-longer-than-trace"),
+    pytest.param(functools.partial(_periodic_trace, 1000, 5001, t0=-1e3 / 7.0),
+                 id="periodic-late-start"),
+])
+def test_trace_csv_equals_cell_by_cell_formatting(tmp_path, trace):
+    _assert_writes_like_reference(trace(), tmp_path)
 
 
 def test_trace_csv_with_no_varying_column(tmp_path):
