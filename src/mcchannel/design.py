@@ -6,10 +6,9 @@ remainder limits how far the receiver may sit: both diffusion indices
 are linear in x_r, so each budget inverts to an explicit distance bound
 and the tighter one wins.
 
-Also here: the attenuation cutoff of the reception stage, and a search
-for the highest frequency decade a channel can carry while keeping the
-diffusion-stage distortion a small fraction of the reception-stage
-distortion.
+Also here: a search for the highest frequency decade a channel can
+carry while keeping the diffusion-stage distortion a small fraction of
+the reception-stage distortion.
 """
 
 from __future__ import annotations
@@ -106,19 +105,6 @@ def distance_bound(q0: float, r0: float, band: FrequencyBand, mu: float,
     limit = min(x_q, x_r_delay) if feasible else None
     return DesignResult(x_q=x_q, x_r_delay=x_r_delay, x_r_limit=limit,
                         feasible=feasible, q_h=float(q_h), r_h=float(r_h))
-
-
-def reception_cutoff(rs: ReceptionSystem, attenuation: float) -> float:
-    """Frequency where |H(jw)| falls to the given absolute attenuation.
-
-    Inverts k_f r / sqrt(w^2 + k_r^2) = attenuation; requires
-    0 < attenuation < DC gain so that the crossing frequency is positive.
-    """
-    _require(_finite(attenuation) and 0.0 < attenuation < rs.dc_gain,
-             f"attenuation must lie in (0, dc_gain={rs.dc_gain:g}), "
-             f"got {attenuation}")
-    ratio = rs.k_f * rs.r / attenuation
-    return math.sqrt(ratio * ratio - rs.k_r * rs.k_r)
 
 
 class CleanBands(_Record):

@@ -157,27 +157,6 @@ def reception_delay_distortion(rs: ReceptionSystem,
         _in_corner_units(band, rs, 0.0))
 
 
-def delay_distortion_maxima(omega2p: float) -> tuple[float, float]:
-    """Worst-case w1' for each stage's delay distortion at fixed w2'.
-
-    With w2' fixed, r_G(w1') peaks at w1' = w2' / 4 and r_H(w1') peaks at
-    w1' = sqrt(w2' / arctan(w2') - 1); both are interior maxima of
-    otherwise non-monotone curves.  Returns (w1'_diffusion, w1'_reception).
-
-    Below w2' = 1e-2 the radicand loses its digits to cancellation
-    (relative error about 2 eps / w2'^2), so it is taken from its series
-    x^2/3 - 4x^4/45 + 44x^6/945, whose truncation error there is below
-    1e-13 relative.
-    """
-    _require(_finite(omega2p) and omega2p > 0.0,
-             f"omega2p must be finite and > 0, got {omega2p}")
-    if omega2p < 1e-2:
-        x2 = omega2p * omega2p
-        return omega2p / 4.0, omega2p * math.sqrt(
-            1.0 / 3.0 - x2 * (4.0 / 45.0 - x2 * 44.0 / 945.0))
-    return omega2p / 4.0, math.sqrt(omega2p / math.atan(omega2p) - 1.0)
-
-
 # ---------------------------------------------------------------------------
 # Combined report
 # ---------------------------------------------------------------------------

@@ -48,11 +48,10 @@ from mcchannel import (
     reception_delay_distortion_normalized,
     reception_gain_db,
     reception_phase_delay,
+    reception_response,
     simulate_fdm,
     synthesize_fourier,
 )
-from mcchannel.design import reception_cutoff
-from mcchannel.distortion import delay_distortion_maxima
 
 RS = ReceptionSystem(k_f=1e-3, k_r=4e-3, r=4.0)
 BAND = FrequencyBand(5e-4, 0.4)
@@ -134,10 +133,17 @@ def test_criterion_02_distance_bound():
 
 
 def test_criterion_03_attenuation_cutoff():
-    cut = reception_cutoff(RS, 0.01)
+    # k_f r / sqrt(w^2 + k_r^2) = a inverted here; the package's reception
+    # magnitude must fall to a at that frequency.
+    attenuation = 0.01
+    cut = math.sqrt((RS.k_f * RS.r / attenuation) ** 2 - RS.k_r ** 2)
+    magnitude = float(reception_response(RS, cut)[0])
     _assert_all(3, [
         (f"1% attenuation cutoff {cut:.6f} rad/s within 1% of 0.4",
          abs(cut - 0.4) <= 0.004),
+        (f"reception magnitude {magnitude:.12g} at the cutoff is 0.01 "
+         "within 1e-12 relative",
+         abs(magnitude / attenuation - 1.0) <= 1e-12),
     ])
 
 
@@ -265,12 +271,15 @@ def test_criterion_07_normal_form():
 
 
 def test_criterion_08_delay_distortion_maxima():
+    # At fixed w2', r_G peaks at w1' = w2'/4 and r_H at
+    # w1' = sqrt(w2'/arctan w2' - 1); the package's curves must peak there.
     checks = []
     for w2p in (1.0, 4.0, 10.0, 100.0):
         grid = np.logspace(math.log10(w2p) - 4.0,
                            math.log10(w2p) - 1e-12, 10_000)
         step = math.log(grid[1] / grid[0])
-        peak_g, peak_h = delay_distortion_maxima(w2p)
+        peak_g = w2p / 4.0
+        peak_h = math.sqrt(w2p / math.atan(w2p) - 1.0)
         r_g = np.array([diffusion_delay_distortion_normalized(
             NormalizedBand(w, w2p, 1.0)) for w in grid])
         r_h = np.array([reception_delay_distortion_normalized(

@@ -408,6 +408,18 @@ def test_simulate_activation_summary(scenario_path, tmp_path):
         assert (out / name).read_bytes() == (again / name).read_bytes()
 
 
+def test_simulate_without_threshold_reports_no_activation(tmp_path):
+    raw = yaml.safe_load((SCENARIOS / "baseline.yaml").read_text())
+    del raw["simulation"]["threshold"]
+    path = tmp_path / "no_threshold.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    assert len(list(out.glob("trace_*.csv"))) == 4
+    activation = json.loads((out / "simulate.json").read_text())["activation"]
+    assert list(activation.values()) == [None] * 4
+
+
 def test_both_routes_write_one_time_column(scenario_path, tmp_path):
     # Both routes sample the solver's time grid: the t_s columns of the
     # Fourier and FDM traces are the same bytes.

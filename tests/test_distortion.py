@@ -2,7 +2,6 @@
 form, maxima."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,7 +29,6 @@ from mcchannel import (
     reception_delay_distortion,
     reception_delay_distortion_normalized,
 )
-from mcchannel.distortion import delay_distortion_maxima
 
 CH = DiffusionChannel(mu=83.0, x_r=14.0)
 RS = ReceptionSystem(k_f=1e-3, k_r=4e-3, r=4.0)
@@ -44,8 +42,9 @@ R_H = 0.01948120145076084
 LAM = 0.06872329711433424          # sqrt(x_r^2 k_r / (2 mu)) for CH, RS
 Q_G_UNIT = 8.685889638065037       # normalized q_g at lam=1 over [1, 4]
 
-# Interior delay-distortion maxima (w1' worst case at fixed w2'), each
-# verified by brute-force grid maximization of the normalized r curves.
+# Interior delay-distortion maxima (w1' worst case at fixed w2'): r_G
+# peaks at w2'/4 and r_H at sqrt(w2'/arctan w2' - 1), each verified by
+# brute-force grid maximization of the normalized r curves.
 MAXIMA = {
     1.0: (0.25, 0.5227232008770634),
     4.0: (1.0, 1.4202134050943154),
@@ -154,42 +153,22 @@ def test_diffusion_indices_linear_in_lam():
 
 @pytest.mark.parametrize("omega2p", sorted(MAXIMA))
 def test_delay_maxima_match_reference(omega2p):
-    got = delay_distortion_maxima(omega2p)
-    assert_allclose(got, MAXIMA[omega2p], rtol=1e-12)
-
-
-def _reception_peak_radicand(w2p: float) -> Fraction:
-    """w2'/atan(w2') - 1 as an exact rational, from its Maclaurin series.
-
-    The coefficients c_n of sum c_n x^(2n) are those of the reciprocal
-    of atan(x)/x = sum (-1)^k x^(2k)/(2k+1).  Seven terms leave out
-    less than x^16 relative to x^2/3, below 1e-28 for x <= 0.011.
-    """
-    atan_over_x = [Fraction((-1) ** k, 2 * k + 1) for k in range(8)]
-    coeffs = [Fraction(1)]
-    for n in range(1, 8):
-        coeffs.append(-sum(atan_over_x[k] * coeffs[n - k]
-                           for k in range(1, n + 1)))
-    x2 = Fraction(w2p) ** 2
-    return sum(c * x2 ** n for n, c in enumerate(coeffs) if n > 0)
-
-
-# Switch point 1e-2: the direct form's error, about 2 eps / w2'^2
-# relative, is near 4e-12 just above it; the series' truncation after
-# its w2'^6 term is near 5e-14 just below it.  Bound fixed beforehand.
-@pytest.mark.parametrize("w2p", [1e-9, 1e-7, 1e-5, 1e-3, 0.9e-2, 0.999e-2,
-                                 1e-2, 1.001e-2, 1.1e-2])
-def test_reception_delay_peak_is_accurate_for_small_bands(w2p):
-    _, peak_h = delay_distortion_maxima(w2p)
-    # peak_h^2 against the exact radicand: twice the relative error of peak_h.
-    assert abs(Fraction(peak_h) ** 2 / _reception_peak_radicand(w2p) - 1) \
-        <= 2 * 1e-11
+    # Each reference peak is a local maximum of the package's curve: the
+    # points 1e-6 relative to either side lie lower, which puts the peak
+    # within 5e-7 relative of it.  The curves fall there by at least
+    # 1e-14, over 350 ulps of their peak value.
+    for fn, peak in zip((diffusion_delay_distortion_normalized,
+                         reception_delay_distortion_normalized),
+                        MAXIMA[omega2p]):
+        at_peak = fn(NormalizedBand(peak, omega2p, 1.0))
+        for side in (1.0 - 1e-6, 1.0 + 1e-6):
+            assert fn(NormalizedBand(peak * side, omega2p, 1.0)) < at_peak
 
 
 def test_delay_maxima_are_interior_grid_maxima():
     # 4001-point log grid in w1'; the analytic peaks must win on the grid.
     w2p = 4.0
-    peak_g, peak_h = delay_distortion_maxima(w2p)
+    peak_g, peak_h = MAXIMA[w2p]
     grid = np.logspace(math.log10(w2p) - 4.0, math.log10(w2p) - 1e-9, 4001)
     r_g = [diffusion_delay_distortion_normalized(NormalizedBand(w, w2p, 1.0))
            for w in grid]
@@ -205,7 +184,7 @@ def test_delay_distortion_not_monotone_in_omega1():
     # Fixing w2' and sweeping w1' the delay indices rise then fall, so a
     # threshold on them is crossed from both sides.
     w2p = 4.0
-    peak_g, peak_h = delay_distortion_maxima(w2p)
+    peak_g, peak_h = MAXIMA[w2p]
     for fn, peak in ((diffusion_delay_distortion_normalized, peak_g),
                      (reception_delay_distortion_normalized, peak_h)):
         at_peak = fn(NormalizedBand(peak, w2p, 1.0))

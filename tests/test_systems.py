@@ -25,8 +25,7 @@ from mcchannel import (
     reception_response,
 )
 from mcchannel import systems
-from mcchannel.design import distance_bound, reception_cutoff
-from mcchannel.distortion import delay_distortion_maxima
+from mcchannel.design import distance_bound
 
 CH = DiffusionChannel(mu=83.0, x_r=14.0)
 RS = ReceptionSystem(k_f=1e-3, k_r=4e-3, r=4.0)
@@ -174,7 +173,6 @@ def test_cascade_combines_stage_responses():
     (FrequencyBand, dict(omega1=1.0, omega2=1.0)),
     (NormalizedBand, dict(omega1p=0.0, omega2p=1.0, lam=1.0)),
     (NormalizedBand, dict(omega1p=1.0, omega2p=1.0, lam=1.0)),
-    (delay_distortion_maxima, dict(omega2p=0.0)),
 ])
 def test_invalid_parameters_raise(ctor, kwargs):
     with pytest.raises(ParameterError):
@@ -205,13 +203,11 @@ HUGE = 10**400  # a Python int beyond the float range
 @pytest.mark.parametrize("build", [
     lambda: ReceptionSystem(k_f=HUGE, k_r=1.0, r=1.0),
     lambda: distance_bound(HUGE, 1.0, FrequencyBand(W1, W2), 83.0, RS),
-    lambda: reception_cutoff(RS, HUGE),
     lambda: SquareWaveInput(amplitude=HUGE, fundamental=W1),
     lambda: TimeGrid(t0=0.0, dt=HUGE, n=3),
     lambda: SolverConfig(dx=HUGE, dt=1.0, domain_length=100.0, duration=10.0),
-    lambda: delay_distortion_maxima(HUGE),
-], ids=["ReceptionSystem", "distance_bound", "reception_cutoff",
-        "SquareWaveInput", "TimeGrid", "SolverConfig", "delay_distortion_maxima"])
+], ids=["ReceptionSystem", "distance_bound", "SquareWaveInput", "TimeGrid",
+        "SolverConfig"])
 def test_scalar_checks_reject_ints_beyond_the_float_range(build):
     # math.isfinite would raise OverflowError converting the int.
     with pytest.raises(ParameterError):

@@ -168,6 +168,12 @@ def test_fourier_rejects_a_negative_harmonic_count():
         synthesize_fourier(CH, RS, WAVE, -1, TimeGrid(0.0, 1.0, 3))
 
 
+def test_fourier_refuses_a_step_whose_period_ratio_overflows():
+    # T/dt is inf, which no whole number of samples matches.
+    with pytest.raises(ParameterError, match=r"^dt=4\.94066e-324 .*T/dt = inf"):
+        synthesize_fourier(CH, RS, WAVE, 10, TimeGrid(0.0, 5e-324, 4))
+
+
 def test_fourier_reports_exact_square_input():
     grid = TimeGrid(0.0, WAVE.period / 128.0, 257)
     for trace in synthesize_fourier(CH, RS, WAVE, 40, grid):
