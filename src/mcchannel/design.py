@@ -8,7 +8,8 @@ and the tighter one wins.
 
 Also here: a search for the highest frequency decade a channel can
 carry while keeping the diffusion-stage distortion a small fraction of
-the reception-stage distortion.
+the reception-stage distortion: one scan of a curve Phi(w1') that
+every channel shares, then a bisection of each channel's upper edge.
 """
 
 from __future__ import annotations
@@ -27,10 +28,11 @@ from .systems import (
     _require,
 )
 from .distortion import (
+    NormalizedBand,
     _in_corner_units,
+    _lam,
     diffusion_amplitude_distortion_normalized,
     diffusion_delay_distortion_normalized,
-    normalize,
     reception_amplitude_distortion,
     reception_amplitude_distortion_normalized,
     reception_delay_distortion,
@@ -122,10 +124,6 @@ class CleanBands(_Record):
     status: np.ndarray
 
 
-# Rows per block of the coarse scan: a block's (rows x 257) predicate
-# temporaries stay near 0.5 MB whatever the number of rows.
-_SCAN_ROW_BLOCK = 256
-
 # The clean-band search: the bisection's relative tolerance, and the
 # range of band starts w1 it scans.
 _REL_TOL = 1e-4
@@ -140,15 +138,17 @@ def highest_clean_band(mu, x_r, rs: ReceptionSystem,
 
     A band qualifies when the diffusion-stage indices stay below the
     given fractions of the reception-stage indices computed on that same
-    band:  q_g <= q_fraction * q_h  and  r_g <= r_fraction * r_h.
-
-    The qualifying set is not a half-line: toward low frequencies the
-    reception indices vanish faster (q_h ~ w1^2, r_h ~ w1^3) than the
-    diffusion ones (~ sqrt(w1)), so the predicate fails at both extremes
-    for x_r > 0.  The search therefore scans a coarse log grid over
-    _SEARCH_RANGE for the top of the qualifying set and bisects the
-    upper transition.  Deterministic: repeated calls return identical
-    results.
+    band:  q_g <= q_fraction * q_h  and  r_g <= r_fraction * r_h.  The
+    diffusion indices are lam = sqrt(x_r^2 k_r / (2 mu)) times their
+    values q_1, r_1 at lam = 1, so that reads lam <= Phi(w1), with
+    Phi = min(q_fraction * q_h / q_1, r_fraction * r_h / r_1) one curve
+    for every row.  Phi falls at both extremes: toward low frequencies
+    the reception indices vanish faster (q_h ~ w1^2, r_h ~ w1^3) than the
+    diffusion ones (~ sqrt(w1)), so the qualifying set is not a
+    half-line.  The search evaluates Phi once on a coarse log grid over
+    _SEARCH_RANGE, takes each row's last qualifying scan point from the
+    suffix maxima of Phi, and bisects the upper transition.
+    Deterministic: repeated calls return identical results.
 
     Precision: the returned w1 is the qualifying end of the final
     bisection bracket, so it satisfies the predicate and lies at or
@@ -157,15 +157,13 @@ def highest_clean_band(mu, x_r, rs: ReceptionSystem,
 
     Rows: mu and x_r are scalars or 1-D arrays that broadcast together,
     one row per channel; a scalar pair is one row.  The reception stage
-    and the other settings are shared.  All rows are searched at once.
-    The coarse scan is one predicate call per block of _SCAN_ROW_BLOCK
-    rows, so its temporaries do not grow with the number of rows, and
-    the bisection steps every bracketing row in lockstep, one call per
-    step: each starts one scan step wide, so 11 steps reach _REL_TOL.
-    Every float operation is the same elementwise for every row (scan
-    points and bracket ends from float pow, midpoints sqrt(good * bad),
-    lam as in normalize), so each row's band equals, bit for bit, that
-    of a call with that row alone.
+    and the other settings are shared.  All rows are searched at once,
+    with one evaluation of Phi for the scan and one per bisection step,
+    which moves every bracketing row in lockstep: each starts one scan
+    step wide, so 11 steps reach _REL_TOL.  Every float operation is the
+    same elementwise for every row (scan points and bracket ends from
+    float pow, midpoints sqrt(good * bad), lam as in normalize), so each
+    row's band equals, bit for bit, that of a call with that row alone.
 
     Returns:
         CleanBands with a band and a status per row.
@@ -186,21 +184,22 @@ def highest_clean_band(mu, x_r, rs: ReceptionSystem,
                              f"x_r={x_r}") from None
     _require(mu.ndim <= 1,
              f"mu and x_r must be scalars or 1-D arrays, got shape {mu.shape}")
-    DiffusionChannel(mu=mu, x_r=x_r)  # validates every row
-    mu, x_r = np.atleast_1d(mu, x_r)
+    # Constructing the channel validates every row.
+    lam = np.atleast_1d(_lam(DiffusionChannel(mu=mu, x_r=x_r), rs))
     lo, hi = _SEARCH_RANGE
-    _require(mu.size == 0 or _finite(hi * float(decade_width) / rs.k_r),
+    _require(lam.size == 0 or _finite(hi * float(decade_width) / rs.k_r),
              f"reception k_r={rs.k_r:g} puts the clean-band search's top "
              f"band edge, {hi:g} * decade_width / k_r, beyond the float range")
 
-    def qualifies(omega1, mu, x_r):
-        """The predicate at band starts omega1 for channels (mu, x_r)."""
-        nb = normalize(DiffusionChannel(mu=mu, x_r=x_r), rs,
-                       FrequencyBand(omega1, omega1 * decade_width))
-        return ((diffusion_amplitude_distortion_normalized(nb)
-                 <= q_fraction * reception_amplitude_distortion_normalized(nb))
-                & (diffusion_delay_distortion_normalized(nb)
-                   <= r_fraction * reception_delay_distortion_normalized(nb)))
+    def ceiling(omega1):
+        """Phi: the largest lam whose channel carries the bands at omega1."""
+        unit = NormalizedBand(omega1 / rs.k_r, omega1 * decade_width / rs.k_r,
+                              1.0)
+        return np.minimum(
+            q_fraction * reception_amplitude_distortion_normalized(unit)
+            / diffusion_amplitude_distortion_normalized(unit),
+            r_fraction * reception_delay_distortion_normalized(unit)
+            / diffusion_delay_distortion_normalized(unit))
 
     # Coarse scan: 16 points per decade is plenty to find the qualifying
     # window, whose width is set by polynomial-order crossings.  The scan
@@ -209,12 +208,11 @@ def highest_clean_band(mu, x_r, rs: ReceptionSystem,
     n_scan = int(round(math.log10(hi / lo) * 16)) + 1
     step = (hi / lo) ** (1.0 / (n_scan - 1))
     scan = np.array([lo * step ** i for i in range(n_scan)])
-    top = np.empty(mu.size, dtype=np.intp)  # last qualifying point, or -1
-    for start in range(0, mu.size, _SCAN_ROW_BLOCK):
-        block = slice(start, start + _SCAN_ROW_BLOCK)
-        flags = qualifies(scan, mu[block, None], x_r[block, None])
-        last = n_scan - 1 - np.argmax(flags[:, ::-1], axis=1)
-        top[block] = np.where(flags.any(axis=1), last, -1)
+    # A row's last qualifying scan point is the last whose suffix maximum
+    # of Phi reaches lam; read from the top, those maxima only grow.  With
+    # no row, Phi is skipped, as is the top-edge check above.
+    rising = np.fmax.accumulate(ceiling(scan)[::-1]) if lam.size else []
+    top = n_scan - 1 - np.searchsorted(rising, lam)
 
     # A row whose top scan point qualifies is saturated, whether or not
     # every point below does: its band is bounded only by the range top.
@@ -225,7 +223,7 @@ def highest_clean_band(mu, x_r, rs: ReceptionSystem,
     for _ in range(math.ceil(math.log2(math.log(step)
                                        / math.log1p(_REL_TOL)))):
         mid = np.sqrt(good * bad)
-        ok = qualifies(mid, mu[rows], x_r[rows])
+        ok = lam[rows] <= ceiling(mid)
         good, bad = np.where(ok, mid, good), np.where(ok, bad, mid)
     omega1[rows] = good
 

@@ -220,20 +220,23 @@ def test_clean_band_whose_window_tops_out_at_the_first_scan_point():
 
 @pytest.fixture
 def bounded_search(monkeypatch):
-    """Fail a clean-band search after 1,000 predicate calls.
+    """Fail a clean-band search after 1,000 evaluations of Phi.
 
-    A search makes one call per block of scan rows and 11 bisection
-    calls; one that makes no progress would otherwise hang the test run.
+    A search evaluates Phi 12 times: once on the scan points, then once
+    per bisection step.  One that makes no progress would otherwise hang
+    the test run.  Each evaluation of Phi calls the diffusion amplitude
+    index once, so that call is the one counted.
     """
-    normalize, calls = design.normalize, [0]
+    index, calls = design.diffusion_amplitude_distortion_normalized, [0]
 
     def counted(*args, **kwargs):
         calls[0] += 1
         if calls[0] > 1000:
             raise AssertionError("the clean-band search does not end")
-        return normalize(*args, **kwargs)
+        return index(*args, **kwargs)
 
-    monkeypatch.setattr(design, "normalize", counted)
+    monkeypatch.setattr(design, "diffusion_amplitude_distortion_normalized",
+                        counted)
 
 
 # The tolerance and the search range are fixed: a call that sets either
@@ -268,8 +271,8 @@ def test_clean_band_refuses_a_search_beyond_the_float_range(bounded_search):
         highest_clean_band(1e-300, 1e-5, tiny)
     with pytest.raises(ParameterError, match="k_r=0.004"):
         highest_clean_band(83.0, 10.0, RS, decade_width=1e301)
-    # No row: the same reception stage is no error.  The scan makes no
-    # call and the 11 bisection calls run on empty arrays.
+    # No row: the same reception stage is no error.  The scan skips Phi
+    # and the 11 bisection evaluations run on empty arrays.
     assert highest_clean_band(np.array([]), np.array([]), tiny).status.size == 0
 
 
@@ -364,9 +367,11 @@ def test_clean_band_matches_scalar_scan_reference():
 
 
 def test_clean_band_batch_memory_is_bounded_by_the_row_block():
-    # 20,000 rows: one (rows x 257) float temporary of an unblocked scan
-    # would take 41 MB.  The blocked scan keeps a few 256-row temporaries
-    # plus the per-row inputs, statuses and bands.
+    # 20,000 rows: one (rows x 257) float temporary of a scan per row
+    # would take 41 MB.  The scan evaluates one 257-point curve shared by
+    # every row, so what grows is only the per-row inputs, statuses and
+    # bands.  The bound is the one set when the scan ran in 256-row
+    # blocks: a few such blocks plus the per-row arrays.
     rng = np.random.default_rng(7)
     rows, n_scan = 20_000, 257
     mu = 0.1 * 3e4 ** rng.random(rows)
@@ -381,6 +386,30 @@ def test_clean_band_batch_memory_is_bounded_by_the_row_block():
     assert set(batch.status.tolist()) == {"ok", "saturated", "infeasible"}
     block_temporary = 256 * n_scan * 8
     assert peak < 8 * block_temporary + 256 * rows, peak
+
+
+def test_clean_band_closed_form_calls_do_not_grow_with_the_rows(monkeypatch):
+    # The scan evaluates Phi once on the scan points whatever the number
+    # of rows, and each bisection step once for every bracketing row.
+    names = [f"{stage}_{part}_distortion_normalized"
+             for stage in ("diffusion", "reception")
+             for part in ("amplitude", "delay")]
+    calls = Counter()
+    for name in names:
+        def counted(*args, _name=name, _index=getattr(design, name)):
+            calls[_name] += 1
+            return _index(*args)
+        monkeypatch.setattr(design, name, counted)
+    rng = np.random.default_rng(11)
+    counts = []
+    for rows in (1, 1000):
+        calls.clear()
+        mu = 0.1 * 3e4 ** rng.random(rows)
+        x_r = 1e-2 * 1e4 ** rng.random(rows)
+        batch = highest_clean_band(mu, x_r, RS)
+        assert "ok" in batch.status.tolist()
+        counts.append(dict(calls))
+    assert counts[0] == counts[1] == {name: 12 for name in names}
 
 
 def test_clean_band_batch_accepts_no_rows_and_validates_each_row():

@@ -3,7 +3,6 @@
 import copy
 import math
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import yaml
@@ -77,18 +76,15 @@ def test_clean_band_edge_holds_and_fails_just_above(mu, x_r, width, fraction):
                      min_size=1, max_size=12),
        width=st.sampled_from([2.0, 10.0, 100.0]),
        q_fraction=st.sampled_from([0.05, 0.1, 0.5]),
-       r_fraction=st.sampled_from([0.05, 0.1, 0.5]),
-       block=st.integers(1, 5))
+       r_fraction=st.sampled_from([0.05, 0.1, 0.5]))
 def test_clean_band_batch_equals_one_row_calls(rows, width, q_fraction,
-                                               r_fraction, block):
-    # One batched call, with row blocks small enough that the scan crosses
-    # block seams, gives every row the band and status of its own
+                                               r_fraction):
+    # One batched call gives every row the band and status of its own
     # scalar call, bit for bit.
     options = dict(decade_width=width, q_fraction=q_fraction,
                    r_fraction=r_fraction)
     mu, x_r = (np.array(column) for column in zip(*rows))
-    with mock.patch.object(design, "_SCAN_ROW_BLOCK", block):
-        batch = highest_clean_band(mu, x_r, RS, **options)
+    batch = highest_clean_band(mu, x_r, RS, **options)
     for i, (m, x) in enumerate(rows):
         one = highest_clean_band(m, x, RS, **options)
         assert batch.status[i] == one.status[0]
