@@ -14,12 +14,17 @@ from mcchannel import design
 from mcchannel import (
     DiffusionChannel,
     FrequencyBand,
+    NormalizedBand,
     ParameterError,
     ReceptionSystem,
     channel_report,
+    diffusion_amplitude_distortion_normalized,
+    diffusion_delay_distortion_normalized,
     distance_bound,
     highest_clean_band,
     reception_amplitude_distortion,
+    reception_amplitude_distortion_normalized,
+    reception_delay_distortion_normalized,
     reception_response,
 )
 
@@ -216,6 +221,32 @@ def test_clean_band_whose_window_tops_out_at_the_first_scan_point():
     assert found.status.tolist() == ["ok"]
     assert 1e-8 < found.omega1[0] < 1e-8 * 10 ** (1 / 16)
     assert found.omega1[0] == pytest.approx(1.05e-8, rel=2e-4)
+
+
+def test_clean_band_edge_is_closed_at_a_bisection_midpoint():
+    # A row whose lam equals Phi at the first bisection midpoint, bit for
+    # bit, qualifies there (q_g <= q_fraction * q_h holds with equality),
+    # so the search keeps that midpoint and ends at or above it.
+    lo, hi = design._SEARCH_RANGE
+    n_scan = int(round(math.log10(hi / lo) * 16)) + 1
+    step = (hi / lo) ** (1.0 / (n_scan - 1))
+    top = math.floor(math.log(CLEAN_W1_SLOW / lo) / math.log(step))
+    mid = math.sqrt((lo * step ** top) * (lo * step ** (top + 1)))
+    unit = NormalizedBand(mid / RS.k_r, mid * 10.0 / RS.k_r, 1.0)
+    phi = float(min(0.1 * reception_amplitude_distortion_normalized(unit)
+                    / diffusion_amplitude_distortion_normalized(unit),
+                    0.1 * reception_delay_distortion_normalized(unit)
+                    / diffusion_delay_distortion_normalized(unit)))
+    x_r, mu = 10.0, 10.0 * 10.0 * RS.k_r / (2.0 * phi * phi)
+    for _ in range(100):
+        lam = math.sqrt(x_r * x_r * RS.k_r / (2.0 * mu))
+        if lam == phi:
+            break
+        mu = math.nextafter(mu, math.inf if lam > phi else 0.0)
+    assert lam == phi
+    found = highest_clean_band(mu, x_r, RS)
+    assert found.status.tolist() == ["ok"]
+    assert mid <= found.omega1[0] < lo * step ** (top + 1)
 
 
 @pytest.fixture

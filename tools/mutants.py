@@ -7,10 +7,10 @@ Each mutant is one small edit of one site in the package:
           ``pass``.
 
 The edit is made in a temporary copy of the repository's src/, tests/,
-scenarios/ and perfbench/, never in the checkout, and tier-1 runs on the
-copy (``python -m pytest -q -x --hypothesis-seed=0``) with the copy's src/
-first on PYTHONPATH.  A mutant that tier-1 passes survives: the edited
-line is either untested or not needed.  Survivors that
+tools/, scenarios/ and perfbench/, never in the checkout, and tier-1 runs
+on the copy (``python -m pytest -q -x --hypothesis-seed=0``) with the
+copy's src/ first on PYTHONPATH.  A mutant that tier-1 passes survives:
+the edited line is either untested or not needed.  Survivors that
 tools/mutants_equivalent.json lists (matched by file, edit and source
 line, and by occurrence where one line holds the same edit twice, so the
 list outlives line shifts) are reported apart, with the reason given
@@ -46,7 +46,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src") / "mcchannel"
-COPIED = ("src", "tests", "scenarios", "perfbench", "pyproject.toml")
+COPIED = ("src", "tests", "tools", "scenarios", "perfbench", "pyproject.toml")
 EQUIVALENT = Path(__file__).resolve().with_name("mutants_equivalent.json")
 FLIPS = {"<": "<=", "<=": "<", ">": ">=", ">=": ">"}
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
