@@ -131,16 +131,50 @@ def diffusion_delay_distortion_normalized(
 
 def reception_amplitude_distortion_normalized(
         nb: NormalizedBand) -> float | np.ndarray:
-    """q_H in normal form: 20 log10( sqrt(1 + w2'^2) / sqrt(1 + w1'^2) )."""
-    return 20.0 * np.log10(np.hypot(nb.omega2p, 1.0)
-                           / np.hypot(nb.omega1p, 1.0))
+    """q_H in normal form: 20 log10( sqrt(1 + w2'^2) / sqrt(1 + w1'^2) ).
+
+    With h = sqrt(1 + w'^2), a ratio h2 / h1 below 2 is taken as
+    20 log10(e) log1p(h2 / h1 - 1), the excess being
+    (w2' - w1') (w2' + w1') / (h1 (h1 + h2)): the log of the rounded
+    ratio would lose the digits that cancel there.  The sums are halved
+    (exactly, as h >= 1) so that none overflows.
+    """
+    w1, w2 = np.broadcast_arrays(nb.omega1p, nb.omega2p)
+    h1, h2 = np.hypot(w1, 1.0), np.hypot(w2, 1.0)
+    ratio = h2 / h1
+    q = np.asarray(20.0 * np.log10(ratio))
+    near = ratio < 2.0
+    w1, w2, h1, h2 = w1[near], w2[near], h1[near], h2[near]
+    excess = (w2 - w1) / (0.5 * h1 + 0.5 * h2) * (0.5 * w2 + 0.5 * w1) / h1
+    q[near] = 20.0 * (LOG10_E * np.log1p(excess))
+    return q[()]
+
+
+# r_H's two arctan terms cancel below this w2', where its series is
+# summed instead, to enough terms to meet float precision there.
+_SERIES_TOP = 0.125
+_SERIES_TERMS = 9
 
 
 def reception_delay_distortion_normalized(
         nb: NormalizedBand) -> float | np.ndarray:
-    """r_H in normal form: (arctan w1' - (w1'/w2') arctan w2') / 2 pi."""
-    return (np.arctan(nb.omega1p)
-            - nb.omega1p / nb.omega2p * np.arctan(nb.omega2p)) / (2.0 * math.pi)
+    """r_H in normal form: (arctan w1' - (w1'/w2') arctan w2') / 2 pi.
+
+    Below w2' = _SERIES_TOP the difference is the series
+    w1' (w2'^2 - w1'^2) sum_k (-1)^(k+1) s_k / (2k + 1), where
+    s_k = (w2'^2k - w1'^2k) / (w2'^2 - w1'^2) = w2'^2 s_(k-1) + w1'^2(k-1).
+    """
+    w1, w2 = np.broadcast_arrays(nb.omega1p, nb.omega2p)
+    r = np.asarray(np.arctan(w1) - w1 / w2 * np.arctan(w2))
+    small = w2 < _SERIES_TOP
+    w1, w2 = w1[small], w2[small]
+    total, s, power = 0.0, 1.0, 1.0
+    for k in range(1, _SERIES_TERMS + 1):
+        total = total + (-1) ** (k + 1) * s / (2 * k + 1)
+        power = power * w1 * w1
+        s = w2 * w2 * s + power
+    r[small] = w1 * (w2 - w1) * (w2 + w1) * total
+    return r[()] / (2.0 * math.pi)
 
 
 def reception_amplitude_distortion(rs: ReceptionSystem,

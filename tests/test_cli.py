@@ -290,15 +290,38 @@ def test_sweep_grid_and_ridge(scenario_path, tmp_path):
 # The sweep's four normal-form closed forms written out with the math
 # module, evaluated one cell at a time: the reference for the array sweep.
 _LOG10_E = math.log10(math.e)
+
+
+def _scalar_q_h(w1, w2, lam):
+    """q_h = 20 log10(h2 / h1), h = hypot(w', 1), as log1p(h2 / h1 - 1)
+    for a ratio below 2."""
+    h1, h2 = math.hypot(w1, 1.0), math.hypot(w2, 1.0)
+    if h2 / h1 >= 2.0:
+        return 20.0 * math.log10(h2 / h1)
+    excess = (w2 - w1) / (0.5 * h1 + 0.5 * h2) * (0.5 * w2 + 0.5 * w1) / h1
+    return 20.0 * (_LOG10_E * math.log1p(excess))
+
+
+def _scalar_r_h(w1, w2, lam):
+    """r_h, from its series w1 (w2^2 - w1^2) sum_k (-1)^(k+1) s_k / (2k + 1)
+    below w2 = 1/8, with s_k = w2^2 s_(k-1) + w1^2(k-1), to 9 terms."""
+    if w2 >= 0.125:
+        return (math.atan(w1) - w1 / w2 * math.atan(w2)) / (2.0 * math.pi)
+    total, s, power = 0.0, 1.0, 1.0
+    for k in range(1, 10):
+        total += (-1) ** (k + 1) * s / (2 * k + 1)
+        power = power * w1 * w1
+        s = w2 * w2 * s + power
+    return w1 * (w2 - w1) * (w2 + w1) * total / (2.0 * math.pi)
+
+
 _SCALAR_SURFACES = {
     "q_g": lambda w1, w2, lam: (20.0 * lam * (math.sqrt(w2) - math.sqrt(w1))
                                 * _LOG10_E),
     "r_g": lambda w1, w2, lam: (w1 / (2.0 * math.pi) * lam
                                 * (1.0 / math.sqrt(w1) - 1.0 / math.sqrt(w2))),
-    "q_h": lambda w1, w2, lam: 20.0 * math.log10(math.hypot(w2, 1.0)
-                                                 / math.hypot(w1, 1.0)),
-    "r_h": lambda w1, w2, lam: (math.atan(w1) - w1 / w2 * math.atan(w2))
-                               / (2.0 * math.pi),
+    "q_h": _scalar_q_h,
+    "r_h": _scalar_r_h,
 }
 
 

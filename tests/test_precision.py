@@ -5,7 +5,9 @@ bounds out in physical units and evaluates them with mpmath at 50
 significant digits, on the exact binary values of each float input.  The
 scenarios are the baseline and 300 drawn the way the benchmark draws its
 seeded scenarios (perfbench/workloads.py, scenario_yaml), each value
-rounded to the seven significant digits a generated file holds.
+rounded to the seven significant digits a generated file holds.  The
+reception indices are also checked on small normalized bands, where
+their closed forms are differences of nearly equal terms.
 """
 
 import math
@@ -19,9 +21,12 @@ from mpmath import mp, mpf
 from mcchannel import (
     DiffusionChannel,
     FrequencyBand,
+    NormalizedBand,
     ReceptionSystem,
     channel_report,
     distance_bound,
+    reception_amplitude_distortion_normalized,
+    reception_delay_distortion_normalized,
 )
 
 EPS = sys.float_info.epsilon
@@ -112,3 +117,41 @@ def test_indices_are_within_four_eps_of_the_reference(errors):
 
 def test_distances_are_within_sixteen_eps_of_the_reference(errors):
     assert errors[1] <= DISTANCE_BOUND, errors[1] / EPS
+
+
+# Normalized bands [w1', w2'] for the reception indices: three decades
+# where the ratio and arctan forms of q_H and r_H are differences of
+# nearly equal terms, and the baseline's band, [0.125, 100].
+SMALL_BANDS = [(1e-6, 1e-5), (1e-5, 1e-4), (1e-4, 1e-3)]
+BASELINE_BAND = (BASELINE[3] / BASELINE[2], BASELINE[4] / BASELINE[2])
+
+
+def _reception_bands() -> list[tuple]:
+    """Each decade's own band plus 100 drawn inside it, w2' >= 2 w1'."""
+    rng = random.Random(7)
+    bands = []
+    for lo, hi in SMALL_BANDS:
+        bands.append((lo, hi))
+        for _ in range(100):
+            w1 = _log_uniform(rng, lo, hi / 2.0)
+            bands.append((w1, _log_uniform(rng, 2.0 * w1, hi)))
+    return bands + [BASELINE_BAND]
+
+
+@pytest.mark.parametrize("index", ["q_h", "r_h"])
+def test_reception_indices_on_small_bands_are_within_four_eps(index):
+    # The bound is INDEX_BOUND, fixed before the forms were measured.
+    # The ratio and arctan forms miss it on these bands by up to 3.3e-5
+    # (q_H) and 7.8e-5 (r_H) relative.
+    fn = {"q_h": reception_amplitude_distortion_normalized,
+          "r_h": reception_delay_distortion_normalized}[index]
+    worst = 0.0
+    with mp.workdps(50):
+        for w1, w2 in _reception_bands():
+            a, b = mpf(w1), mpf(w2)
+            want = (10 * mpmath.log10((1 + b * b) / (1 + a * a))
+                    if index == "q_h" else
+                    (mpmath.atan(a) - a / b * mpmath.atan(b)) / (2 * mp.pi))
+            got = fn(NormalizedBand(w1, w2, 1.0))
+            worst = max(worst, float(abs(mpf(float(got)) / want - 1)))
+    assert worst <= INDEX_BOUND, worst / EPS
