@@ -150,8 +150,8 @@ def reception_amplitude_distortion_normalized(
     return q[()]
 
 
-# r_H's two arctan terms cancel below this w2', where its series is
-# summed instead, to enough terms to meet float precision there.
+# r_H's two arctan terms cancel for small w2'; up to this one its series
+# is summed instead, to enough terms to meet float precision there.
 _SERIES_TOP = 0.125
 _SERIES_TERMS = 9
 
@@ -160,13 +160,13 @@ def reception_delay_distortion_normalized(
         nb: NormalizedBand) -> float | np.ndarray:
     """r_H in normal form: (arctan w1' - (w1'/w2') arctan w2') / 2 pi.
 
-    Below w2' = _SERIES_TOP the difference is the series
+    Up to w2' = _SERIES_TOP the difference is the series
     w1' (w2'^2 - w1'^2) sum_k (-1)^(k+1) s_k / (2k + 1), where
     s_k = (w2'^2k - w1'^2k) / (w2'^2 - w1'^2) = w2'^2 s_(k-1) + w1'^2(k-1).
     """
     w1, w2 = np.broadcast_arrays(nb.omega1p, nb.omega2p)
     r = np.asarray(np.arctan(w1) - w1 / w2 * np.arctan(w2))
-    small = w2 < _SERIES_TOP
+    small = w2 <= _SERIES_TOP
     w1, w2 = w1[small], w2[small]
     total, s, power = 0.0, 1.0, 1.0
     for k in range(1, _SERIES_TERMS + 1):

@@ -304,8 +304,8 @@ def _scalar_q_h(w1, w2, lam):
 
 def _scalar_r_h(w1, w2, lam):
     """r_h, from its series w1 (w2^2 - w1^2) sum_k (-1)^(k+1) s_k / (2k + 1)
-    below w2 = 1/8, with s_k = w2^2 s_(k-1) + w1^2(k-1), to 9 terms."""
-    if w2 >= 0.125:
+    up to w2 = 1/8, with s_k = w2^2 s_(k-1) + w1^2(k-1), to 9 terms."""
+    if w2 > 0.125:
         return (math.atan(w1) - w1 / w2 * math.atan(w2)) / (2.0 * math.pi)
     total, s, power = 0.0, 1.0, 1.0
     for k in range(1, 10):

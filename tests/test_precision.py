@@ -121,13 +121,14 @@ def test_distances_are_within_sixteen_eps_of_the_reference(errors):
 
 # Normalized bands [w1', w2'] for the reception indices: three decades
 # where the ratio and arctan forms of q_H and r_H are differences of
-# nearly equal terms, and the baseline's band, [0.125, 100].
-SMALL_BANDS = [(1e-6, 1e-5), (1e-5, 1e-4), (1e-4, 1e-3)]
+# nearly equal terms, the decade up to r_H's series switch at w2' = 1/8,
+# and the baseline's band, [0.125, 100].
+SMALL_BANDS = [(1e-6, 1e-5), (1e-5, 1e-4), (1e-4, 1e-3), (1e-3, 0.125)]
 BASELINE_BAND = (BASELINE[3] / BASELINE[2], BASELINE[4] / BASELINE[2])
 
 
 def _reception_bands() -> list[tuple]:
-    """Each decade's own band plus 100 drawn inside it, w2' >= 2 w1'."""
+    """Each range's own band plus 100 drawn inside it, w2' >= 2 w1'."""
     rng = random.Random(7)
     bands = []
     for lo, hi in SMALL_BANDS:
