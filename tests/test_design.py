@@ -225,8 +225,8 @@ def test_clean_band_whose_window_tops_out_at_the_first_scan_point():
 
 def test_clean_band_edge_is_closed_at_a_bisection_midpoint():
     # A row whose lam equals Phi at the first bisection midpoint, bit for
-    # bit, qualifies there (q_g <= q_fraction * q_h holds with equality),
-    # so the search keeps that midpoint and ends at or above it.
+    # bit, qualifies there (the bound is inclusive, as q_g <= q_fraction
+    # * q_h is), so the search keeps that midpoint and ends at or above it.
     lo, hi = design._SEARCH_RANGE
     n_scan = int(round(math.log10(hi / lo) * 16)) + 1
     step = (hi / lo) ** (1.0 / (n_scan - 1))
