@@ -98,10 +98,7 @@ class NormalizedBand(_Record):
 
 def normalize(ch: DiffusionChannel, rs: ReceptionSystem,
               band: FrequencyBand) -> NormalizedBand:
-    """Map physical parameters to the (omega1p, omega2p, lam) normal form.
-
-    Array fields of the channel and the band broadcast together.
-    """
+    """Map physical parameters to the (omega1p, omega2p, lam) normal form."""
     return _in_corner_units(band, rs, _lam(ch, rs))
 
 
@@ -133,21 +130,15 @@ def reception_amplitude_distortion_normalized(
         nb: NormalizedBand) -> float | np.ndarray:
     """q_H in normal form: 20 log10( sqrt(1 + w2'^2) / sqrt(1 + w1'^2) ).
 
-    With h = sqrt(1 + w'^2), a ratio h2 / h1 below 2 is taken as
-    20 log10(e) log1p(h2 / h1 - 1), the excess being
-    (w2' - w1') (w2' + w1') / (h1 (h1 + h2)): the log of the rounded
-    ratio would lose the digits that cancel there.  The sums are halved
-    (exactly, as h >= 1) so that none overflows.
+    With h = sqrt(1 + w'^2), it is taken as 20 log10(e) log1p(h2 / h1 - 1),
+    the excess being (w2' - w1') (w2' + w1') / (h1 (h1 + h2)): the log of
+    the rounded ratio would lose the digits that cancel on narrow bands.
+    The sums are halved (exactly, as h >= 1) so that none overflows.
     """
-    w1, w2 = np.broadcast_arrays(nb.omega1p, nb.omega2p)
+    w1, w2 = nb.omega1p, nb.omega2p
     h1, h2 = np.hypot(w1, 1.0), np.hypot(w2, 1.0)
-    ratio = h2 / h1
-    q = np.asarray(20.0 * np.log10(ratio))
-    near = ratio < 2.0
-    w1, w2, h1, h2 = w1[near], w2[near], h1[near], h2[near]
     excess = (w2 - w1) / (0.5 * h1 + 0.5 * h2) * (0.5 * w2 + 0.5 * w1) / h1
-    q[near] = 20.0 * (LOG10_E * np.log1p(excess))
-    return q[()]
+    return 20.0 * (LOG10_E * np.log1p(excess))
 
 
 # r_H's two arctan terms cancel for small w2'; up to this one its series

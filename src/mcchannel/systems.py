@@ -174,7 +174,7 @@ class DiffusionChannel(_Record):
         x_r: transmitter-to-receiver distance, um; 0 makes an identity.
 
     mu and x_r may also be arrays that broadcast together: a family of
-    channels, as the clean-band search normalizes in one call.
+    channels, whose lam the clean-band search computes in one call.
     """
 
     mu: float | np.ndarray
@@ -214,35 +214,25 @@ class ReceptionSystem(_Record):
 
 
 class FrequencyBand(_Record):
-    """Closed analysis band [omega1, omega2], rad/s, 0 < omega1 < omega2.
+    """Closed analysis band [omega1, omega2], rad/s, 0 < omega1 < omega2."""
 
-    omega1 and omega2 may also be arrays that broadcast together: a
-    family of bands, as the clean-band scan evaluates in one call.
-    """
-
-    omega1: float | np.ndarray
-    omega2: float | np.ndarray
+    omega1: float
+    omega2: float
 
     def __post_init__(self) -> None:
-        # One check per band, not per element; the message is built only
-        # on failure because formatting an array costs more than the check.
         w1, w2 = self.omega1, self.omega2
-        if not _all((w1 > 0.0) & (w1 <= FLOAT_MAX)):
-            raise ParameterError(f"omega1 must be finite and > 0, got {w1}")
-        # The range check comes first and alone: comparing a Python int
-        # beyond the float range with an array raises OverflowError.
-        if not (_all(w2 <= FLOAT_MAX) and _all(w2 > w1)):
-            raise ParameterError(f"omega2 must be finite and > omega1={w1}, "
-                                 f"got {w2}")
+        _require(_finite(w1) and w1 > 0.0,
+                 f"omega1 must be finite and > 0, got {w1}")
+        _require(_finite(w2) and w2 > w1,
+                 f"omega2 must be finite and > omega1={w1}, got {w2}")
 
 
-def _check_omega(omega, allow_zero: bool = False):
+def _check_omega(omega):
     w = np.asarray(omega, dtype=float)
-    ok = np.isfinite(w) & ((w >= 0.0) if allow_zero else (w > 0.0))
+    ok = np.isfinite(w) & (w > 0.0)
     if not np.all(ok):
         bad = w if w.ndim == 0 else w[~ok].flat[0]
-        raise ParameterError(f"omega must be finite and "
-                             f"{'>= 0' if allow_zero else '> 0'}, got {bad}")
+        raise ParameterError(f"omega must be finite and > 0, got {bad}")
     return w
 
 
@@ -279,25 +269,22 @@ def reception_response(rs: ReceptionSystem, omega):
     """Evaluate H(jw) = k_f r / (jw + k_r) in polar form.
 
     Returns (magnitude, phase) as numpy values shaped like omega, the
-    phase in (-pi/2, 0].  Valid at omega = 0, where the magnitude is the
-    DC gain and the phase is 0.
+    phase in (-pi/2, 0).  The zero-frequency gain is rs.dc_gain.
     """
-    w = _check_omega(omega, allow_zero=True)
+    w = _check_omega(omega)
     return rs.k_f * rs.r / np.hypot(w, rs.k_r), -np.arctan2(w, rs.k_r)
 
 
 def reception_gain_db(rs: ReceptionSystem, omega):
     """Gain of the reception stage in dB: 20 log10(k_f r) - 20 log10 |jw + k_r|."""
-    w = _check_omega(omega, allow_zero=True)
+    w = _check_omega(omega)
     return 20.0 * (np.log10(rs.k_f * rs.r) - np.log10(np.hypot(w, rs.k_r)))
 
 
 def reception_phase_delay(rs: ReceptionSystem, omega):
     """Phase delay of the reception stage, arctan(w / k_r) / w s.
 
-    Continuously extended at omega = 0 by its limit 1 / k_r.
+    Tends to 1 / k_r as omega -> 0; omega must be strictly positive.
     """
-    w = _check_omega(omega, allow_zero=True)
-    return np.where(w > 0.0,
-                    np.arctan2(w, rs.k_r) / np.where(w > 0.0, w, 1.0),
-                    1.0 / rs.k_r)
+    w = _check_omega(omega)
+    return np.arctan2(w, rs.k_r) / w

@@ -14,6 +14,7 @@ from mcchannel import (
     ConfigError,
     DiffusionChannel,
     FrequencyBand,
+    NormalizedBand,
     ReceptionSystem,
     channel_report,
     diffusion_amplitude_distortion_normalized,
@@ -107,7 +108,10 @@ def test_cascade_amplitude_distortion_is_the_sum_on_arrays(mu, x_r, starts,
     ch = DiffusionChannel(mu=mu, x_r=x_r)
     w1 = np.array(starts)
     w2 = w1 * np.array(ratios[:len(starts)])
-    nb = normalize(ch, RS, FrequencyBand(w1, w2))
+    # A FrequencyBand is one band: the family is built in corner units,
+    # with the channel's lam.
+    lam = normalize(ch, RS, FrequencyBand(w1[0], w2[0])).lam
+    nb = NormalizedBand(w1 / RS.k_r, w2 / RS.k_r, lam)
     q_g = diffusion_amplitude_distortion_normalized(nb)
     q_h = reception_amplitude_distortion_normalized(nb)
     assert q_g.shape == q_h.shape == w1.shape
