@@ -113,17 +113,29 @@ def _in_corner_units(band: FrequencyBand, rs: ReceptionSystem,
     return NormalizedBand(band.omega1 / rs.k_r, band.omega2 / rs.k_r, lam)
 
 
+def _root_gap(nb: NormalizedBand):
+    """sqrt w2' - sqrt w1', as (w2' - w1') / (sqrt w2' + sqrt w1').
+
+    The difference of the roots would cancel as w1' -> w2'.
+    """
+    return (nb.omega2p - nb.omega1p) / (np.sqrt(nb.omega2p)
+                                        + np.sqrt(nb.omega1p))
+
+
 def diffusion_amplitude_distortion_normalized(
         nb: NormalizedBand) -> float | np.ndarray:
     """q_G in normal form: 20 lam (sqrt w2' - sqrt w1') log10 e."""
-    return 20.0 * nb.lam * (np.sqrt(nb.omega2p) - np.sqrt(nb.omega1p)) * LOG10_E
+    return 20.0 * nb.lam * _root_gap(nb) * LOG10_E
 
 
 def diffusion_delay_distortion_normalized(
         nb: NormalizedBand) -> float | np.ndarray:
-    """r_G in normal form: (w1'/2pi) lam (1/sqrt w1' - 1/sqrt w2')."""
+    """r_G in normal form: (w1'/2pi) lam (1/sqrt w1' - 1/sqrt w2').
+
+    The difference is taken as (sqrt w2' - sqrt w1') / (sqrt w1' sqrt w2').
+    """
     return (nb.omega1p / (2.0 * math.pi) * nb.lam
-            * (1.0 / np.sqrt(nb.omega1p) - 1.0 / np.sqrt(nb.omega2p)))
+            * (_root_gap(nb) / (np.sqrt(nb.omega1p) * np.sqrt(nb.omega2p))))
 
 
 def reception_amplitude_distortion_normalized(
@@ -154,10 +166,18 @@ def reception_delay_distortion_normalized(
     Up to w2' = _SERIES_TOP the difference is the series
     w1' (w2'^2 - w1'^2) sum_k (-1)^(k+1) s_k / (2k + 1), where
     s_k = (w2'^2k - w1'^2k) / (w2'^2 - w1'^2) = w2'^2 s_(k-1) + w1'^2(k-1).
+    Above it, a band with w1' > w2'/2 takes the difference as
+    t arctan(w2') - arctan(t / (1/w2' + w1')), with t = (w2' - w1') / w2'
+    and w2' - w1' exact: the arctan terms of the closed form cancel as
+    w1' -> w2'.  Dividing by w2' keeps w1' w2' from overflowing.
     """
     w1, w2 = np.broadcast_arrays(nb.omega1p, nb.omega2p)
     r = np.asarray(np.arctan(w1) - w1 / w2 * np.arctan(w2))
     small = w2 <= _SERIES_TOP
+    narrow = ~small & (w1 > 0.5 * w2)
+    a, b = w1[narrow], w2[narrow]
+    t = (b - a) / b
+    r[narrow] = t * np.arctan(b) - np.arctan(t / (1.0 / b + a))
     w1, w2 = w1[small], w2[small]
     total, s, power = 0.0, 1.0, 1.0
     for k in range(1, _SERIES_TERMS + 1):

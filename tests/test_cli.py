@@ -293,19 +293,22 @@ _LOG10_E = math.log10(math.e)
 
 
 def _scalar_q_h(w1, w2, lam):
-    """q_h = 20 log10(h2 / h1), h = hypot(w', 1), as log1p(h2 / h1 - 1)
-    for a ratio below 2."""
+    """q_h = 20 log10(h2 / h1), h = hypot(w', 1), as log1p(h2 / h1 - 1)."""
     h1, h2 = math.hypot(w1, 1.0), math.hypot(w2, 1.0)
-    if h2 / h1 >= 2.0:
-        return 20.0 * math.log10(h2 / h1)
     excess = (w2 - w1) / (0.5 * h1 + 0.5 * h2) * (0.5 * w2 + 0.5 * w1) / h1
     return 20.0 * (_LOG10_E * math.log1p(excess))
 
 
 def _scalar_r_h(w1, w2, lam):
     """r_h, from its series w1 (w2^2 - w1^2) sum_k (-1)^(k+1) s_k / (2k + 1)
-    up to w2 = 1/8, with s_k = w2^2 s_(k-1) + w1^2(k-1), to 9 terms."""
+    up to w2 = 1/8, with s_k = w2^2 s_(k-1) + w1^2(k-1), to 9 terms; above
+    it, for w1 > w2 / 2, as t atan(w2) - atan(t / (1/w2 + w1)) with
+    t = (w2 - w1) / w2."""
     if w2 > 0.125:
+        if w1 > 0.5 * w2:
+            t = (w2 - w1) / w2
+            return (t * math.atan(w2) - math.atan(t / (1.0 / w2 + w1))) / (
+                2.0 * math.pi)
         return (math.atan(w1) - w1 / w2 * math.atan(w2)) / (2.0 * math.pi)
     total, s, power = 0.0, 1.0, 1.0
     for k in range(1, 10):
@@ -315,11 +318,16 @@ def _scalar_r_h(w1, w2, lam):
     return w1 * (w2 - w1) * (w2 + w1) * total / (2.0 * math.pi)
 
 
+def _root_gap(w1, w2):
+    """sqrt(w2) - sqrt(w1), as (w2 - w1) / (sqrt(w2) + sqrt(w1))."""
+    return (w2 - w1) / (math.sqrt(w2) + math.sqrt(w1))
+
+
 _SCALAR_SURFACES = {
-    "q_g": lambda w1, w2, lam: (20.0 * lam * (math.sqrt(w2) - math.sqrt(w1))
-                                * _LOG10_E),
+    "q_g": lambda w1, w2, lam: 20.0 * lam * _root_gap(w1, w2) * _LOG10_E,
     "r_g": lambda w1, w2, lam: (w1 / (2.0 * math.pi) * lam
-                                * (1.0 / math.sqrt(w1) - 1.0 / math.sqrt(w2))),
+                                * (_root_gap(w1, w2)
+                                   / (math.sqrt(w1) * math.sqrt(w2)))),
     "q_h": _scalar_q_h,
     "r_h": _scalar_r_h,
 }
@@ -1172,6 +1180,27 @@ def test_nonfinite_trace_exits_three(tmp_path, capsys, route):
     assert not out.exists()
 
 
+# The band [1, 1 + 2^-52] in corner units (k_r = 1), with budgets of 1.
+NARROW_BAND = {"k_r: 4.0e-3": "k_r: 1.0", "omega1: 5.0e-3": "omega1: 1.0",
+               "omega2: 1.0e-1": "omega2: 1.0000000000000002",
+               "  q_factor: 1.2\n  r_factor: 1.2\n": "  q0: 1.0\n  r0: 1.0\n"}
+
+
+def test_design_on_a_band_one_ulp_wide(tmp_path):
+    # sqrt(w2') - sqrt(w1') is taken without cancelling to 0, so the
+    # distances are finite and near their 50-digit values (mpmath).
+    text = SCENARIO
+    for old, new in NARROW_BAND.items():
+        text = text.replace(old, new)
+    cfg = tmp_path / "narrow.yaml"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main(["design", "--config", str(cfg), "--out", str(out)]) == 0
+    result = json.loads((out / "design.json").read_text())["result"]
+    assert_allclose([result["x_q"], result["x_r_delay"]],
+                    [1.3360709067818676e16, 7.291614209076836e17], rtol=1e-14)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command, edits, failure", [
     # x_q = sqrt(2 mu) (q0 - q_h) / q_1 lies beyond the float range.
@@ -1179,10 +1208,10 @@ def test_nonfinite_trace_exits_three(tmp_path, capsys, route):
                 "  q_factor: 1.2\n  r_factor: 1.2\n":
                 "  q0: 1.0e+305\n  r0: 1.0e+305\n"},
      "distance bound beyond the float range (x_q=inf, x_r_delay=inf)"),
-    # sqrt(w2') - sqrt(w1') rounds to 0: the inversion divides by zero.
-    ("design", {"k_r: 4.0e-3": "k_r: 1.0", "omega1: 5.0e-3": "omega1: 1.0",
-                "omega2: 1.0e-1": "omega2: 1.0000000000000002",
-                "  q_factor: 1.2\n  r_factor: 1.2\n": "  q0: 1.0\n  r0: 1.0\n"},
+    # On a band one ulp wide q_1 and r_1 are about 1e-15 and 1e-17, so
+    # budgets of 1e300 put both distances beyond the float range.
+    ("design", NARROW_BAND | {"  q0: 1.0\n  r0: 1.0\n":
+                              "  q0: 1.0e+300\n  r0: 1.0e+300\n"},
      "distance bound beyond the float range (x_q=inf, x_r_delay=inf)"),
     # lam and w' are in range, but x_r^2 w / (2 mu) of the curves is not.
     ("analyze", {"mu: 83.0": "mu: 1.0e-300", "k_f: 1.0e-3": "k_f: 1.0",

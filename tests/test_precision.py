@@ -10,21 +10,28 @@ reception indices are also checked on small normalized bands, where
 their closed forms are differences of nearly equal terms.
 """
 
+import decimal
+import json
 import math
 import random
 import sys
+from pathlib import Path
 
 import mpmath
 import pytest
 from mpmath import mp, mpf
 
+import mcchannel.cli as cli
 from mcchannel import (
     DiffusionChannel,
     FrequencyBand,
     NormalizedBand,
     ReceptionSystem,
     channel_report,
+    diffusion_amplitude_distortion_normalized,
+    diffusion_delay_distortion_normalized,
     distance_bound,
+    log_grid,
     reception_amplitude_distortion_normalized,
     reception_delay_distortion_normalized,
 )
@@ -156,3 +163,81 @@ def test_reception_indices_on_small_bands_are_within_four_eps(index):
             got = fn(NormalizedBand(w1, w2, 1.0))
             worst = max(worst, float(abs(mpf(float(got)) / want - 1)))
     assert worst <= INDEX_BOUND, worst / EPS
+
+
+def _normalized_reference(index: str, w1: float, w2: float, lam: float = 1.0):
+    """One normal-form index at mp.dps digits, on the exact binary inputs."""
+    a, b, lam = mpf(w1), mpf(w2), mpf(lam)
+    if index == "q_g":
+        return 20 * lam * (mpmath.sqrt(b) - mpmath.sqrt(a)) / mpmath.ln(10)
+    if index == "r_g":
+        return a / (2 * mp.pi) * lam * (1 / mpmath.sqrt(a) - 1 / mpmath.sqrt(b))
+    if index == "q_h":
+        return 10 * mpmath.log10((1 + b * b) / (1 + a * a))
+    return (mpmath.atan(a) - a / b * mpmath.atan(b)) / (2 * mp.pi)
+
+
+NORMALIZED = {"q_g": diffusion_amplitude_distortion_normalized,
+              "r_g": diffusion_delay_distortion_normalized,
+              "q_h": reception_amplitude_distortion_normalized,
+              "r_h": reception_delay_distortion_normalized}
+
+# Narrow normalized bands: w2'/w1' - 1 from 1e-7 to 1e-2, w1' from 1e-3 to
+# 1e3.  Bounds fixed before measuring: INDEX_BOUND, and for r_H 1e-13,
+# because its narrow-band form above w2' = 1/8 still subtracts two terms
+# whose difference falls to about 1/100 of each, near 1/8.
+NARROW_R_H_BOUND = 1e-13
+
+
+def _narrow_bands() -> list[tuple]:
+    """400 drawn bands, plus the ends of the ranges and r_H's switch."""
+    rng = random.Random(11)
+    bands = [(w1, w1 * (1.0 + gap)) for w1 in (1e-3, 0.125, 0.13, 1e3)
+             for gap in (1e-7, 1e-2)]
+    bands.append((0.13, 0.1300001))
+    for _ in range(400):
+        w1 = _log_uniform(rng, 1e-3, 1e3)
+        bands.append((w1, w1 * (1.0 + _log_uniform(rng, 1e-7, 1e-2))))
+    return bands
+
+
+@pytest.mark.parametrize("index", ["q_g", "r_g", "q_h", "r_h"])
+def test_indices_on_narrow_bands_are_within_their_bounds(index):
+    bound = NARROW_R_H_BOUND if index == "r_h" else INDEX_BOUND
+    worst = 0.0
+    with mp.workdps(50):
+        for w1, w2 in _narrow_bands():
+            got = NORMALIZED[index](NormalizedBand(w1, w2, 1.0))
+            want = _normalized_reference(index, w1, w2)
+            worst = max(worst, float(abs(mpf(float(got)) / want - 1)))
+    assert worst <= bound, worst / EPS
+
+
+def test_narrow_sweep_cells_are_correctly_rounded(tmp_path):
+    # sweep on the baseline over [10, 10.0005] at 60 points: every cell is
+    # its index's 50-digit value rounded to the 9 digits written.
+    baseline = Path(__file__).resolve().parent.parent / "scenarios" / "baseline.yaml"
+    cfg = tmp_path / "narrow.yaml"
+    cfg.write_text(baseline.read_text()
+                   .replace("omega_min: 1.0e-2", "omega_min: 10.0")
+                   .replace("omega_max: 1.0e+2", "omega_max: 10.0005"))
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    lam = json.loads((out / "sweep.json").read_text())["lam"]
+    grid = log_grid(FrequencyBand(10.0, 10.0005), 60).tolist()
+    nine = decimal.Context(prec=9, rounding=decimal.ROUND_HALF_EVEN)
+    wrong = []
+    with mp.workdps(50):
+        for index in NORMALIZED:
+            lines = (out / f"{index}.csv").read_text().splitlines()[3:]
+            assert len(lines) == len(grid)
+            for w1, line in zip(grid, lines):
+                for w2, cell in zip(grid, line.split(",")[1:]):
+                    if w1 >= w2:
+                        assert cell == ""
+                        continue
+                    exact = _normalized_reference(index, w1, w2, lam)
+                    want = nine.plus(decimal.Decimal(mpmath.nstr(exact, 30)))
+                    if decimal.Decimal(cell) != want:
+                        wrong.append((index, w1, w2, cell, str(want)))
+    assert wrong == []
