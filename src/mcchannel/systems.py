@@ -269,7 +269,7 @@ def reception_response(rs: ReceptionSystem, omega):
     """Evaluate H(jw) = k_f r / (jw + k_r) in polar form.
 
     Returns (magnitude, phase) as numpy values shaped like omega, the
-    phase in (-pi/2, 0).  The zero-frequency gain is rs.dc_gain.
+    phase in (-pi/2, 0].  The zero-frequency gain is rs.dc_gain.
     """
     w = _check_omega(omega)
     return rs.k_f * rs.r / np.hypot(w, rs.k_r), -np.arctan2(w, rs.k_r)
