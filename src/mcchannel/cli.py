@@ -330,10 +330,11 @@ def cmd_sweep(args, out: Path) -> None:
 def _timing_entry(trace, threshold: float | None) -> dict | None:
     if threshold is None:
         return None
-    timing = activation_time(trace, threshold)
-    return {"threshold": timing.threshold, "t_on": timing.t_on,
-            "latency": timing.latency, "pulse_window": list(timing.pulse_window),
-            "activated": timing.activated}
+    t_on = activation_time(trace, threshold)
+    window = trace.wave.pulse_window
+    return {"threshold": threshold, "t_on": t_on,
+            "latency": None if t_on is None else t_on - window[0],
+            "pulse_window": list(window), "activated": t_on is not None}
 
 
 def cmd_simulate(args, out: Path) -> None:

@@ -216,7 +216,6 @@ class DistortionReport(_Record):
     decompose as q_m = q_g + q_h and r_m = r_g + r_h.
     """
 
-    band: FrequencyBand
     q_g: float
     r_g: float
     q_h: float
@@ -250,5 +249,5 @@ def channel_report(ch: DiffusionChannel, rs: ReceptionSystem,
     r_g = float(diffusion_delay_distortion_normalized(nb))
     q_h = float(reception_amplitude_distortion_normalized(nb))
     r_h = float(reception_delay_distortion_normalized(nb))
-    return DistortionReport(band=band, q_g=q_g, r_g=r_g, q_h=q_h, r_h=r_h)
+    return DistortionReport(q_g=q_g, r_g=r_g, q_h=q_h, r_h=r_h)
 

@@ -76,13 +76,15 @@ def _all(cond) -> bool:
 
 
 def _finite(x) -> bool:
-    """Whether the number x is finite, like math.isfinite.
+    """Whether x is one finite number, like math.isfinite.
 
     math.isfinite converts x to float first, so a Python int beyond the
     float range raises OverflowError; comparing with FLOAT_MAX is exact
-    and gives False.  nan compares false too.
+    and gives False.  nan compares false too.  An array that is not 0-d
+    is not one number and gives False, so a scalar record's check names
+    the field instead of numpy refusing the truth value of an array.
     """
-    return -FLOAT_MAX <= x <= FLOAT_MAX
+    return getattr(x, "ndim", 0) == 0 and -FLOAT_MAX <= x <= FLOAT_MAX
 
 
 class _Record:

@@ -61,7 +61,6 @@ __all__ = [
     "default_solver_config",
     "synthesize_fourier",
     "simulate_fdm",
-    "ActivationTiming",
     "activation_time",
 ]
 
@@ -90,7 +89,8 @@ class SquareWaveInput(_Record):
                  f"amplitude must be finite and >= 0, got {self.amplitude}")
         _require(_finite(self.fundamental) and self.fundamental > 0.0,
                  f"fundamental must be finite and > 0, got {self.fundamental}")
-        _require(0.0 < self.duty < 1.0, f"duty must be in (0, 1), got {self.duty}")
+        _require(_finite(self.duty) and 0.0 < self.duty < 1.0,
+                 f"duty must be in (0, 1), got {self.duty}")
         _require(_finite(self.offset) and self.offset >= 0.0,
                  f"offset must be finite and >= 0, got {self.offset}")
 
@@ -140,7 +140,7 @@ class TimeGrid(_Record):
         _require(_finite(self.t0), f"t0 must be finite, got {self.t0}")
         _require(_finite(self.dt) and self.dt > 0.0,
                  f"dt must be finite and > 0, got {self.dt}")
-        _require(self.n >= 0, f"n must be >= 0, got {self.n}")
+        _require(_finite(self.n) and self.n >= 0, f"n must be >= 0, got {self.n}")
 
     def __len__(self) -> int:
         return self.n
@@ -479,34 +479,16 @@ def simulate_fdm(ch: DiffusionChannel, rs: ReceptionSystem,
     return reception, arm(_causal_response(kernel, v[:-1] + v[1:]))
 
 
-class ActivationTiming(_Record):
-    """Threshold-crossing summary for the first pulse of a trace.
+def activation_time(trace: SimulationTrace, threshold: float) -> float | None:
+    """First threshold crossing of complex_conc within pulse 0's window.
 
-    t_on is the first time within the pulse window at which the
+    Returns t_on, the first time within the window at which the
     bound-receptor concentration reaches the threshold (linearly
     interpolated between samples), or None if the threshold is never
-    reached in the window.  latency is t_on relative to the window
-    start, i.e. to the rising edge of the input pulse.
+    reached in the window.  The latency is t_on minus the window start,
+    trace.wave.pulse_window[0], i.e. relative to the rising edge of the
+    input pulse.
     """
-
-    threshold: float
-    t_on: float | None
-    pulse_window: tuple[float, float]
-
-    @property
-    def activated(self) -> bool:
-        return self.t_on is not None
-
-    @property
-    def latency(self) -> float | None:
-        if self.t_on is None:
-            return None
-        return self.t_on - self.pulse_window[0]
-
-
-def activation_time(trace: SimulationTrace,
-                    threshold: float) -> ActivationTiming:
-    """First threshold crossing of complex_conc within pulse 0's window."""
     _require(_finite(threshold) and threshold >= 0.0,
              f"threshold must be finite and >= 0, got {threshold}")
     _require(isinstance(trace.wave, SquareWaveInput),
@@ -518,7 +500,7 @@ def activation_time(trace: SimulationTrace,
     inside = (t >= window[0]) & (t <= window[1])
     idx = np.flatnonzero(inside & (c >= threshold))
     if idx.size == 0:
-        return ActivationTiming(threshold, None, window)
+        return None
     i = int(idx[0])
     if i == 0 or c[i - 1] >= threshold:
         # at/above threshold where the window opens, or where the grid
@@ -528,5 +510,5 @@ def activation_time(trace: SimulationTrace,
         # interpolate the crossing between the straddling samples
         t_on = t[i - 1] + (threshold - c[i - 1]) / (c[i] - c[i - 1]) * trace.dt
         t_on = max(float(t_on), window[0])
-    return ActivationTiming(threshold, float(t_on), window)
+    return float(t_on)
 

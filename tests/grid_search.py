@@ -65,4 +65,4 @@ def grid_report(ch, rs, band, n_points=GRID_POINTS):
     r_g = delay_distortion(lambda w: diffusion_phase_delay(ch, w), band, n_points)
     q_h = amplitude_distortion(lambda w: reception_gain_db(rs, w), band, n_points)
     r_h = delay_distortion(lambda w: reception_phase_delay(rs, w), band, n_points)
-    return DistortionReport(band=band, q_g=q_g, r_g=r_g, q_h=q_h, r_h=r_h)
+    return DistortionReport(q_g=q_g, r_g=r_g, q_h=q_h, r_h=r_h)

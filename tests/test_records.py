@@ -31,7 +31,6 @@ from mcchannel.systems import (
     _replace,
 )
 from mcchannel.timedomain import (
-    ActivationTiming,
     SimulationTrace,
     SolverConfig,
     SquareWaveInput,
@@ -39,7 +38,6 @@ from mcchannel.timedomain import (
 )
 
 RS = ReceptionSystem(k_f=1e-3, k_r=4e-3, r=4.0)
-BAND = FrequencyBand(5e-3, 1e-1)
 SCENARIO = scenario_from_dict({
     "channel": {"mu": 83.0, "x_r": 14.0},
     "reception": {"k_f": 1e-3, "k_r": 4e-3, "r": 4.0},
@@ -64,8 +62,8 @@ CASES = {
                     {"omega2": 1e-4}),
     NormalizedBand: (dict(omega1p=1.0, omega2p=10.0, lam=0.5), {"lam": 0.6},
                      {"lam": -1.0}),
-    DistortionReport: (dict(band=BAND, q_g=1.0, r_g=0.1, q_h=2.0, r_h=0.2),
-                       {"band": FrequencyBand(5e-3, 0.2)}, {"q_g": -1.0}),
+    DistortionReport: (dict(q_g=1.0, r_g=0.1, q_h=2.0, r_h=0.2),
+                       {"r_h": 0.3}, {"q_g": -1.0}),
     DesignResult: (dict(x_q=1.0, x_r_delay=2.0, x_r_limit=1.0, feasible=True,
                         q_h=0.5, r_h=0.05),
                    {"feasible": False}, None),
@@ -79,8 +77,6 @@ CASES = {
     SimulationTrace: (_trace(), {"route": "fdm"}, {"input": np.zeros(2)}),
     SolverConfig: (dict(dx=1.0, dt=1.0, domain_length=10.0, duration=10.0),
                    {"dt": 0.5}, {"dt": 5e-324}),
-    ActivationTiming: (dict(threshold=0.09, t_on=None, pulse_window=(1.0, 2.0)),
-                       {"t_on": 1.5}, None),
     SweepSettings: (dict(omega_min=1e-2, omega_max=1e2, points=9),
                     {"points": 10}, None),
     Scenario: (_asdict(SCENARIO), {"threshold": 0.05}, None),
@@ -187,6 +183,24 @@ def test_post_init_still_validates(cls):
     kwargs, _, bad = CASES[cls]
     with pytest.raises(ParameterError):
         cls(**_fresh({**kwargs, **bad}))
+
+
+# Every field of the records that hold scalars.
+SCALAR_FIELDS = [(cls, name) for cls in (ReceptionSystem, FrequencyBand,
+                                         SquareWaveInput, TimeGrid,
+                                         SolverConfig, DistortionReport)
+                 for name in cls._fields]
+
+
+@pytest.mark.parametrize("cls, name", SCALAR_FIELDS,
+                         ids=[f"{cls.__name__}.{name}"
+                              for cls, name in SCALAR_FIELDS])
+def test_scalar_records_refuse_arrays_by_field_name(cls, name):
+    # Not numpy's "truth value of an array ... is ambiguous" ValueError.
+    kwargs = CASES[cls][0]
+    array = np.array([kwargs[name], kwargs[name]])
+    with pytest.raises(ParameterError, match=rf"^{name} "):
+        cls(**{**kwargs, name: array})
 
 
 def _same(a, b):
