@@ -259,29 +259,28 @@ def synthesize_fourier(ch: DiffusionChannel, rs: ReceptionSystem,
     # Per arm, (received, complex_conc): DC (unit diffusion gain) + harmonics.
     dc = np.array([wave.mean, wave.mean * rs.dc_gain])[:, None]
     periods = np.broadcast_to(dc, (2, 2, m))
-    if n_harmonics > 0:
-        n = np.arange(1, n_harmonics + 1)
-        wn = n * wave.fundamental
-        coeff = 2.0 * wave.amplitude * np.sin(n * math.pi * wave.duty) / (n * math.pi)
-        cycles = np.mod(n * (t_grid.t0 / period - 1.0 + 0.5 * wave.duty), 1.0)
-        h_mag, h_phase = reception_response(rs, wn)
-        g_mag, g_phase = diffusion_response(ch, wn)
-        responses = ((1.0, 0.0), (h_mag, h_phase), (g_mag, g_phase),
-                     (g_mag * h_mag, g_phase + h_phase))
-        # Bin n mod m of each series' two-sided spectrum: rows of m
-        # harmonics, summed down the rows.
-        rows = n_harmonics // m + 1
-        spectrum = np.zeros((4, rows * m), dtype=complex)
-        spectrum[:, 1:n_harmonics + 1] = [
-            coeff * mag * np.exp(1j * (phase + 2.0 * math.pi * cycles))
-            for mag, phase in responses]
-        if rows > 1:
-            spectrum = spectrum.reshape(4, rows, m).sum(axis=1)
-        # Bin j of the real series: F_j + conj(F_{m-j}), times m/2.
-        half = np.arange(m // 2 + 1)
-        bins = spectrum[:, half] + np.conj(spectrum[:, -half % m])
-        bins *= 0.5 * m
-        periods = periods + np.fft.irfft(bins, m).reshape(2, 2, m)
+    n = np.arange(1, n_harmonics + 1)
+    wn = n * wave.fundamental
+    coeff = 2.0 * wave.amplitude * np.sin(n * math.pi * wave.duty) / (n * math.pi)
+    cycles = np.mod(n * (t_grid.t0 / period - 1.0 + 0.5 * wave.duty), 1.0)
+    h_mag, h_phase = reception_response(rs, wn)
+    g_mag, g_phase = diffusion_response(ch, wn)
+    responses = ((1.0, 0.0), (h_mag, h_phase), (g_mag, g_phase),
+                 (g_mag * h_mag, g_phase + h_phase))
+    # Bin n mod m of each series' two-sided spectrum: rows of m
+    # harmonics, summed down the rows.
+    rows = n_harmonics // m + 1
+    spectrum = np.zeros((4, rows * m), dtype=complex)
+    spectrum[:, 1:n_harmonics + 1] = [
+        coeff * mag * np.exp(1j * (phase + 2.0 * math.pi * cycles))
+        for mag, phase in responses]
+    if rows > 1:
+        spectrum = spectrum.reshape(4, rows, m).sum(axis=1)
+    # Bin j of the real series: F_j + conj(F_{m-j}), times m/2.
+    half = np.arange(m // 2 + 1)
+    bins = spectrum[:, half] + np.conj(spectrum[:, -half % m])
+    bins *= 0.5 * m
+    periods = periods + np.fft.irfft(bins, m).reshape(2, 2, m)
     series = np.tile(periods, -(-n_samples // m))[:, :, :n_samples]
 
     v = wave.value(t_grid.times)

@@ -35,7 +35,7 @@ from mcchannel import (
     synthesize_fourier,
 )
 from mcchannel.cli import write_trace_csv
-from mcchannel.timedomain import _KERNEL_EPS, _receiver_kernel
+from mcchannel.timedomain import _KERNEL_EPS, _receiver_kernel, _samples_per_period
 
 MU = 83.0
 RS = ReceptionSystem(k_f=1e-3, k_r=4e-3, r=4.0)
@@ -172,6 +172,15 @@ def test_fourier_refuses_a_step_whose_period_ratio_overflows():
     # T/dt is inf, which no whole number of samples matches.
     with pytest.raises(ParameterError, match=r"^dt=4\.94066e-324 .*T/dt = inf"):
         synthesize_fourier(CH, RS, WAVE, 10, TimeGrid(0.0, 5e-324, 4))
+
+
+@pytest.mark.parametrize("m", [3, 12800])
+def test_period_ratio_within_eight_ulps_counts_as_whole(m):
+    # T/dt is m to within _EDGE_ULPS = 8 ulps either side, bounds included.
+    for ulps in (-8, 8):
+        assert _samples_per_period(m + ulps * math.ulp(m), 1.0) == m
+    for ulps in (-9, 9):
+        assert _samples_per_period(m + ulps * math.ulp(m), 1.0) is None
 
 
 def test_fourier_reports_exact_square_input():
@@ -486,6 +495,8 @@ def _fdm_reference(ch, rs, wave, cfg):
     (4.0, 200, 0.3, 0.37, 200),
     (3.9375, 40, 0.3, 0.37, 200),
     (3.9375, 200, 0.5, 1.5, 200),
+    # One sample per period (m = 1): every harmonic folds onto DC.
+    (0.0625, 8, 0.3, 0.37, 5),
 ])
 def test_fourier_matches_per_harmonic_reference(ratio, n_harmonics, duty,
                                                 t0_periods, n_samples):
