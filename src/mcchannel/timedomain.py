@@ -258,7 +258,6 @@ def synthesize_fourier(ch: DiffusionChannel, rs: ReceptionSystem,
 
     # Per arm, (received, complex_conc): DC (unit diffusion gain) + harmonics.
     dc = np.array([wave.mean, wave.mean * rs.dc_gain])[:, None]
-    periods = np.broadcast_to(dc, (2, 2, m))
     n = np.arange(1, n_harmonics + 1)
     wn = n * wave.fundamental
     coeff = 2.0 * wave.amplitude * np.sin(n * math.pi * wave.duty) / (n * math.pi)
@@ -280,7 +279,7 @@ def synthesize_fourier(ch: DiffusionChannel, rs: ReceptionSystem,
     half = np.arange(m // 2 + 1)
     bins = spectrum[:, half] + np.conj(spectrum[:, -half % m])
     bins *= 0.5 * m
-    periods = periods + np.fft.irfft(bins, m).reshape(2, 2, m)
+    periods = dc + np.fft.irfft(bins, m).reshape(2, 2, m)
     series = np.tile(periods, -(-n_samples // m))[:, :, :n_samples]
 
     v = wave.value(t_grid.times)
