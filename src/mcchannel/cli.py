@@ -75,6 +75,13 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
+def _csv_field(text: str) -> str:
+    """text as a CSV field, quoted as RFC 4180 says if it needs quotes."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _metadata(parameters: dict) -> dict:
     return {
         "tool": "mcchannel",
@@ -288,14 +295,14 @@ def _sweep_blocks(grid: np.ndarray, lam: float, surfaces):
 
 def cmd_sweep(args, out: Path) -> None:
     scenario = load_scenario(args.config)
-    sw = scenario.sweep
-    points = (sw.points if args.points is None
+    points = (scenario.sweep["points"] if args.points is None
               else check_points(args.points, "--points", MAX_SWEEP_POINTS))
     # Every artifact echoes the grid size used, not the file's.
-    parameters = {**scenario.parameters,
-                  "sweep": {**scenario.parameters["sweep"], "points": points}}
+    sweep = {**scenario.sweep, "points": points}
+    parameters = {**scenario.parameters, "sweep": sweep}
     lam = normalize(scenario.channel, scenario.reception, scenario.band).lam
-    grid = log_grid(FrequencyBand(sw.omega_min, sw.omega_max), points)
+    grid = log_grid(FrequencyBand(sweep["omega_min"], sweep["omega_max"]),
+                    points)
 
     surfaces = {
         "q_g": diffusion_amplitude_distortion_normalized,
@@ -321,8 +328,7 @@ def cmd_sweep(args, out: Path) -> None:
     _write_json(out / "sweep.json", {
         "metadata": _metadata(parameters),
         "lam": lam,
-        "grid": {"omega_min": sw.omega_min, "omega_max": sw.omega_max,
-                 "points": points},
+        "grid": sweep,
         "files": [f"{name}.csv" for name in surfaces],
     })
 
@@ -373,20 +379,18 @@ def cmd_table(args, out: Path) -> None:
     table = load_table(args.config)
     # One search for every row that has a distance; the rows without one
     # keep the no-distance status.
-    banded = [row for row in table.species if row.x_r is not None]
+    banded = [row for row in table.species if row["x_r"] is not None]
     found = highest_clean_band(
-        np.array([row.mu_lo for row in banded]),
-        np.array([row.x_r for row in banded]), table.reception,
+        np.array([row["mu_lo"] for row in banded]),
+        np.array([row["x_r"] for row in banded]), table.reception,
         decade_width=table.decade_width,
         q_fraction=table.q_fraction, r_fraction=table.r_fraction)
     bands = iter(zip(found.omega1.tolist(), found.omega2.tolist(),
                      found.status.tolist()))
     rows_out = []
     for row in table.species:
-        entry = {"name": row.name, "mu_lo": row.mu_lo, "mu_hi": row.mu_hi,
-                 "x_r": row.x_r, "omega1": None, "omega2": None,
-                 "status": "no-distance"}
-        if row.x_r is not None:
+        entry = {**row, "omega1": None, "omega2": None, "status": "no-distance"}
+        if row["x_r"] is not None:
             omega1, omega2, status = next(bands)
             entry["status"] = status
             if status != "infeasible":
@@ -398,7 +402,8 @@ def cmd_table(args, out: Path) -> None:
         fh.write("name,mu_lo_um2_per_s,mu_hi_um2_per_s,x_r_um,"
                  "omega1_rad_per_s,omega2_rad_per_s,status\n")
         for entry in rows_out:
-            cells = [entry["name"], _fmt(entry["mu_lo"]), _fmt(entry["mu_hi"]),
+            cells = [_csv_field(entry["name"]), _fmt(entry["mu_lo"]),
+                     _fmt(entry["mu_hi"]),
                      "" if entry["x_r"] is None else _fmt(entry["x_r"]),
                      "" if entry["omega1"] is None else _fmt(entry["omega1"]),
                      "" if entry["omega2"] is None else _fmt(entry["omega2"]),

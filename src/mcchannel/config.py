@@ -161,21 +161,15 @@ def _parameter_errors(origin: str):
         raise ConfigError(f"{origin}: {exc}") from exc
 
 
-class SweepSettings(_Record):
-    """Log grid in reception-corner units for the normalized-index sweep."""
-
-    omega_min: float
-    omega_max: float
-    points: int
-
-
 class Scenario(_Record):
     """Full parameter set for one run, validated and resolved at load.
 
     wave, n_harmonics and solver carry every time-domain default filled
-    in from the band and the channel; parameters is the same resolved set
-    as plain data, embedded in every output; q0 and r0 the design budgets
-    (a relative section's factors times the reception share), or None.
+    in from the band and the channel; sweep is the sweep section as a
+    dict of omega_min, omega_max and points; parameters is the same
+    resolved set as plain data, embedded in every output; q0 and r0 the
+    design budgets (a relative section's factors times the reception
+    share), or None.
     """
 
     channel: DiffusionChannel
@@ -185,7 +179,7 @@ class Scenario(_Record):
     n_harmonics: int
     threshold: float | None
     solver: SolverConfig
-    sweep: SweepSettings
+    sweep: dict
     parameters: dict
     q0: float | None = None
     r0: float | None = None
@@ -252,11 +246,11 @@ def scenario_from_dict(doc: dict, origin: str = "scenario") -> Scenario:
         sim = _fields(doc.get("simulation", {}), f"{origin}.simulation",
                       _SIMULATION)
         path = f"{origin}.sweep"
-        sweep = SweepSettings(**_fields(doc.get("sweep", {}), path, _SWEEP))
-        if not 0.0 < sweep.omega_min < sweep.omega_max:
+        sweep = _fields(doc.get("sweep", {}), path, _SWEEP)
+        if not 0.0 < sweep["omega_min"] < sweep["omega_max"]:
             raise ConfigError(f"{path}: need 0 < omega_min < omega_max, "
-                              f"got [{sweep.omega_min}, {sweep.omega_max}]")
-        check_points(sweep.points, f"{path}.points", MAX_SWEEP_POINTS)
+                              f"got [{sweep['omega_min']}, {sweep['omega_max']}]")
+        check_points(sweep["points"], f"{path}.points", MAX_SWEEP_POINTS)
 
         wave = SquareWaveInput(
             amplitude=sim["amplitude"], duty=sim["duty"], offset=sim["offset"],
@@ -276,7 +270,7 @@ def scenario_from_dict(doc: dict, origin: str = "scenario") -> Scenario:
         "simulation": {**_asdict(wave), "threshold": sim["threshold"],
                        "n_harmonics": n_harmonics, "n_periods": sim["n_periods"],
                        **_asdict(solver)},
-        "sweep": _asdict(sweep),
+        "sweep": sweep,
     }
     if thresholds:
         parameters["thresholds"] = thresholds
@@ -316,22 +310,11 @@ def load_scenario(path) -> Scenario:
     return scenario_from_dict(_load_yaml(path), str(path))
 
 
-class SpeciesRow(_Record):
-    """One signaling-molecule row of the clean-band survey.
-
-    mu may be a range (mu_lo < mu_hi) only for rows without a distance;
-    band columns stay blank for those.
-    """
-
-    name: str
-    mu_lo: float
-    mu_hi: float
-    x_r: float | None
-
-
 class TableConfig(_Record):
     """Inputs of the clean-band survey table, validated at load.
 
+    species holds a dict of name, mu_lo, mu_hi and x_r per row; mu is a
+    range (mu_lo < mu_hi) only in rows without a distance (x_r None).
     parameters is the same set as plain data, embedded in every output.
     """
 
@@ -339,7 +322,7 @@ class TableConfig(_Record):
     decade_width: float
     q_fraction: float
     r_fraction: float
-    species: tuple[SpeciesRow, ...]
+    species: tuple[dict, ...]
     parameters: dict
 
 
@@ -386,8 +369,7 @@ def load_table(path) -> TableConfig:
                 _lam(DiffusionChannel(mu=mu_lo, x_r=x_r), reception)):
             raise ConfigError(f"{path_i}: lam = sqrt(x_r^2 k_r / (2 mu)) is "
                               f"beyond the float range")
-        rows.append(SpeciesRow(name=name, mu_lo=mu_lo, mu_hi=mu_hi, x_r=x_r))
-    parameters = {"reception": _asdict(reception), **settings,
-                  "species": [_asdict(row) for row in rows]}
+        rows.append({"name": name, "mu_lo": mu_lo, "mu_hi": mu_hi, "x_r": x_r})
+    parameters = {"reception": _asdict(reception), **settings, "species": rows}
     return TableConfig(reception=reception, species=tuple(rows),
                        parameters=parameters, **settings)

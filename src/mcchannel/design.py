@@ -51,16 +51,19 @@ class DesignResult(_Record):
 
     x_q / x_r_delay are the largest distances allowed by the amplitude
     and the delay budget alone; x_r_limit is their minimum, or None when
-    the reception share q_h / r_h already exceeds a budget (feasible =
+    the reception share q_h / r_h already exceeds a budget (feasible is
     False).  A distance that is not finite raises FloatingPointError.
     """
 
     x_q: float
     x_r_delay: float
     x_r_limit: float | None
-    feasible: bool
     q_h: float
     r_h: float
+
+    @property
+    def feasible(self) -> bool:
+        return self.x_r_limit is not None
 
     def __post_init__(self) -> None:
         # design.json would hold Infinity or NaN, which are not JSON.
@@ -102,11 +105,9 @@ def distance_bound(q0: float, r0: float, band: FrequencyBand, mu: float,
                / diffusion_amplitude_distortion_normalized(unit) * scale)
         x_r_delay = ((r0 - r_h)
                      / diffusion_delay_distortion_normalized(unit) * scale)
-    # A numpy comparison gives np.bool_, which json cannot write.
-    feasible = bool(q0 > q_h and r0 > r_h)
-    limit = min(x_q, x_r_delay) if feasible else None
+    limit = min(x_q, x_r_delay) if q0 > q_h and r0 > r_h else None
     return DesignResult(x_q=x_q, x_r_delay=x_r_delay, x_r_limit=limit,
-                        feasible=feasible, q_h=float(q_h), r_h=float(r_h))
+                        q_h=float(q_h), r_h=float(r_h))
 
 
 class CleanBands(_Record):

@@ -273,8 +273,7 @@ def synthesize_fourier(ch: DiffusionChannel, rs: ReceptionSystem,
     spectrum[:, 1:n_harmonics + 1] = [
         coeff * mag * np.exp(1j * (phase + 2.0 * math.pi * cycles))
         for mag, phase in responses]
-    if rows > 1:
-        spectrum = spectrum.reshape(4, rows, m).sum(axis=1)
+    spectrum = spectrum.reshape(4, rows, m).sum(axis=1)
     # Bin j of the real series: F_j + conj(F_{m-j}), times m/2.
     half = np.arange(m // 2 + 1)
     bins = spectrum[:, half] + np.conj(spectrum[:, -half % m])

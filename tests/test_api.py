@@ -23,8 +23,7 @@ def test_package_exports_exactly_the_module_lists():
 
 
 @pytest.mark.parametrize("module, name", [
-    ("design", "CleanBands"), ("config", "SweepSettings"),
-    ("config", "SpeciesRow"), ("config", "TableConfig"),
+    ("design", "CleanBands"), ("config", "TableConfig"),
     ("cli", "write_trace_csv"),
 ])
 def test_module_only_names_stay_importable_by_module_path(module, name):

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line front end: files, formats,
 exit codes, determinism."""
 
+import csv
 import gc
 import json
 import math
@@ -544,6 +545,23 @@ def test_table_without_banded_rows(tmp_path):
         assert cli.main(["table", "--config", str(cfg), "--out", str(out)]) == 0
         rows = json.loads((out / "table.json").read_text())["rows"]
         assert [r["status"] for r in rows] == ["no-distance", "no-distance"]
+
+
+def test_table_csv_quotes_names_with_commas_quotes_and_line_breaks(tmp_path):
+    names = ["acyl-HSL, C4", 'the "fast" ion', "two\nlines", "plain"]
+    cfg = tmp_path / "names.yaml"
+    cfg.write_text(SPECIES + "".join(
+        f"  - name: {json.dumps(name)}\n    mu: 83.0\n" for name in names))
+    out = tmp_path / "out"
+    assert cli.main(["table", "--config", str(cfg), "--out", str(out)]) == 0
+    with open(out / "table.csv", newline="") as fh:
+        assert fh.readline().startswith("# tool: ")
+        assert fh.readline().startswith("# parameters: ")
+        rows = list(csv.reader(fh))
+    assert [len(row) for row in rows] == [7] * 7
+    assert [row[0] for row in rows] == ["name", "autoinducer", "ion", *names]
+    # A name that needs no quotes is written as it stands.
+    assert "\nplain,83,83,,,,no-distance\n" in (out / "table.csv").read_text()
 
 
 @pytest.mark.parametrize("mutation, hint", [
@@ -1502,9 +1520,9 @@ def test_shipped_scenarios_parse():
     assert scenario.q0 == 1.2 * float(reception_amplitude_distortion(
         scenario.reception, scenario.band))
     table = load_table(SCENARIOS / "species.yaml")
-    assert [row.name for row in table.species] == [
+    assert [row["name"] for row in table.species] == [
         "autoinducer", "neurotransmitter", "ion", "dna"]
-    assert table.species[2].mu_hi == 7000.0
+    assert table.species[2]["mu_hi"] == 7000.0
 
     # a scenario dict round-trips through the parser
     doc = {

@@ -12,13 +12,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mcchannel.config import (
-    Scenario,
-    SpeciesRow,
-    SweepSettings,
-    TableConfig,
-    scenario_from_dict,
-)
+from mcchannel.config import Scenario, TableConfig, scenario_from_dict
 from mcchannel.design import CleanBands, DesignResult
 from mcchannel.distortion import DistortionReport, NormalizedBand
 from mcchannel.systems import (
@@ -64,9 +58,9 @@ CASES = {
                      {"lam": -1.0}),
     DistortionReport: (dict(q_g=1.0, r_g=0.1, q_h=2.0, r_h=0.2),
                        {"r_h": 0.3}, {"q_g": -1.0}),
-    DesignResult: (dict(x_q=1.0, x_r_delay=2.0, x_r_limit=1.0, feasible=True,
-                        q_h=0.5, r_h=0.05),
-                   {"feasible": False}, None),
+    DesignResult: (dict(x_q=1.0, x_r_delay=2.0, x_r_limit=1.0, q_h=0.5,
+                        r_h=0.05),
+                   {"x_r_limit": None}, None),
     CleanBands: (dict(omega1=np.array([1.0]), omega2=np.array([10.0]),
                       status=np.array(["ok"])),
                  {"status": np.array(["saturated"])}, None),
@@ -77,14 +71,11 @@ CASES = {
     SimulationTrace: (_trace(), {"route": "fdm"}, {"input": np.zeros(2)}),
     SolverConfig: (dict(dx=1.0, dt=1.0, domain_length=10.0, duration=10.0),
                    {"dt": 0.5}, {"dt": 5e-324}),
-    SweepSettings: (dict(omega_min=1e-2, omega_max=1e2, points=9),
-                    {"points": 10}, None),
     Scenario: (_asdict(SCENARIO), {"threshold": 0.05}, None),
-    SpeciesRow: (dict(name="ion", mu_lo=500.0, mu_hi=7000.0, x_r=None),
-                 {"x_r": 10.0}, None),
     TableConfig: (dict(reception=RS, decade_width=10.0, q_fraction=0.1,
                        r_fraction=0.1,
-                       species=(SpeciesRow("ion", 500.0, 7000.0, None),),
+                       species=({"name": "ion", "mu_lo": 500.0,
+                                 "mu_hi": 7000.0, "x_r": None},),
                        parameters={"decade_width": 10.0}),
                   {"q_fraction": 0.2}, None),
 }

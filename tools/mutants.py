@@ -25,10 +25,11 @@ Usage:
 
 --sample 0 runs every site.  A mutant costs one tier-1 run, up to about
 20 s (less when -x stops at an early failure), so a sample of 20 takes a
-few minutes and every site about half an hour.  A run that takes longer
-than TIMEOUT_S counts as killed.  Exit status: 0 when every survivor is
-listed as equivalent, 1 otherwise, 2 when tier-1 fails on the unmutated
-copy.
+few minutes and every site about half an hour.  Each mutant's run is
+limited to TIMEOUT_FACTOR times the unmutated copy's tier-1 time, measured
+first; a run that takes longer (a search that never ends) counts as
+killed.  Exit status: 0 when every survivor is listed as equivalent, 1
+otherwise, 2 when tier-1 fails on the unmutated copy.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ EQUIVALENT = Path(__file__).resolve().with_name("mutants_equivalent.json")
 FLIPS = {"<": "<=", "<=": "<", ">": ">=", ">=": ">"}
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
          "--hypothesis-seed=0", "--ignore=tests/test_mutants_equivalent.py"]
-TIMEOUT_S = 600     # a hung mutant (a search that never ends) is killed
+TIMEOUT_FACTOR = 4  # a mutant's time limit, in unmutated tier-1 runs
 
 
 def _offsets(text: str) -> list[int]:
@@ -111,13 +112,13 @@ def _sites(name: str, text: str, operators: set[str]) -> list[dict]:
     return sites
 
 
-def _tier1(copy: Path) -> tuple[str, float]:
+def _tier1(copy: Path, timeout: float | None = None) -> tuple[str, float]:
     """Run tier-1 in the copy: ("passed" | "failed" | "timeout", seconds)."""
     env = {**os.environ, "PYTHONPATH": str(copy / "src"),
            "PYTHONDONTWRITEBYTECODE": "1"}
     start = time.perf_counter()
     try:
-        done = subprocess.run(TIER1, cwd=copy, env=env, timeout=TIMEOUT_S,
+        done = subprocess.run(TIER1, cwd=copy, env=env, timeout=timeout,
                               stdout=subprocess.DEVNULL,
                               stderr=subprocess.DEVNULL)
     except subprocess.TimeoutExpired:
@@ -164,12 +165,15 @@ def main(argv=None) -> int:
         if outcome != "passed":
             print(f"tier-1 {outcome} on the unmutated copy", file=sys.stderr)
             return 2
+        timeout = TIMEOUT_FACTOR * seconds
+        print(f"tier-1 took {seconds:.1f} s unmutated; each mutant is "
+              f"stopped after {timeout:.1f} s", file=sys.stderr)
         results = []
         for i, site in enumerate(sites, 1):
             target, text = copy / PACKAGE / site["file"], sources[site["file"]]
             start, end = site["span"]
             target.write_text(text[:start] + site["new"] + text[end:])
-            outcome, seconds = _tier1(copy)
+            outcome, seconds = _tier1(copy, timeout)
             target.write_text(text)
             print(f"[{i}/{len(sites)}] {site['file']}:{site['line']} "
                   f"{site['edit']}: {outcome} ({seconds:.1f} s)", file=sys.stderr)
