@@ -366,7 +366,7 @@ def load_table(path) -> TableConfig:
                               f"not a range")
         # The clean-band search normalizes each banded row to this lam.
         if x_r is not None and not math.isfinite(
-                _lam(DiffusionChannel(mu=mu_lo, x_r=x_r), reception)):
+                _lam(mu_lo, x_r, reception.k_r)):
             raise ConfigError(f"{path_i}: lam = sqrt(x_r^2 k_r / (2 mu)) is "
                               f"beyond the float range")
         rows.append({"name": name, "mu_lo": mu_lo, "mu_hi": mu_hi, "x_r": x_r})

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .systems import (
-    DiffusionChannel,
+    FLOAT_MAX,
     FrequencyBand,
     ParameterError,
     ReceptionSystem,
@@ -131,6 +131,7 @@ _REL_TOL = 1e-4
 _SEARCH_RANGE = (1e-8, 1e8)
 
 
+@np.errstate(over="ignore")
 def highest_clean_band(mu, x_r, rs: ReceptionSystem,
                        decade_width: float = 10.0,
                        q_fraction: float = 0.1,
@@ -149,7 +150,9 @@ def highest_clean_band(mu, x_r, rs: ReceptionSystem,
     half-line.  The search evaluates Phi once on a coarse log grid over
     _SEARCH_RANGE, takes each row's last qualifying scan point from the
     suffix maxima of Phi, and bisects the upper transition.
-    Deterministic: repeated calls return identical results.
+    Deterministic: repeated calls return identical results.  Overflow
+    reads right: a row whose lam is beyond the float range qualifies
+    nowhere, and a fraction that makes Phi inf never binds.
 
     Precision: the returned w1 is the qualifying end of the final
     bisection bracket, so it satisfies the predicate and lies at or
@@ -185,8 +188,12 @@ def highest_clean_band(mu, x_r, rs: ReceptionSystem,
                              f"x_r={x_r}") from None
     _require(mu.ndim <= 1,
              f"mu and x_r must be scalars or 1-D arrays, got shape {mu.shape}")
-    # Constructing the channel validates every row.
-    lam = np.atleast_1d(_lam(DiffusionChannel(mu=mu, x_r=x_r), rs))
+    # One check for all rows; the message formats the arrays only on failure.
+    if not np.all((mu > 0.0) & (mu <= FLOAT_MAX)):
+        raise ParameterError(f"mu must be finite and > 0, got {mu}")
+    if not np.all((x_r >= 0.0) & (x_r <= FLOAT_MAX)):
+        raise ParameterError(f"x_r must be finite and >= 0, got {x_r}")
+    lam = np.atleast_1d(_lam(mu, x_r, rs.k_r))
     lo, hi = _SEARCH_RANGE
     _require(lam.size == 0 or _finite(hi * float(decade_width) / rs.k_r),
              f"reception k_r={rs.k_r:g} puts the clean-band search's top "

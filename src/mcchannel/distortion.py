@@ -33,7 +33,6 @@ from .systems import (
     FrequencyBand,
     ParameterError,
     ReceptionSystem,
-    _all,
     _finite,
     _Record,
     _require,
@@ -57,8 +56,10 @@ __all__ = [
 def log_grid(band: FrequencyBand, n_points: int) -> np.ndarray:
     """Log-spaced frequency grid over the band, endpoints included exactly."""
     _require(n_points >= 2, f"n_points must be >= 2, got {n_points}")
-    grid = np.logspace(math.log10(band.omega1), math.log10(band.omega2),
-                       n_points)
+    # The last power may overflow; the endpoint replaces it.
+    with np.errstate(over="ignore"):
+        grid = np.logspace(math.log10(band.omega1), math.log10(band.omega2),
+                           n_points)
     # Pin the endpoints so band-edge extremes are sampled without rounding.
     grid[0] = band.omega1
     grid[-1] = band.omega2
@@ -87,24 +88,28 @@ class NormalizedBand(_Record):
         # One check per call, not per element; the message is built only
         # on failure because formatting an array costs more than the check.
         w1, w2, lam = self.omega1p, self.omega2p, self.lam
-        if not _all((w1 > 0.0) & (w1 <= FLOAT_MAX)):
+        if not np.all((w1 > 0.0) & (w1 <= FLOAT_MAX)):
             raise ParameterError(f"omega1p must be finite and > 0, got {w1}")
-        if not (_all(w2 <= FLOAT_MAX) and _all(w2 > w1)):
+        if not (np.all(w2 <= FLOAT_MAX) and np.all(w2 > w1)):
             raise ParameterError(f"omega2p must be finite and > omega1p={w1}, "
                                  f"got {w2}")
-        if not _all((lam >= 0.0) & (lam <= FLOAT_MAX)):
+        if not np.all((lam >= 0.0) & (lam <= FLOAT_MAX)):
             raise ParameterError(f"lam must be finite and >= 0, got {lam}")
 
 
 def normalize(ch: DiffusionChannel, rs: ReceptionSystem,
               band: FrequencyBand) -> NormalizedBand:
     """Map physical parameters to the (omega1p, omega2p, lam) normal form."""
-    return _in_corner_units(band, rs, _lam(ch, rs))
+    return _in_corner_units(band, rs, _lam(ch.mu, ch.x_r, rs.k_r))
 
 
-def _lam(ch: DiffusionChannel, rs: ReceptionSystem):
-    """The diffusion scale lam = sqrt(x_r^2 k_r / (2 mu)) of the channel."""
-    return np.sqrt(ch.x_r * ch.x_r * rs.k_r / (2.0 * ch.mu))
+def _lam(mu, x_r, k_r):
+    """The diffusion scale lam = sqrt(x_r^2 k_r / (2 mu)), elementwise.
+
+    The numerator is halved rather than mu doubled, so mu near the top of
+    the float range does not overflow.
+    """
+    return np.sqrt(0.5 * x_r * x_r * k_r / mu)
 
 
 def _in_corner_units(band: FrequencyBand, rs: ReceptionSystem,

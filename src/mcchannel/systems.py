@@ -63,18 +63,6 @@ def _require(cond: bool, message: str) -> None:
         raise ParameterError(message)
 
 
-def _all(cond) -> bool:
-    """Whether an elementwise comparison holds everywhere.
-
-    Comparing Python numbers gives a bool; comparing numpy operands gives
-    an np.bool_ or an array.  Testing the bool directly keeps scalar
-    checks at comparison cost, about 0.1 us against several us for
-    np.all.  Comparisons with nan are false, so (x > 0) & (x <= FLOAT_MAX)
-    also rejects nan.
-    """
-    return cond if isinstance(cond, bool) else bool(cond.all())
-
-
 def _finite(x) -> bool:
     """Whether x is one finite number, like math.isfinite.
 
@@ -174,20 +162,17 @@ class DiffusionChannel(_Record):
     Attributes:
         mu: diffusion coefficient, um^2/s.
         x_r: transmitter-to-receiver distance, um; 0 makes an identity.
-
-    mu and x_r may also be arrays that broadcast together: a family of
-    channels, whose lam the clean-band search computes in one call.
     """
 
-    mu: float | np.ndarray
-    x_r: float | np.ndarray
+    mu: float
+    x_r: float
 
     def __post_init__(self) -> None:
         mu, x_r = self.mu, self.x_r
-        if not _all((mu > 0.0) & (mu <= FLOAT_MAX)):
-            raise ParameterError(f"mu must be finite and > 0, got {mu}")
-        if not _all((x_r >= 0.0) & (x_r <= FLOAT_MAX)):
-            raise ParameterError(f"x_r must be finite and >= 0, got {x_r}")
+        _require(_finite(mu) and mu > 0.0,
+                 f"mu must be finite and > 0, got {mu}")
+        _require(_finite(x_r) and x_r >= 0.0,
+                 f"x_r must be finite and >= 0, got {x_r}")
 
 
 class ReceptionSystem(_Record):

@@ -16,6 +16,11 @@ delay condition holding there.  The literature starts (2.0e-2 and 1.9e4
 rad/s) are compared to one significant figure, the precision at which
 they agree with the predicate; the deviation from each, and q_g/q_h on
 each reference band, are printed in the verdict lines.
+
+A last test checks the claim behind the indices, that they rank
+distortion: along one channel family the exact steady-state waveform
+error, a Parseval sum over the input's harmonics, rises with distance
+as q_m and r_m do.
 """
 
 import math
@@ -23,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 
 from grid_search import amplitude_distortion, delay_distortion, grid_report
 from mcchannel import (
@@ -363,3 +368,47 @@ def test_criterion_11_activation_traces(traces):
          "within 10% of 4.1e3",
          abs(latency100 / 4.1e3 - 1.0) <= 0.10),
     ])
+
+
+def test_parseval_waveform_error_rises_with_distance():
+    # The paper reads q and r as measures of how much a channel distorts
+    # its input.  An exact measure, independent of the indices: the
+    # steady-state output against the best distortionless copy
+    # a v(t - tau) of the input.  By Parseval, over the square wave's
+    # harmonics n w1 with weights w_n = |c_n|^2 (the DC term is left out),
+    #   e^2 = min_{a, tau} sum w_n |T_n - a e^(-i w_n tau)|^2
+    #                      / (a^2 sum w_n)
+    #       = 1 - max_tau rho(tau)^2,
+    #   rho(tau) = sum w_n Re(T_n e^(i w_n tau))
+    #              / sqrt(sum w_n * sum w_n |T_n|^2),
+    # with T_n = G(i w_n) H(i w_n) written out here.  Along x_r the
+    # indices grow, so e must grow too: strictly, at every 5 um step.
+    n = np.arange(1, 801)
+    omega = n * WAVE.fundamental
+    weight = (np.sin(math.pi * n * WAVE.duty) / n) ** 2
+    quarter = 0.5 * math.pi / WAVE.fundamental    # T1 / 4
+    taus = np.linspace(0.0, quarter, 2001)
+    shifts = np.exp(1j * np.outer(taus, omega))
+    reception = RS.k_f * RS.r / (1j * omega + RS.k_r)
+
+    def error(x_r):
+        t = np.exp(-np.sqrt(1j * omega * x_r * x_r / MU)) * reception
+        norm = math.sqrt(weight.sum() * (weight * np.abs(t) ** 2).sum())
+
+        def rho(tau):
+            return (weight * t * np.exp(1j * omega * tau)).real.sum() / norm
+
+        on_grid = (shifts @ (weight * t)).real / norm
+        k = int(np.argmax(on_grid))
+        best = minimize_scalar(lambda tau: -rho(tau), method="bounded",
+                               bounds=(taus[max(k - 1, 0)],
+                                       taus[min(k + 1, taus.size - 1)]))
+        peak = max(on_grid[k], -best.fun)
+        return math.sqrt(1.0 - peak * peak)
+
+    distances = np.arange(0.0, 101.0, 5.0)
+    errors = [error(x_r) for x_r in distances]
+    steps = np.diff(errors)
+    print(f"[parseval] e from {errors[0]:.5f} at x_r = 0 to {errors[-1]:.5f} "
+          f"at x_r = 100 um; smallest step {steps.min():.4f}")
+    assert np.all(steps > 0.0), list(zip(distances[1:], steps))

@@ -1260,6 +1260,29 @@ def test_nonfinite_results_exit_three(tmp_path, capsys, command, edits,
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, text, old", [
+    # np.logspace overflows at the last point, which is pinned to omega_max.
+    ("sweep", SCENARIO, "omega_max: 1.0e+2"),
+    # q_fraction * q_h is inf: an amplitude budget that never binds.
+    ("table", SPECIES, "q_fraction: 0.1"),
+    # 2 mu would overflow in lam; the row's lam is about 3e-155.
+    ("table", SPECIES, "mu: 83.0"),
+], ids=["sweep-omega_max", "table-q_fraction", "table-mu"])
+def test_extreme_valid_inputs_run_without_numpy_warnings(tmp_path, capsys,
+                                                         command, text, old):
+    # A value at the top of the float range is valid here, and the run
+    # writes its artifacts: no numpy RuntimeWarning (an error here) and
+    # nothing on stderr.
+    assert text.count(old) == 1
+    key = old.split(":")[0]
+    cfg = tmp_path / "extreme.yaml"
+    cfg.write_text(text.replace(old, f"{key}: {sys.float_info.max!r}"))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 COMMANDS = ["analyze", "design", "sweep", "simulate", "table"]
 
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -452,3 +453,14 @@ def test_clean_band_batch_accepts_no_rows_and_validates_each_row():
         highest_clean_band(np.array([83.0, 83.0]), np.array([10.0, np.nan]), RS)
     with pytest.raises(ParameterError):
         highest_clean_band(np.ones((2, 2)), np.ones((2, 2)), RS)
+
+
+def test_clean_band_rows_at_the_ends_of_their_domain():
+    # Both ends of x_r's domain are valid rows.  At 0 the channel is the
+    # identity (lam = 0), which every band carries up to the range top; at
+    # the largest float lam overflows, with no numpy warning, and no band
+    # qualifies.  A mu at the largest float makes lam tiny.
+    top = sys.float_info.max
+    found = highest_clean_band(np.array([83.0, 83.0, top]),
+                               np.array([0.0, top, 10.0]), RS)
+    assert found.status.tolist() == ["saturated", "infeasible", "saturated"]

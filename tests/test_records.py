@@ -177,9 +177,10 @@ def test_post_init_still_validates(cls):
 
 
 # Every field of the records that hold scalars.
-SCALAR_FIELDS = [(cls, name) for cls in (ReceptionSystem, FrequencyBand,
-                                         SquareWaveInput, TimeGrid,
-                                         SolverConfig, DistortionReport)
+SCALAR_FIELDS = [(cls, name) for cls in (DiffusionChannel, ReceptionSystem,
+                                         FrequencyBand, SquareWaveInput,
+                                         TimeGrid, SolverConfig,
+                                         DistortionReport)
                  for name in cls._fields]
 
 

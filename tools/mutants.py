@@ -7,8 +7,9 @@ Each mutant is one small edit of one site in the package:
           ``pass``.
 
 The edit is made in a temporary copy of the repository's src/, tests/,
-scenarios/ and perfbench/, never in the checkout, and tier-1 runs on the
-copy (``python -m pytest -q -x --hypothesis-seed=0``) with the copy's src/
+scenarios/, perfbench/ and .github/ (tests/test_ci.py reads the CI
+workflow), never in the checkout, and tier-1 runs on the copy
+(``python -m pytest -q -x --hypothesis-seed=0``) with the copy's src/
 first on PYTHONPATH.  Tier-1 there leaves out
 tests/test_mutants_equivalent.py, which checks this tool's list against
 the checkout: any mutant of a listed line would fail it.  A mutant that
@@ -50,7 +51,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src") / "mcchannel"
-COPIED = ("src", "tests", "scenarios", "perfbench", "pyproject.toml")
+COPIED = ("src", "tests", "scenarios", "perfbench", ".github",
+          "pyproject.toml")
 EQUIVALENT = Path(__file__).resolve().with_name("mutants_equivalent.json")
 FLIPS = {"<": "<=", "<=": "<", ">": ">=", ">=": ">"}
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
